@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldMatrix, smallest_prime_at_least, vandermonde
-from .model import Instance, Receiver
+from .model import Instance, Receiver, checked_int, checked_ints
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -91,7 +91,7 @@ class LinearCode:
         self.length = generator.cols
         self.key_dim = 0 if key_generator is None else key_generator.rows
         self.key_count = self.q ** self.key_dim
-        # plain-int row copies: encoding runs in tight enumeration loops
+        # plain-int row copies: encode and decode work one vector at a time
         self._rows = tuple(tuple(int(v) for v in row) for row in generator.data)
         self._key_rows = (
             ()
@@ -454,6 +454,12 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 # ---- JSON code files -------------------------------------------------------
 
+def _int_matrix(rows, what: str) -> list:
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
+    return [checked_ints(row, f"{what} row") for row in rows]
+
+
 def parse_code(obj) -> LinearCode:
     """Build a LinearCode from a parsed JSON object.
 
@@ -470,12 +476,13 @@ def parse_code(obj) -> LinearCode:
     kind = obj["kind"]
     if kind not in ("linear_det", "linear_rand"):
         raise ValueError(f"unknown code kind {kind!r}")
-    generator = FieldMatrix(obj["q"], obj["G"])
+    q = checked_int(obj["q"], "q")
+    generator = FieldMatrix(q, _int_matrix(obj["G"], "G"))
     key_generator = None
     if kind == "linear_rand":
         if "Gtilde" not in obj:
             raise ValueError("linear_rand code needs a 'Gtilde' matrix")
-        key_generator = FieldMatrix(obj["q"], obj["Gtilde"])
+        key_generator = FieldMatrix(q, _int_matrix(obj["Gtilde"], "Gtilde"))
     elif "Gtilde" in obj:
         raise ValueError("linear_det code must not carry a 'Gtilde' matrix")
     return LinearCode(generator, key_generator)

@@ -254,12 +254,12 @@ class AccessStructure:
         if kind == "t_level":
             if "t" not in obj:
                 raise ValueError("t_level adversary needs a 't' field")
-            return cls.t_level(obj["t"])
+            return cls.t_level(checked_int(obj["t"], "access level t"))
         if kind == "explicit":
             sets = obj.get("sets")
             if not isinstance(sets, list):
                 raise ValueError("explicit adversary needs a 'sets' list")
-            return cls.explicit(sets)
+            return cls.explicit([checked_ints(a, "access set") for a in sets])
         raise ValueError(f"unknown adversary type {kind!r}")
 
     def __eq__(self, other):
@@ -360,6 +360,23 @@ def build_graph(inst: Instance, acc: AccessStructure) -> BipartiteGraph:
 
 # ---- JSON instance files -------------------------------------------------
 
+def checked_int(value, what: str) -> int:
+    """value when it is an int; ValueError for bools, floats, strings, ...
+
+    JSON readers use this so that no file value is silently coerced.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def checked_ints(values, what: str) -> list:
+    """values when it is a list of ints; ValueError otherwise."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return [checked_int(v, f"{what} entry") for v in values]
+
+
 def parse_instance(obj):
     """Build (Instance, AccessStructure | None) from a parsed JSON object.
 
@@ -381,8 +398,10 @@ def parse_instance(obj):
     for pos, r in enumerate(obj["receivers"], start=1):
         if not isinstance(r, dict) or "knows" not in r or "wants" not in r:
             raise ValueError(f"receiver {pos} must be an object with 'knows' and 'wants'")
-        receivers.append(Receiver(frozenset(r["knows"]), frozenset(r["wants"])))
-    inst = Instance(obj["q"], obj["m"], tuple(receivers))
+        knows = checked_ints(r["knows"], f"receiver {pos} knows")
+        wants = checked_ints(r["wants"], f"receiver {pos} wants")
+        receivers.append(Receiver(frozenset(knows), frozenset(wants)))
+    inst = Instance(checked_int(obj["q"], "q"), checked_int(obj["m"], "m"), tuple(receivers))
     acc = AccessStructure.from_dict(obj["adversary"]) if "adversary" in obj else None
     return inst, acc
 

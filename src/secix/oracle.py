@@ -13,9 +13,23 @@ decodability and security reduce to integer counting over that space:
   positive probability, the conditional distribution of the B-values is
   exactly uniform.
 
-Verdicts come from these count comparisons alone, so they are exact;
-the entropies attached to reports are decimal renderings for humans,
-never inputs to a verdict.
+Each `check_*` call builds one state table and shares it across every
+receiver and (A, B) pair it checks.  The table holds the message digits
+of every state, in the order of the nested enumeration (x in
+lexicographic order, key index fastest), and a dense integer id per
+distinct codeword: a linear code is encoded by one matrix product over
+all states, a table code by one lookup per state.  A receiver or pair
+then packs its view (codeword id, X_A) and its target (X_B) into one
+int64 key per state, sorts the keys and reads off run lengths:
+
+* a receiver decodes iff no view occurs in two runs, i.e. the number
+  of distinct views equals the number of distinct (view, target) keys;
+* a pair is uniform iff every view occurs in exactly q^b runs of
+  equal length.
+
+Verdicts come from these integer count comparisons alone, so they are
+exact; the entropies attached to reports are decimal renderings of the
+same run lengths for humans, never inputs to a verdict.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import AccessStructure, Instance
 
@@ -40,6 +56,11 @@ __all__ = [
 
 # Joint (message, key) states enumerated per verification, unless overridden.
 DEFAULT_BUDGET = 2 ** 22
+
+# Packed keys must stay below this.  A (view, target) key is below
+# states * q^m, because codeword ids are dense and a view and its target
+# cover disjoint messages.
+_KEY_LIMIT = 2 ** 63
 
 
 class BudgetExceededError(RuntimeError):
@@ -60,6 +81,8 @@ def _check_budget(code, budget: int) -> None:
         raise BudgetExceededError(
             f"{total} joint states exceed the budget of {budget}; raise the budget to force the enumeration"
         )
+    if total * code.q ** max(code.m, 1) >= _KEY_LIMIT:
+        raise BudgetExceededError(f"{total} joint states are too many to index with 64-bit keys")
 
 
 def _check_code_matches(code, inst: Instance) -> None:
@@ -70,11 +93,70 @@ def _check_code_matches(code, inst: Instance) -> None:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
 
 
-def _states(code):
-    """Yield (message tuple, key index, codeword tuple) for every state."""
-    for x in itertools.product(range(code.q), repeat=code.m):
-        for key in range(code.key_count):
-            yield x, key, code.encode_state(x, key)
+def _digits(values, q: int, width: int):
+    """Base-q digits of each value, most significant first (len x width)."""
+    return values[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
+
+
+def _dense(keys):
+    """Re-number keys as 0, 1, ... in sorted order; returns (ids, id count)."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ids = np.empty_like(keys)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(ids[order[-1]]) + 1
+
+
+def _pack(keys, bound: int, columns, indices, q: int):
+    """Append the digit columns at `indices` to keys below `bound`.
+
+    Returns (keys, new bound): two rows get equal keys iff they had equal
+    keys and equal digits.  Keys are re-ranked before they could leave
+    int64, which long codewords need.
+    """
+    for j in indices:
+        if bound * q >= _KEY_LIMIT:
+            keys, bound = _dense(keys)
+        keys = keys * q + columns[:, j]
+        bound *= q
+    return keys, bound
+
+
+def _state_table(code):
+    """(message digits, codeword ids, id count) over every joint state."""
+    q, m, keys = code.q, code.m, code.key_count
+    total = state_count(code)
+    index = np.arange(total, dtype=np.int64)
+    if code.kind == "linear":
+        # key symbols are the least significant digits of the state index
+        digits = _digits(index, q, m + code.key_dim)
+        matrix = code.generator.data
+        if code.is_randomized:
+            matrix = np.vstack([matrix, code.key_generator.data])
+        words = digits @ matrix % q
+        x = digits[:, :m]
+    else:
+        x = _digits(index // keys, q, m)
+        states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
+        words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(total, code.length)
+    ids, bound = _pack(np.zeros(total, dtype=np.int64), 1, words, range(code.length), q)
+    if bound > total:
+        ids, bound = _dense(ids)
+    return x, ids, bound
+
+
+def _group(view, view_bound: int, x, target, q: int):
+    """Sort the states by (view, target values).
+
+    Returns the sorted packed keys and the width q^|target| that divides
+    a key down to its view.
+    """
+    # _check_budget keeps view_bound * width below the limit, so _pack does
+    # not re-rank and key // width is the view
+    return np.sort(_pack(view, view_bound, x, target, q)[0]), q ** len(target)
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -86,24 +168,17 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
     """
     _check_code_matches(code, inst)
     _check_budget(code, budget)
+    x, ids, bound = _state_table(code)
     verdicts = []
     for r in inst.receivers:
-        known = tuple(sorted(r.knows))
-        wanted = tuple(sorted(r.wants))
-        known_idx = tuple(j - 1 for j in known)
-        wanted_idx = tuple(j - 1 for j in wanted)
-        seen = {}
-        ok = True
-        for x, _key, c in _states(code):
-            view = (c, tuple(x[i] for i in known_idx))
-            target = tuple(x[i] for i in wanted_idx)
-            prev = seen.get(view)
-            if prev is None:
-                seen[view] = target
-            elif prev != target:
-                ok = False
-                break
-        verdicts.append(ok)
+        # wanted messages already known are read off the side information
+        view = _pack(ids, bound, x, [j - 1 for j in sorted(r.knows)], code.q)
+        keys, width = _group(*view, x, [j - 1 for j in sorted(r.wants - r.knows)], code.q)
+        views = keys // width
+        # decodes iff #distinct views == #distinct (view, target) keys
+        verdicts.append(
+            bool(np.count_nonzero(views[1:] != views[:-1]) == np.count_nonzero(keys[1:] != keys[:-1]))
+        )
     return verdicts
 
 
@@ -181,41 +256,33 @@ def check_security(
             raise InfeasibleBlockError(
                 f"block size {b} exceeds the {len(outside)} messages outside access set {sorted(a)}"
             )
-        for block in itertools.combinations(outside, b):
-            pairs.append((tuple(sorted(a)), block))
+        pairs.append((tuple(sorted(a)), list(itertools.combinations(outside, b))))
+    pair_count = sum(len(blocks) for _, blocks in pairs)
 
     q = code.q
     block_entropy = b * math.log2(q)
-    uniform_count = q ** b
+    total = state_count(code)
     checks = []
-    truncated = False
-    for access, block in pairs:
-        access_idx = tuple(j - 1 for j in access)
-        block_idx = tuple(j - 1 for j in block)
-        groups = {}
-        for x, _key, c in _states(code):
-            view = (c, tuple(x[i] for i in access_idx))
-            target = tuple(x[i] for i in block_idx)
-            counts = groups.get(view)
-            if counts is None:
-                groups[view] = {target: 1}
-            else:
-                counts[target] = counts.get(target, 0) + 1
-        uniform = True
-        for counts in groups.values():
-            if len(counts) != uniform_count or len(set(counts.values())) != 1:
-                uniform = False
-                break
-        total = state_count(code)
-        conditional = sum(
-            (sum(counts.values()) / total) * entropy_bits(counts.values())
-            for counts in groups.values()
-        )
-        checks.append(PairCheck(access, block, uniform, block_entropy, conditional))
-        if stop_on_failure and not uniform:
-            truncated = len(checks) < len(pairs)
-            break
-    return SecurityReport(tuple(checks), b, complete=not truncated)
+    if pairs:
+        x, ids, bound = _state_table(code)
+    for access, blocks in pairs:
+        view = _pack(ids, bound, x, [j - 1 for j in access], q)
+        for block in blocks:
+            keys, width = _group(*view, x, [j - 1 for j in block], q)
+            edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
+            lengths = edges[1:] - edges[:-1]
+            run_views = keys[edges[:-1]] // width
+            starts = np.flatnonzero(np.concatenate(([True], run_views[1:] != run_views[:-1])))
+            runs_per_view = np.diff(starts, append=len(lengths))
+            # per run: the number of states sharing its view
+            view_sizes = np.repeat(np.add.reduceat(lengths, starts), runs_per_view)
+            # width = q^b: every view must hold all block values equally often
+            uniform = bool((runs_per_view == width).all() and (lengths * width == view_sizes).all())
+            conditional = float(lengths @ (np.log2(view_sizes) - np.log2(lengths))) / total
+            checks.append(PairCheck(access, block, uniform, block_entropy, conditional))
+            if stop_on_failure and not uniform:
+                return SecurityReport(tuple(checks), b, complete=len(checks) == pair_count)
+    return SecurityReport(tuple(checks), b, complete=True)
 
 
 def entropy_bits(counts) -> float:

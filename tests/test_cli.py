@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -188,6 +189,55 @@ def test_verify_budget_exceeded(tmp_path, capsys, crossed2):
                        "--code", str(code_path), "--budget", "5")
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_verify_never_renders_negative_zero(tmp_path, capsys, crossed2):
+    # the identity code hands every block to the eavesdropper: H = 0 everywhere
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "identity.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+    ))
+    code, out, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
+    assert code == 2
+    values = [p["H_B_given_CA_bits"] for p in json.loads(out)["pairs"]]
+    assert values and all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values)
+    assert "-0.0" not in out
+
+
+# ---- strict integer schema ---------------------------------------------------------------
+
+def assert_one_error_line(code, err):
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("generator", [[[1.9], [True]], [[1], ["1"]]], ids=["float-bool", "string"])
+def test_verify_rejects_non_integer_generator(tmp_path, capsys, keyed2, generator):
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": generator}))
+    code, _, err = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path))
+    assert_one_error_line(code, err)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("q", 2.5), ("knows", [[2]]), ("knows", None), ("sets", [3])],
+    ids=["float-q", "nested-knows", "null-knows", "bare-set"],
+)
+def test_instance_rejects_non_integer_fields(tmp_path, capsys, keyed2, field, value):
+    obj = instance_to_dict(keyed2, AccessStructure.explicit([[]]))
+    if field == "q":
+        obj["q"] = value
+    elif field == "knows":
+        obj["receivers"][0]["knows"] = value
+    else:
+        obj["adversary"]["sets"] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "analyze", "--instance", str(path))
+    assert_one_error_line(code, err)
 
 
 # ---- encode / decode filters ----------------------------------------------------------

@@ -4,9 +4,14 @@ independently computed expectations."""
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import entropy as scipy_entropy
+
+import reference_oracle
 
 from secix import (
     AccessStructure,
@@ -134,6 +139,34 @@ def test_budget_guard():
         check_decodability(code, inst, budget=15)
 
 
+def test_budget_refusal_allocates_nothing():
+    # 2^40 joint states: any state table would take terabytes
+    inst = Instance(2, 40, (Receiver({1}, {2}),))
+    code = LinearCode(FieldMatrix.zeros(2, 40, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            check_decodability(code, inst)
+        with pytest.raises(BudgetExceededError):
+            check_security(code, inst, AccessStructure.t_level(1))
+        # a raised budget does not help once 64-bit state keys could wrap
+        with pytest.raises(BudgetExceededError):
+            check_decodability(code, inst, budget=2 ** 90)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_codewords_longer_than_64_bits():
+    # 70 binary symbols do not fit one int64 key; only the first three carry
+    # information, so a key that dropped its high bits would merge codewords
+    code = LinearCode(FieldMatrix(2, [[int(c == j) for c in range(70)] for j in range(3)]))
+    inst = complementary_instance(2, 3)
+    assert check_decodability(code, inst) == [True] * 3
+    assert not check_security(code, inst, AccessStructure.t_level(0)).secure
+
+
 def test_table_code_matches_linear_equivalent():
     inst = crossed_pairs_instance(2)
     linear = disjoint_sum_code(2)
@@ -189,6 +222,17 @@ def test_counting_is_exact_mass():
     )
     pair = [p for p in report.checks if p.block == block][0]
     assert pair.uniform == uniform_inline
+
+
+def test_unequal_counts_leak_even_when_every_value_occurs():
+    # c = majority(x1, x2, x3): both values of x1 occur under each codeword,
+    # in proportion 3:1, so the codeword leaks about x1
+    table = {(x, 0): (int(sum(x) >= 2),) for x in itertools.product(range(2), repeat=3)}
+    code = TableCode(2, 3, 1, 1, table)
+    inst = Instance(2, 3, (Receiver({2}, {1}),))
+    report = check_security(code, inst, AccessStructure.explicit([[]]))
+    assert [p.uniform for p in report.checks] == [False] * 3
+    assert math.isclose(report.checks[0].conditional_entropy_bits, 2 - 0.75 * math.log2(3))
 
 
 def test_stop_on_failure_truncates_but_agrees():
@@ -283,3 +327,71 @@ def test_entropy_accepts_mapping_and_rejects_empty():
     assert entropy_bits({"a": 2, "b": 2}) == 1.0
     with pytest.raises(ValueError):
         entropy_bits([])
+
+
+# ---- differential test against the per-state reference --------------------------
+
+# the largest message count per field that keeps q^m * keys <= 243 states
+MAX_M = {2: 5, 3: 5, 5: 3}
+
+
+@st.composite
+def oracle_cases(draw):
+    """(code, instance, access structure, b): keyed and unkeyed linear and
+    table codes, instances whose receivers may want what they know."""
+    q = draw(st.sampled_from(sorted(MAX_M)))
+    m = draw(st.integers(1, MAX_M[q]))
+    length = draw(st.integers(0, 3))
+
+    def matrix(rows):
+        entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
+        return FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(rows, length))
+
+    key_dim = draw(st.integers(0, 2).filter(lambda k: q ** (m + k) <= 243))
+    linear = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
+    kind = draw(st.sampled_from(["linear", "copy", "random", "threshold"]))
+    if kind == "linear":
+        code = linear
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        # threshold symbols such as majority(x1, x2, x3) make views in which
+        # every block value occurs, but not equally often
+        cuts = [rng.randint(1, m * (q - 1)) for _ in range(length)]
+        table = {}
+        for x in itertools.product(range(q), repeat=m):
+            for key in range(linear.key_count):
+                if kind == "copy":
+                    word = linear.encode_state(x, key)
+                elif kind == "random":
+                    word = tuple(rng.randrange(q) for _ in range(length))
+                else:
+                    word = tuple(int(sum(x) + key >= cut) for cut in cuts)
+                table[(x, key)] = word
+        code = TableCode(q, m, length, linear.key_count, table)
+
+    subsets = st.frozensets(st.integers(1, m))
+    receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        acc = AccessStructure.t_level(draw(st.integers(0, m - 1)))
+    else:
+        acc = AccessStructure.explicit(draw(st.lists(subsets, min_size=1, max_size=3)))
+    return code, Instance(q, m, tuple(receivers)), acc, draw(st.sampled_from([1, 2]))
+
+
+@given(oracle_cases(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_vectorized_oracle_matches_reference(case, stop_on_failure):
+    code, inst, acc, b = case
+    assert check_decodability(code, inst) == reference_oracle.decodability(code, inst)
+    try:
+        expected, complete = reference_oracle.security(code, inst, acc, b, stop_on_failure)
+    except InfeasibleBlockError:
+        with pytest.raises(InfeasibleBlockError):
+            check_security(code, inst, acc, b=b, stop_on_failure=stop_on_failure)
+        return
+    report = check_security(code, inst, acc, b=b, stop_on_failure=stop_on_failure)
+    assert [(p.access, p.block, p.uniform) for p in report.checks] == [row[:3] for row in expected]
+    assert report.complete == complete
+    for pair, row in zip(report.checks, expected):
+        assert pair.block_entropy_bits == b * math.log2(code.q)
+        assert abs(pair.conditional_entropy_bits - row[3]) <= 1e-9

@@ -7,7 +7,7 @@ MDS-based and derandomized linear codes, and verify decodability and
 block security of arbitrary codes by exact exhaustive counting.
 """
 
-from .gf import GF, FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
+from .gf import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
 from .model import (
     AccessStructure,
     BipartiteGraph,
@@ -60,7 +60,6 @@ from .analysis import (
     decide,
     decide_t_level,
     length_bounds,
-    max_access,
     min_side_info,
     search_linear,
 )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
 from .gf import FieldMatrix
-from .model import AccessStructure, Instance, build_graph, every_message_wanted
+from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, check_decodability, check_security
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "AcyclicCertificate",
     "ExistenceVerdict",
     "min_side_info",
-    "max_access",
     "decide_t_level",
     "decide",
     "length_bounds",
@@ -102,22 +101,10 @@ class ExistenceVerdict:
         }
 
 
-def _require_normalized(inst: Instance) -> None:
-    if inst.n < 1:
-        raise ValueError("analysis needs at least one receiver")
-    if not inst.is_normalized():
-        raise ValueError("analysis needs a normalized instance; call normalize() first")
-
-
 def min_side_info(inst: Instance) -> int:
     """Smallest number of messages any receiver knows."""
-    _require_normalized(inst)
+    require_normalized(inst, "analysis")
     return min(len(r.knows) for r in inst.receivers)
-
-
-def max_access(acc: AccessStructure, m: int) -> int:
-    """Largest access set size (symbolic for t-level structures)."""
-    return acc.max_size(m)
 
 
 def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
@@ -132,7 +119,7 @@ def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
     symbols plus the receiver's wanted one form a readable block of at
     most b messages.
     """
-    _require_normalized(inst)
+    require_normalized(inst, "analysis")
     if not 0 <= t <= inst.m - 1:
         raise ValueError(f"access level must satisfy 0 <= t <= {inst.m - 1}, got {t}")
     if b < 1:
@@ -162,7 +149,7 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
     whole); then the two constructive sufficient conditions; remaining
     cases are genuinely open and reported as unknown.
     """
-    _require_normalized(inst)
+    require_normalized(inst, "analysis")
     expanded = acc.expand(inst.m)
     lower, upper = length_bounds(inst, acc)
 
@@ -179,7 +166,7 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
                     upper=upper,
                 )
 
-    if max_access(acc, inst.m) < min_side_info(inst):
+    if acc.max_size(inst.m) < min_side_info(inst):
         return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
 
     if len(expanded) == 1:
@@ -198,9 +185,9 @@ def length_bounds(inst: Instance, acc: AccessStructure):
     messages it lacks, counting symbols forces lower = m - K as well.
     A bound is None when its condition does not hold.
     """
-    _require_normalized(inst)
+    require_normalized(inst, "analysis")
     least = min_side_info(inst)
-    if max_access(acc, inst.m) >= least:
+    if acc.max_size(inst.m) >= least:
         return None, None
     upper = inst.m - least
     full = frozenset(inst.messages())
@@ -227,7 +214,7 @@ def search_linear(
     confirm their optimality at tiny scale and settle instances the
     structural decision leaves unknown.
     """
-    _require_normalized(inst)
+    require_normalized(inst, "analysis")
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
     q, m = inst.q, inst.m

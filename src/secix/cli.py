@@ -57,9 +57,9 @@ def _resolve_access(args, file_acc, m):
             sets = json.loads(args.access)
         except json.JSONDecodeError as exc:
             raise _UsageError(f"--access is not valid JSON: {exc}")
-        if not isinstance(sets, list) or not all(isinstance(a, list) for a in sets):
+        if not isinstance(sets, list):
             raise _UsageError("--access must be a JSON list of index lists, e.g. '[[3,4]]'")
-        return model.AccessStructure.explicit(sets)
+        return model.AccessStructure.explicit([model.checked_ints(a, "--access set") for a in sets])
     if file_acc is not None:
         return file_acc
     # no adversary anywhere: fall back to the classical no-constraint case

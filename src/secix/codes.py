@@ -1,6 +1,10 @@
 """Index codes: linear (deterministic or keyed) and explicit-table kinds,
 plus the constructions used by the existence analysis.
 
+Linear-code arithmetic goes through `gf` and numpy only: encoding is one
+vector-matrix product mod q, decoding is one row reduction, and the
+security level weighs the column span in fixed-size numpy batches.
+
 The code constructions here:
 
 * `construct_mds_code` -- a broadcast one symbol shorter than the
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldMatrix, smallest_prime_at_least, vandermonde
-from .model import Instance, Receiver, checked_int, checked_ints
+from .gf import MAX_MESSAGES, FieldMatrix, radix_digits, smallest_prime_at_least, vandermonde
+from .model import Instance, Receiver, checked_int, checked_ints, require_normalized
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -45,6 +49,10 @@ __all__ = [
     "load_code",
     "save_code",
 ]
+
+# Span vectors weighed per numpy batch in security_level; larger batches
+# buy little speed and raise peak memory.
+_SPAN_BATCH = 2 ** 10
 
 
 class NoSecureCodeError(Exception):
@@ -69,7 +77,8 @@ class LinearCode:
 
     G is m x ell over GF(q); an optional key matrix Gtilde is k x ell
     over the same field, with the k key symbols uniform and independent
-    of the messages.
+    of the messages.  `matrix` is the stack [G; Gtilde], and m + k and
+    ell are each at most gf.MAX_MESSAGES.
     """
 
     kind = "linear"
@@ -90,13 +99,15 @@ class LinearCode:
         self.m = generator.rows
         self.length = generator.cols
         self.key_dim = 0 if key_generator is None else key_generator.rows
+        if self.m + self.key_dim > MAX_MESSAGES or self.length > MAX_MESSAGES:
+            raise ValueError(
+                f"code has {self.m} message + {self.key_dim} key rows and {self.length} columns; "
+                f"at most {MAX_MESSAGES} of each are supported"
+            )
         self.key_count = self.q ** self.key_dim
-        # plain-int row copies: encode and decode work one vector at a time
-        self._rows = tuple(tuple(int(v) for v in row) for row in generator.data)
-        self._key_rows = (
-            ()
-            if key_generator is None
-            else tuple(tuple(int(v) for v in row) for row in key_generator.data)
+        # [G; Gtilde]: the codeword of (x, y) is (x, y) @ matrix mod q
+        self.matrix = (
+            generator.data if key_generator is None else np.vstack([generator.data, key_generator.data])
         )
 
     @property
@@ -105,35 +116,23 @@ class LinearCode:
 
     def key_vector(self, key_index: int) -> tuple:
         """Key symbols for an enumeration index (last symbol varies fastest)."""
-        digits = [0] * self.key_dim
-        for pos in range(self.key_dim - 1, -1, -1):
-            key_index, digits[pos] = divmod(key_index, self.q)
-        return tuple(digits)
+        return tuple(int(v) for v in radix_digits([key_index], self.q, self.key_dim)[0])
 
     def encode(self, x, y=None) -> tuple:
         """Codeword for message vector x (and key vector y when keyed)."""
-        x = tuple(int(v) for v in x)
+        x = [int(v) % self.q for v in x]
         if len(x) != self.m:
             raise ValueError(f"message vector has length {len(x)}, expected {self.m}")
         if self.is_randomized:
             if y is None:
                 raise ValueError("randomized code needs a key vector")
-            y = tuple(int(v) for v in y)
+            y = [int(v) % self.q for v in y]
             if len(y) != self.key_dim:
                 raise ValueError(f"key vector has length {len(y)}, expected {self.key_dim}")
+            x += y
         elif y is not None:
             raise ValueError("deterministic code takes no key")
-        acc = [0] * self.length
-        for xv, row in zip(x, self._rows):
-            if xv:
-                for t in range(self.length):
-                    acc[t] += xv * row[t]
-        if self.is_randomized:
-            for yv, row in zip(y, self._key_rows):
-                if yv:
-                    for t in range(self.length):
-                        acc[t] += yv * row[t]
-        return tuple(v % self.q for v in acc)
+        return tuple(int(v) for v in np.array(x, dtype=np.int64) @ self.matrix % self.q)
 
     def encode_state(self, x, key_index: int) -> tuple:
         if self.is_randomized:
@@ -210,23 +209,15 @@ class DecoderWitness:
         return self.entries.get((receiver, message))
 
 
-def _selection_matrix(q: int, m: int, indices) -> FieldMatrix:
-    """m x len(indices) matrix picking out the given 1-based coordinates."""
-    sel = np.zeros((m, len(indices)), dtype=np.int64)
-    for pos, j in enumerate(indices):
-        sel[j - 1, pos] = 1
-    return FieldMatrix(q, sel)
-
-
 def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     """Recover receiver's wanted values from a codeword and its side
     information (values for its known messages in ascending index order).
 
     Returns the wanted values in ascending index order, or None when
-    they are not all pinned down by the available equations.  The solve
-    always succeeds when the generator rows of the unknown messages are
-    linearly independent; it also succeeds whenever the wanted
-    coordinates happen to be determined in an underdetermined system.
+    the codeword is inconsistent with the side information or the
+    wanted values are not all pinned down by the available equations.
+    One row reduction settles both: the wanted coordinates may be
+    determined even when the system as a whole is underdetermined.
     """
     if code.is_randomized:
         raise ValueError("decode applies to deterministic linear codes")
@@ -237,37 +228,34 @@ def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     rec = inst.receivers[receiver - 1]
     known = sorted(rec.knows)
     wanted = sorted(rec.wants)
-    codeword = tuple(int(v) for v in codeword)
-    side = tuple(int(v) for v in side)
+    codeword = [int(v) % code.q for v in codeword]
+    side = [int(v) % code.q for v in side]
     if len(codeword) != code.length:
         raise ValueError(f"codeword has length {len(codeword)}, expected {code.length}")
     if len(side) != len(known):
         raise ValueError(f"side information has {len(side)} values, expected {len(known)}")
 
-    q = code.q
-    side_by_index = dict(zip(known, side))
-    # residual = c - sum of known contributions, as a column
-    residual = list(codeword)
-    for j, value in side_by_index.items():
-        if value % q:
-            row = code._rows[j - 1]
-            for t in range(code.length):
-                residual[t] -= value * row[t]
+    g = code.generator.data
     unknown = [j for j in inst.messages() if j not in rec.knows]
-    system = FieldMatrix(q, code.generator.data[[j - 1 for j in unknown], :]).transpose()
-    solution = system.solve(FieldMatrix.column(q, residual))
-    if solution is None:
-        return None
-    kernel = system.nullspace()
+    # x_unknown G_unknown = c - x_known G_known: one reduction of
+    # [G_unknown^T | residual] decides consistency and pins coordinates
+    residual = np.array(codeword, dtype=np.int64) - np.array(side, dtype=np.int64) @ g[[j - 1 for j in known]]
+    system = np.column_stack([g[[j - 1 for j in unknown]].T, residual])
+    reduced, pivots = FieldMatrix(code.q, system).rref()
+    if len(unknown) in pivots:
+        return None  # a pivot in the residual column: 0 = nonzero
+    free = [c for c in range(len(unknown)) if c not in pivots]
+    # x_j is pinned iff its pivot row has no entry in a free column
     pinned = {
-        j: int(solution.data[pos, 0])
-        for pos, j in enumerate(unknown)
-        if not kernel.data[pos, :].any()
+        unknown[c]: int(reduced.data[row, -1])
+        for row, c in enumerate(pivots)
+        if not reduced.data[row, free].any()
     }
+    side_by_index = dict(zip(known, side))
     values = []
     for j in wanted:
         if j in side_by_index:
-            values.append(side_by_index[j] % q)
+            values.append(side_by_index[j])
         elif j in pinned:
             values.append(pinned[j])
         else:
@@ -320,27 +308,17 @@ def derandomize(code: LinearCode, inst: Instance, witness: DecoderWitness) -> Li
                 f"witness ({receiver}, {message}): d is not in the nullspace of the key matrix, "
                 "so the keyed code cannot decode with it"
             )
-        unit = FieldMatrix.zeros(q, code.m, 1).data.copy()
-        unit[message - 1, 0] = 1
-        recovered = code.generator @ d
-        if known:
-            recovered = recovered + (_selection_matrix(q, code.m, known) @ e)
-        if recovered != FieldMatrix(q, unit):
+        # G d + e placed at the known coordinates must be the unit vector e_j
+        recovered = code.generator.data @ d.data[:, 0]
+        recovered[[j - 1 for j in known]] += e.data[:, 0]
+        unit = np.zeros(code.m, dtype=np.int64)
+        unit[message - 1] = 1
+        if not np.array_equal(recovered % q, unit):
             raise InvalidWitnessError(
                 f"witness ({receiver}, {message}) does not recover the wanted symbol"
             )
     basis = code.key_generator.nullspace()
     return LinearCode(code.generator @ basis)
-
-
-def _require_normalized(inst: Instance, what: str) -> None:
-    if inst.n < 1:
-        raise ValueError(f"{what} needs at least one receiver")
-    if not inst.is_normalized():
-        raise ValueError(
-            f"{what} needs a normalized instance (some receiver wants nothing it lacks); "
-            "call normalize() first"
-        )
 
 
 def construct_mds_code(inst: Instance) -> LinearCode:
@@ -354,7 +332,7 @@ def construct_mds_code(inst: Instance) -> LinearCode:
     smallest prime >= m is used instead; the substitution shows up as
     code.q != inst.q.
     """
-    _require_normalized(inst, "MDS construction")
+    require_normalized(inst, "MDS construction")
     min_known = min(len(r.knows) for r in inst.receivers)
     length = inst.m - min_known
     q_used = inst.q if inst.q >= inst.m else smallest_prime_at_least(inst.m)
@@ -372,7 +350,7 @@ def single_access_code(inst: Instance, access) -> LinearCode:
     `access` while it wants a message outside -- then the eavesdropper
     could decode whatever that receiver decodes.
     """
-    _require_normalized(inst, "single-access construction")
+    require_normalized(inst, "single-access construction")
     access = frozenset(int(v) for v in access)
     for j in access:
         if not 1 <= j <= inst.m:
@@ -430,25 +408,17 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     rank = len(pivots)
     if rank == 0:
         return -1  # trivial span: the code sends nothing
-    if code.q ** rank > budget:
-        raise BudgetExceededError(
-            f"column span has {code.q ** rank} vectors, exceeding the budget of {budget}"
-        )
+    span = code.q ** rank
+    if span > budget:
+        raise BudgetExceededError(f"column span has {code.q}^{rank} vectors, exceeding the budget of {budget}")
     rows = basis.data[:rank]
-    q = code.q
-    min_weight = None
-    for coeffs in itertools.product(range(q), repeat=rank):
-        if not any(coeffs):
-            continue
-        vec = np.zeros(code.m, dtype=np.int64)
-        for cf, row in zip(coeffs, rows):
-            if cf:
-                vec += cf * row
-        weight = int(np.count_nonzero(vec % q))
-        if min_weight is None or weight < min_weight:
-            min_weight = weight
-            if min_weight == 1:
-                break
+    min_weight = code.m
+    # span vector i has the base-q digits of i as coefficients; 0 is skipped
+    for start in range(1, span, _SPAN_BATCH):
+        coeffs = radix_digits(np.arange(start, min(start + _SPAN_BATCH, span)), code.q, rank)
+        min_weight = min(min_weight, int(np.count_nonzero(coeffs @ rows % code.q, axis=1).min()))
+        if min_weight == 1:
+            break
     return max(min_weight - 2, -1)
 
 

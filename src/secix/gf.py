@@ -1,22 +1,37 @@
 """Exact arithmetic and linear algebra over prime fields GF(q).
 
-Field elements are plain ints reduced mod q; matrices are dense integer
-arrays.  Row reduction uses leftmost-pivot / first-nonzero-row ordering,
-so reduced forms, solutions, and nullspace bases are deterministic
-across runs.  Everything is integer-exact -- no floating point anywhere.
+This module is the package's one arithmetic path: field elements are
+ints reduced mod q, held in int64 numpy arrays, and every GF(q)
+computation is a numpy product or an elimination over such arrays.
+Row reduction uses leftmost-pivot / first-nonzero-row ordering, so
+reduced forms and nullspace bases are deterministic across runs.
+Everything is integer-exact -- no floating point anywhere -- because
+the moduli and dimensions are capped so that no int64 product can wrap.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
-    "GF",
     "FieldMatrix",
+    "MAX_MESSAGES",
+    "MAX_MODULUS",
     "is_prime",
+    "radix_digits",
     "smallest_prime_at_least",
     "vandermonde",
 ]
+
+# Largest message count m, and largest m + key_dim and length of a code:
+# it bounds the dense m x m arrays that constructions and decode build.
+MAX_MESSAGES = 2 ** 10
+# Largest field modulus.  With inner dimensions at most MAX_MESSAGES,
+# every product the package forms -- a sum of MAX_MESSAGES terms below
+# (q-1)^2, plus one reduced term -- stays below 2^63.
+MAX_MODULUS = math.isqrt((2 ** 63 - 1) // (MAX_MESSAGES + 1)) + 1
 
 
 def is_prime(n: int) -> bool:
@@ -44,68 +59,39 @@ def smallest_prime_at_least(n: int) -> int:
 
 def _checked_modulus(q) -> int:
     q = int(q)
+    if q > MAX_MODULUS:
+        raise ValueError(f"field modulus {q} exceeds {MAX_MODULUS}, the largest with exact int64 arithmetic")
     if not is_prime(q):
         raise ValueError(f"field modulus must be prime, got {q}")
     return q
 
 
-class GF:
-    """Arithmetic context for GF(q), q prime.
+def radix_digits(values, q: int, width: int):
+    """Base-q digits of each value, most significant first (len x width).
 
-    Elements are ints in [0, q).  Inputs are reduced mod q on the way
-    in, so any int is accepted; results are always canonical.
+    The powers are formed as Python ints, so a width whose top power
+    would wrap int64 raises OverflowError instead of giving wrong digits.
     """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        self.q = _checked_modulus(q)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse.  Raises ZeroDivisionError for 0."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        return pow(a, self.q - 2, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, GF) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("GF", self.q))
-
-    def __repr__(self):
-        return f"GF({self.q})"
+    powers = np.array([q ** e for e in range(width - 1, -1, -1)], dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)[:, None] // powers % q
 
 
 class FieldMatrix:
     """Immutable dense matrix over GF(q).
 
-    Entries are stored as a read-only int64 array, reduced mod q at
-    construction.  Operations between matrices require equal moduli and
-    raise ValueError otherwise.
+    q must be a prime no larger than MAX_MODULUS.  Entries are stored as
+    a read-only int64 array, reduced mod q at construction.  Operations
+    between matrices require equal moduli and raise ValueError otherwise.
     """
 
     __slots__ = ("q", "data")
 
     def __init__(self, q: int, data):
         self.q = _checked_modulus(q)
-        arr = np.array(data, dtype=np.int64)
+        try:
+            arr = np.array(data, dtype=np.int64)
+        except OverflowError:  # entries beyond 64 bits: reduce them exactly first
+            arr = (np.array(data, dtype=object) % self.q).astype(np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         arr %= self.q
@@ -192,12 +178,6 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.q, self.data.T)
 
-    def hstack(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._same_field(other, "hstack")
-        if self.rows != other.rows:
-            raise ValueError(f"row counts differ: {self.rows} vs {other.rows}")
-        return FieldMatrix(self.q, np.hstack([self.data, other.data]))
-
     def is_zero(self) -> bool:
         return not self.data.any()
 
@@ -226,33 +206,15 @@ class FieldMatrix:
                 work[[r, p]] = work[[p, r]]
             inv = pow(int(work[r, c]), q - 2, q)
             work[r] = (work[r] * inv) % q
-            for rr in range(nrows):
-                if rr != r and work[rr, c]:
-                    work[rr] = (work[rr] - work[rr, c] * work[r]) % q
+            targets = np.flatnonzero(work[:, c])
+            targets = targets[targets != r]
+            work[targets] = (work[targets] - work[targets, c, None] * work[r]) % q
             pivots.append(c)
             r += 1
         return FieldMatrix(q, work), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def solve(self, b: "FieldMatrix"):
-        """One solution x of self @ x = b, or None when inconsistent.
-
-        b must be a column.  Free variables are set to 0, so when the
-        system has a unique solution, that solution is returned.
-        """
-        self._same_field(b, "solve")
-        if b.cols != 1 or b.rows != self.rows:
-            raise ValueError(f"right-hand side must be {self.rows}x1, got {b.shape}")
-        augmented = self.hstack(b)
-        reduced, pivots = augmented.rref()
-        if self.cols in pivots:
-            return None  # a pivot in the constants column: 0 = nonzero
-        x = np.zeros((self.cols, 1), dtype=np.int64)
-        for row_idx, col in enumerate(pivots):
-            x[col, 0] = reduced.data[row_idx, self.cols]
-        return FieldMatrix(self.q, x)
 
     def nullspace(self) -> "FieldMatrix":
         """Basis of {v : self @ v = 0}, returned as matrix columns.
@@ -263,10 +225,8 @@ class FieldMatrix:
         reduced, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[f, k] = 1
-            for row_idx, col in enumerate(pivots):
-                basis[col, k] = (-int(reduced.data[row_idx, f])) % self.q
+        basis[free, range(len(free))] = 1
+        basis[list(pivots)] = -reduced.data[: len(pivots)][:, free] % self.q
         return FieldMatrix(self.q, basis)
 
 
@@ -285,5 +245,8 @@ def vandermonde(rows: int, cols: int, q: int) -> FieldMatrix:
         raise ValueError(f"need cols <= rows, got {rows}x{cols}")
     if q < rows:
         raise ValueError(f"GF({q}) has fewer than {rows} distinct evaluation points; need q >= {rows}")
-    data = [[pow(i, e, q) for e in range(cols)] for i in range(rows)]
-    return FieldMatrix(q, np.array(data, dtype=np.int64).reshape(rows, cols))
+    points = np.arange(rows, dtype=np.int64)
+    data = np.ones((rows, cols), dtype=np.int64)
+    for e in range(1, cols):
+        data[:, e] = data[:, e - 1] * points % q
+    return FieldMatrix(q, data)

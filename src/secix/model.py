@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .gf import is_prime
+from .gf import MAX_MESSAGES, MAX_MODULUS, is_prime
 
 __all__ = [
     "Receiver",
@@ -82,9 +82,11 @@ def validate(inst: Instance) -> list:
     Each violation names the receiver or index at fault.
     """
     violations = []
-    if inst.m < 1:
-        violations.append(f"message count must be >= 1, got {inst.m}")
-    if not is_prime(inst.q):
+    if not 1 <= inst.m <= MAX_MESSAGES:
+        violations.append(f"message count must be in [1, {MAX_MESSAGES}], got {inst.m}")
+    if inst.q > MAX_MODULUS:
+        violations.append(f"field size must be at most {MAX_MODULUS} for exact int64 arithmetic, got {inst.q}")
+    elif not is_prime(inst.q):
         violations.append(f"field size must be prime, got {inst.q}")
     if inst.n < 1:
         violations.append("instance has no receivers")
@@ -110,6 +112,17 @@ def normalize(inst: Instance) -> Instance:
     if len(kept) == len(inst.receivers):
         return inst
     return Instance(inst.q, inst.m, kept)
+
+
+def require_normalized(inst: Instance, what: str) -> None:
+    """ValueError unless inst has receivers and each lacks something it wants."""
+    if inst.n < 1:
+        raise ValueError(f"{what} needs at least one receiver")
+    if not inst.is_normalized():
+        raise ValueError(
+            f"{what} needs a normalized instance (some receiver wants nothing it lacks); "
+            "call normalize() first"
+        )
 
 
 def every_message_wanted(inst: Instance) -> bool:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import radix_digits
 from .model import AccessStructure, Instance
 
 __all__ = [
@@ -93,11 +94,6 @@ def _check_code_matches(code, inst: Instance) -> None:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
 
 
-def _digits(values, q: int, width: int):
-    """Base-q digits of each value, most significant first (len x width)."""
-    return values[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
-
-
 def _dense(keys):
     """Re-number keys as 0, 1, ... in sorted order; returns (ids, id count)."""
     order = np.argsort(keys)
@@ -132,14 +128,11 @@ def _state_table(code):
     index = np.arange(total, dtype=np.int64)
     if code.kind == "linear":
         # key symbols are the least significant digits of the state index
-        digits = _digits(index, q, m + code.key_dim)
-        matrix = code.generator.data
-        if code.is_randomized:
-            matrix = np.vstack([matrix, code.key_generator.data])
-        words = digits @ matrix % q
+        digits = radix_digits(index, q, m + code.key_dim)
+        words = digits @ code.matrix % q
         x = digits[:, :m]
     else:
-        x = _digits(index // keys, q, m)
+        x = radix_digits(index // keys, q, m)
         states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
         words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(total, code.length)
     ids, bound = _pack(np.zeros(total, dtype=np.int64), 1, words, range(code.length), q)

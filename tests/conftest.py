@@ -12,7 +12,12 @@ from secix import (
     LinearCode,
     Receiver,
     check_decodability,
+    is_prime,
 )
+from secix.gf import MAX_MODULUS
+
+# the largest prime modulus the int64 bound allows
+WIDEST_Q = max(n for n in range(MAX_MODULUS - 100, MAX_MODULUS + 1) if is_prime(n))
 
 
 def crossed_pairs_instance(q: int) -> Instance:

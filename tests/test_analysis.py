@@ -20,7 +20,6 @@ from secix import (
     decide,
     decide_t_level,
     length_bounds,
-    max_access,
     min_side_info,
     search_linear,
     strip_unwanted,
@@ -39,12 +38,6 @@ from conftest import (
 def test_min_side_info(crossed2):
     assert min_side_info(crossed2) == 1
     assert min_side_info(complementary_instance(5, 4)) == 3
-
-
-def test_max_access():
-    assert max_access(AccessStructure.explicit([[3, 4]]), 4) == 2
-    assert max_access(AccessStructure.explicit([[]]), 4) == 0
-    assert max_access(AccessStructure.t_level(2), 4) == 2
 
 
 def test_min_side_info_requires_normalized():

@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -238,6 +240,67 @@ def test_instance_rejects_non_integer_fields(tmp_path, capsys, keyed2, field, va
     path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "analyze", "--instance", str(path))
     assert_one_error_line(code, err)
+
+
+@pytest.mark.parametrize("access", ["[[1.5]]", "[[true]]"], ids=["float", "bool"])
+def test_access_flag_rejects_non_integer_index(tmp_path, capsys, keyed2, access):
+    inst_path = write_instance(tmp_path, keyed2)
+    code, _, err = run(capsys, "analyze", "--instance", inst_path, "--access", access)
+    assert_one_error_line(code, err)
+
+
+# ---- size limits ---------------------------------------------------------------------------
+
+def test_message_count_cap_refuses_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "q": 2, "m": 10 ** 6,
+        "receivers": [{"knows": [2], "wants": [1]}],
+        "adversary": {"type": "explicit", "sets": [[1]]},
+    }))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, "analyze", "--instance", str(path))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_one_error_line(code, err)
+    assert "message count" in err
+    assert elapsed < 1.0 and peak < 2 ** 20
+
+
+# q = 4294967311 is prime, but products of its elements overflow int64
+WIDE_Q = 4294967311
+
+
+def write_wide_field_files(tmp_path):
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": WIDE_Q, "G": [[1, 0], [WIDE_Q - 1, 1], [WIDE_Q - 2, 3]]}
+    ))
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(
+        {"q": WIDE_Q, "m": 3, "receivers": [{"knows": [1], "wants": [2, 3]}]}
+    ))
+    return str(code_path), str(inst_path)
+
+
+def test_encode_refuses_field_beyond_int64(tmp_path, capsys, monkeypatch):
+    code_path, _ = write_wide_field_files(tmp_path)
+    feed_stdin(monkeypatch, "5 4294967300 4294967001\n")
+    code, out, err = run(capsys, "encode", "--code", code_path)
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_decode_refuses_field_beyond_int64(tmp_path, capsys, monkeypatch):
+    code_path, inst_path = write_wide_field_files(tmp_path)
+    feed_stdin(monkeypatch, "636 4294966370 5\n")
+    code, out, err = run(capsys, "decode", "--instance", inst_path, "--code", code_path, "--receiver", "1")
+    assert_one_error_line(code, err)
+    assert out == ""
 
 
 # ---- encode / decode filters ----------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from secix import (
     AccessStructure,
@@ -29,8 +30,10 @@ from secix import (
     single_access_code,
     vandermonde,
 )
+from secix.gf import MAX_MESSAGES
 from secix.oracle import BudgetExceededError
 from conftest import (
+    WIDEST_Q,
     complementary_instance,
     crossed_pairs_instance,
     disjoint_sum_code,
@@ -52,6 +55,39 @@ def test_encode_dimension_checks():
         code.encode((1, 1))
     with pytest.raises(ValueError):
         code.encode((1, 1, 1, 0), y=(1,))
+
+
+def encode_reference(code, x, y=()):
+    """x G + y Gtilde with Python ints, one symbol at a time."""
+    rows = code.generator.to_lists() + (code.key_generator.to_lists() if y else [])
+    return tuple(sum(v * row[t] for v, row in zip(list(x) + list(y), rows)) % code.q for t in range(code.length))
+
+
+@given(st.sampled_from([2, 251, WIDEST_Q]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_encode_matches_python_int_reference(q, data):
+    m, length, key_dim = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+    entries = st.integers(0, q - 1)
+
+    def matrix(rows):
+        flat = data.draw(st.lists(entries, min_size=rows * length, max_size=rows * length))
+        return FieldMatrix(q, np.array(flat, dtype=np.int64).reshape(rows, length))
+
+    code = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
+    x = data.draw(st.lists(st.integers(-3 * q, 3 * q), min_size=m, max_size=m))
+    y = data.draw(st.lists(entries, min_size=key_dim, max_size=key_dim))
+    assert code.encode(x, y if key_dim else None) == encode_reference(code, x, y)
+
+
+def test_encode_exact_at_the_size_and_modulus_caps():
+    q = WIDEST_Q
+    code = LinearCode(
+        FieldMatrix(q, np.full((MAX_MESSAGES - 1, 2), q - 1)), FieldMatrix(q, np.full((1, 2), q - 1))
+    )
+    x, y = [q - 1] * (MAX_MESSAGES - 1), [q - 1]
+    assert code.encode(x, y) == encode_reference(code, x, y)
+    with pytest.raises(ValueError, match="at most"):
+        LinearCode(FieldMatrix(2, np.zeros((MAX_MESSAGES, 1))), FieldMatrix(2, np.zeros((1, 1))))
 
 
 def test_randomized_encode_and_key_enumeration():
@@ -180,6 +216,34 @@ def test_decode_inconsistent_codeword():
     inst = Instance(3, 2, (Receiver({2}, {1}),))
     code = LinearCode(FieldMatrix(3, [[1, 1], [0, 0]]))  # duplicated symbol
     assert decode(code, inst, 1, (1, 2), (0,)) is None  # no x with (x1, x1) = (1, 2)
+
+
+@st.composite
+def deterministic_cases(draw):
+    """(code, instance) with q in {2, 3, 5}, q^m <= 243 and any receivers,
+    including ones that want messages they already know."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, {2: 5, 3: 5, 5: 3}[q]))
+    length = draw(st.integers(0, 3))
+    data = draw(st.lists(st.integers(0, q - 1), min_size=m * length, max_size=m * length))
+    knows = st.frozensets(st.integers(1, m), max_size=m)
+    wants = st.frozensets(st.integers(1, m), min_size=1, max_size=m)
+    receivers = draw(st.lists(st.tuples(knows, wants), min_size=1, max_size=3))
+    code = LinearCode(FieldMatrix(q, np.array(data, dtype=np.int64).reshape(m, length)))
+    return code, Instance(q, m, tuple(Receiver(k, w) for k, w in receivers))
+
+
+@given(deterministic_cases())
+@settings(max_examples=40, deadline=None)
+def test_decode_agrees_with_oracle_decodability(case):
+    """decode returns the wanted values for every x iff the oracle says the
+    receiver decodes, and None for every x otherwise."""
+    code, inst = case
+    verdicts = check_decodability(code, inst)
+    for i, (rec, decodes) in enumerate(zip(inst.receivers, verdicts), start=1):
+        for x in itertools.product(range(code.q), repeat=code.m):
+            got = decode(code, inst, i, code.encode(x), [x[j - 1] for j in sorted(rec.knows)])
+            assert got == (tuple(x[j - 1] for j in sorted(rec.wants)) if decodes else None)
 
 
 def test_decode_rejects_randomized_and_bad_dimensions():
@@ -353,10 +417,28 @@ def test_security_level_zero_generator():
     assert security_level(LinearCode(FieldMatrix.zeros(2, 3, 2))) == -1
 
 
+@given(deterministic_cases())
+@settings(max_examples=60, deadline=None)
+def test_security_level_is_largest_secure_t_level(case):
+    """For b = 1, security_level = min span weight - 2 is the largest t
+    whose t-level check passes, or -1 when even t = 0 leaks."""
+    code, inst = case
+    assume(not code.generator.is_zero())
+    secure = [
+        t for t in range(code.m)
+        if check_security(code, inst, AccessStructure.t_level(t), b=1).secure
+    ]
+    assert security_level(code) == max(secure, default=-1)
+
+
 def test_security_level_budget():
     code = LinearCode(vandermonde(5, 4, 5))
     with pytest.raises(BudgetExceededError):
         security_level(code, budget=10)
+    # a span too large to print as a decimal int still gets a readable refusal
+    wide = LinearCode(FieldMatrix.identity(WIDEST_Q, 560))
+    with pytest.raises(BudgetExceededError, match=rf"{WIDEST_Q}\^560 vectors"):
+        security_level(wide)
 
 
 def test_security_level_vandermonde_grid():

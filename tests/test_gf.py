@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secix import GF, FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
+from secix import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
+from secix.gf import MAX_MESSAGES, MAX_MODULUS
+from conftest import WIDEST_Q
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -65,71 +67,96 @@ def test_smallest_prime_at_least():
 
 
 # ---- element arithmetic ------------------------------------------------------
+#
+# Field elements are 1x1 FieldMatrix values: +, - and @ are the field's
+# addition, subtraction and multiplication, and rref of [a | 1] scales
+# the row by the inverse of a, leaving a^-1 in the second column.
+
+def scalar(q, a):
+    return FieldMatrix(q, [[a]])
+
+
+def inverse(q, a):
+    """a^-1 as rref leaves it in [a | 1]; None when a has no pivot."""
+    reduced, pivots = FieldMatrix(q, [[a, 1]]).rref()
+    return reduced.data[0, 1] if pivots == (0,) else None
+
 
 def test_add_examples():
-    assert GF(5).add(3, 4) == 2
-    assert GF(2).add(1, 1) == 0
+    assert scalar(5, 3) + scalar(5, 4) == scalar(5, 2)
+    assert scalar(2, 1) + scalar(2, 1) == scalar(2, 0)
 
 
 def test_mul_example_against_scan():
     # expected value fixed by scanning all products mod 7
     table = {(a, b): (a * b) % 7 for a in range(7) for b in range(7)}
     assert table[(3, 5)] == 1
-    assert GF(7).mul(3, 5) == 1
+    assert scalar(7, 3) @ scalar(7, 5) == scalar(7, 1)
 
 
 def test_inverse_examples():
-    assert GF(5).inv(2) == 3
-    assert GF(2).inv(1) == 1
+    assert inverse(5, 2) == 3
+    assert inverse(2, 1) == 1
 
 
 def test_inverse_by_exhaustive_scan_q11():
     matches = [b for b in range(11) if (7 * b) % 11 == 1]
     assert matches == [8]
-    assert GF(11).inv(7) == 8
+    assert inverse(11, 7) == 8
 
 
 def test_inverse_of_zero_rejected():
     for q in SMALL_PRIMES:
-        with pytest.raises(ZeroDivisionError):
-            GF(q).inv(0)
+        assert inverse(q, 0) is None
+        assert inverse(q, q) is None  # q reduces to 0
 
 
 def test_inverse_property_all_small_fields():
     for q in SMALL_PRIMES + [11]:
-        gf = GF(q)
         for a in range(1, q):
-            assert gf.mul(a, gf.inv(a)) == 1
+            assert scalar(q, a) @ scalar(q, inverse(q, a)) == scalar(q, 1)
 
 
 def test_field_axioms_exhaustive():
     """Associativity, commutativity, distributivity for q <= 7."""
     for q in SMALL_PRIMES:
-        gf = GF(q)
-        elems = list(gf.elements())
+        elems = [scalar(q, a) for a in range(q)]
         for a in elems:
             for b in elems:
-                assert gf.add(a, b) == gf.add(b, a)
-                assert gf.mul(a, b) == gf.mul(b, a)
+                assert a + b == b + a
+                assert a @ b == b @ a
                 for c in elems:
-                    assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-                    assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-                    assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+                    assert (a + b) + c == a + (b + c)
+                    assert (a @ b) @ c == a @ (b @ c)
+                    assert a @ (b + c) == a @ b + a @ c
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
 def test_field_axioms_sampled_q11(a, b, c):
-    gf = GF(11)
-    assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
-    assert gf.add(gf.sub(a, b), b) == a
+    a, b, c = scalar(11, a), scalar(11, b), scalar(11, c)
+    assert a @ (b + c) == a @ b + a @ c
+    assert (a - b) + b == a
 
 
 def test_composite_modulus_rejected():
     for q in (0, 1, 4, 6, 9, 12):
         with pytest.raises(ValueError):
-            GF(q)
-        with pytest.raises(ValueError):
             FieldMatrix(q, [[1]])
+
+
+def test_modulus_above_int64_bound_rejected():
+    # 4294967311 is prime, but (q-1)^2 sums would wrap int64
+    assert is_prime(4294967311) and 4294967311 > MAX_MODULUS
+    with pytest.raises(ValueError, match="exceeds"):
+        FieldMatrix(4294967311, [[1]])
+    # the bound keeps a MAX_MESSAGES-term product of maximal entries exact
+    assert MAX_MESSAGES * (MAX_MODULUS - 1) ** 2 + MAX_MODULUS - 1 < 2 ** 63
+    row = FieldMatrix(WIDEST_Q, [[WIDEST_Q - 1] * MAX_MESSAGES])
+    assert (row @ row.transpose()).to_lists() == [[MAX_MESSAGES * (WIDEST_Q - 1) ** 2 % WIDEST_Q]]
+
+
+def test_entries_beyond_64_bits_are_reduced_exactly():
+    assert FieldMatrix(3, [[10 ** 30, -(10 ** 30)]]).to_lists() == [[10 ** 30 % 3, -(10 ** 30) % 3]]
 
 
 # ---- matrices ----------------------------------------------------------------
@@ -156,28 +183,37 @@ def test_rank_matches_span_oracle_on_random_matrices():
             assert mat.rank() == rank_by_span(q, data.tolist())
 
 
+# A system A x = b is solved by one rref of [A | b], as decode does: a
+# pivot in the last column means inconsistent, otherwise the pivot rows
+# give a solution with the free variables set to 0.
+
+def solve(a: FieldMatrix, b):
+    reduced, pivots = FieldMatrix(a.q, np.column_stack([a.data, b])).rref()
+    if a.cols in pivots:
+        return None
+    x = np.zeros(a.cols, dtype=np.int64)
+    x[list(pivots)] = reduced.data[: len(pivots), -1]
+    return FieldMatrix.column(a.q, x)
+
+
 def test_solve_identity_and_scalar():
     eye = FieldMatrix.identity(2, 2)
-    sol = eye.solve(FieldMatrix.column(2, [1, 0]))
-    assert sol == FieldMatrix.column(2, [1, 0])
-    scalar = FieldMatrix(5, [[2]])
-    assert scalar.solve(FieldMatrix.column(5, [1])) == FieldMatrix.column(5, [3])
+    assert solve(eye, [1, 0]) == FieldMatrix.column(2, [1, 0])
+    assert solve(FieldMatrix(5, [[2]]), [1]) == FieldMatrix.column(5, [3])
 
 
 def test_solve_inconsistent_system():
     # overdetermined over GF(3); exhaustively confirmed unsolvable
     a = FieldMatrix(3, [[1], [1]])
-    b = FieldMatrix.column(3, [0, 1])
     for x in range(3):
         assert [(x) % 3, (x) % 3] != [0, 1]
-    assert a.solve(b) is None
+    assert solve(a, [0, 1]) is None
 
 
 def test_solve_unique_solution_is_returned():
     a = FieldMatrix(5, [[1, 2], [3, 4]])
     x = FieldMatrix.column(5, [2, 3])
-    b = a @ x
-    assert a.solve(b) == x
+    assert solve(a, (a @ x).data[:, 0]) == x
 
 
 @st.composite
@@ -198,7 +234,7 @@ def matrix_and_vector(draw):
 def test_solve_roundtrip_property(mx):
     mat, x = mx
     b = mat @ FieldMatrix.column(mat.q, x)
-    sol = mat.solve(b)
+    sol = solve(mat, b.data[:, 0])
     assert sol is not None
     assert mat @ sol == b
 
@@ -241,8 +277,6 @@ def test_mismatched_moduli_raise():
         a @ b
     with pytest.raises(ValueError):
         a + b
-    with pytest.raises(ValueError):
-        a.solve(FieldMatrix.column(3, [1]))
 
 
 def test_matrix_entries_reduced_and_immutable():

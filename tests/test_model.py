@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secix.gf import MAX_MESSAGES
 from secix import (
     AccessStructure,
     Instance,
@@ -46,6 +47,15 @@ def test_validate_flags_out_of_range_index():
 def test_validate_flags_composite_field():
     inst = Instance(4, 1, (Receiver(set(), {1}),))
     assert any("prime" in v for v in validate(inst))
+
+
+def test_validate_flags_sizes_beyond_the_caps():
+    assert validate(Instance(2, MAX_MESSAGES, (Receiver({2}, {1}),))) == []
+    too_many = Instance(2, MAX_MESSAGES + 1, (Receiver({2}, {1}),))
+    assert any("message count" in v for v in validate(too_many))
+    # prime, but too wide for exact int64 products; refused without a primality scan
+    wide = Instance(4294967311, 2, (Receiver({2}, {1}),))
+    assert any("at most" in v for v in validate(wide))
 
 
 def test_normalize_drops_satisfied_receiver():

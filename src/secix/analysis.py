@@ -218,10 +218,9 @@ def search_linear(
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
     q, m = inst.q, inst.m
-    candidates = q ** (m * length)
-    if candidates > budget:
+    if q ** (m * length) > budget:
         raise BudgetExceededError(
-            f"{candidates} candidate generators exceed the budget of {budget}"
+            f"{q}^{m * length} candidate generators exceed the budget of {budget}"
         )
     for entries in itertools.product(range(q), repeat=m * length):
         generator = FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(m, length))

@@ -48,11 +48,11 @@ def _load_instance(args):
 
 
 def _resolve_access(args, file_acc, m):
-    if getattr(args, "t_level", None) is not None and getattr(args, "access", None) is not None:
+    if args.t_level is not None and args.access is not None:
         raise _UsageError("give at most one of --t-level and --access")
-    if getattr(args, "t_level", None) is not None:
+    if args.t_level is not None:
         return model.AccessStructure.t_level(args.t_level)
-    if getattr(args, "access", None) is not None:
+    if args.access is not None:
         try:
             sets = json.loads(args.access)
         except json.JSONDecodeError as exc:
@@ -111,10 +111,9 @@ def _describe_verdict(verdict):
 
 
 def _decide(inst, acc, args):
-    b = getattr(args, "b", 1)
     if acc.kind == model.AccessStructure.KIND_T_LEVEL:
-        return analysis.decide_t_level(inst, acc.t, b=b)
-    if b != 1:
+        return analysis.decide_t_level(inst, acc.t, b=args.b)
+    if args.b != 1:
         raise _UsageError("block sizes b > 1 are supported for t-level adversaries only")
     return analysis.decide(inst, acc)
 
@@ -135,11 +134,7 @@ def cmd_construct(args) -> int:
     inst, file_acc = _load_instance(args)
     inst = model.normalize(inst)
     acc = _resolve_access(args, file_acc, inst.m)
-    try:
-        verdict = _decide(inst, acc, args)
-    except codes.NoSecureCodeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO
+    verdict = _decide(inst, acc, args)
     if verdict.answer != analysis.ANSWER_YES:
         if args.json:
             _print_json(verdict.to_dict())
@@ -290,71 +285,61 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+# Each option once; each subcommand lists only the options its cmd_* reads.
+_INSTANCE = ("--instance", {"required": True, "help": "instance JSON file"})
+_CODE_IN = ("--code", {"required": True, "help": "code JSON file"})
+_CODE_OUT = ("--code", {"help": "write the code JSON here (default: stdout)"})
+_T_LEVEL = ("--t-level", {"dest": "t_level", "type": int,
+                          "help": "override adversary: all subsets of this size"})
+_ACCESS = ("--access", {"help": "override adversary: explicit JSON sets, e.g. '[[3,4]]'"})
+_B = ("--b", {"type": int, "default": 1, "help": "block size for joint security (default 1)"})
+_BUDGET = ("--budget", {"type": int, "default": oracle.DEFAULT_BUDGET,
+                        "help": "max joint states / candidates to enumerate"})
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_INSTANCE_ADVERSARY = (_INSTANCE, _T_LEVEL, _ACCESS)
+
+_COMMANDS = {
+    "analyze": ("decide secure-code existence", _INSTANCE_ADVERSARY + (_B, _JSON)),
+    "construct": ("construct a secure code", _INSTANCE_ADVERSARY + (_B, _BUDGET, _JSON, _CODE_OUT)),
+    "verify": ("verify a code file against an instance",
+               _INSTANCE_ADVERSARY + (_CODE_IN, _B, _BUDGET, _JSON)),
+    "encode": ("encode whitespace-separated symbols from stdin", (_CODE_IN,)),
+    "decode": ("decode codeword+side symbols from stdin", (
+        _INSTANCE, _CODE_IN,
+        ("--receiver", {"type": int, "required": True, "help": "1-based receiver index"}))),
+    "graph": ("export the bipartite graph as DOT", _INSTANCE_ADVERSARY + (
+        ("--dot", {"help": "write DOT here (default: stdout)"}),)),
+    "search": ("exhaustive search for a secure linear code", _INSTANCE_ADVERSARY + (
+        ("--length", {"type": int, "required": True, "help": "codeword length to search"}),
+        _B, _BUDGET, _JSON, _CODE_OUT)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secix",
         description="Secure index coding: constructions and exact verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, code_file=False, needs_instance=True):
-        if needs_instance:
-            p.add_argument("--instance", required=True, help="instance JSON file")
-        if code_file:
-            p.add_argument("--code", required=True, help="code JSON file")
-        p.add_argument("--t-level", dest="t_level", type=int, help="override adversary: all subsets of this size")
-        p.add_argument("--access", help="override adversary: explicit JSON sets, e.g. '[[3,4]]'")
-        p.add_argument("--b", type=int, default=1, help="block size for joint security (default 1)")
-        p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
-                       help="max joint states / candidates to enumerate")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("analyze", help="decide secure-code existence")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("construct", help="construct a secure code")
-    common(p)
-    p.add_argument("--code", help="write the code JSON here (default: stdout)")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="verify a code file against an instance")
-    common(p, code_file=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("encode", help="encode whitespace-separated symbols from stdin")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="decode codeword+side symbols from stdin")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--code", required=True)
-    p.add_argument("--receiver", type=int, required=True, help="1-based receiver index")
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("graph", help="export the bipartite graph as DOT")
-    common(p)
-    p.add_argument("--dot", help="write DOT here (default: stdout)")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("search", help="exhaustive search for a secure linear code")
-    common(p)
-    p.add_argument("--length", type=int, required=True, help="codeword length to search")
-    p.add_argument("--code", help="write the found code JSON here")
-    p.set_defaults(func=cmd_search)
-
+    for name, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our API reserves 2 for proven-no
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* (a tracer, a test) is used
+        return globals()["cmd_" + args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

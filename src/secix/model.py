@@ -11,6 +11,7 @@ notation.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -316,33 +317,14 @@ class BipartiteGraph:
         Eavesdropper vertices have no incoming arcs, so leaving them out
         cannot hide a cycle.
         """
-        adjacency = {}
+        order = graphlib.TopologicalSorter()
         for u, v in self.arcs:
-            if u.startswith("v"):
-                continue
-            adjacency.setdefault(u, []).append(v)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {}
-        for start in list(adjacency):
-            if color.get(start, WHITE) != WHITE:
-                continue
-            stack = [(start, iter(adjacency.get(start, ())))]
-            color[start] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, WHITE)
-                    if c == GRAY:
-                        return False
-                    if c == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
+            if not u.startswith("v"):
+                order.add(v, u)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
+            return False
         return True
 
     def to_dot(self) -> str:

@@ -78,12 +78,17 @@ def state_count(code) -> int:
 
 def _check_budget(code, budget: int) -> None:
     total = state_count(code)
+    # a power of q: past 4300 digits Python refuses to print the decimal
+    if code.kind == "linear":
+        shown = f"{code.q}^{code.m + code.key_dim}"
+    else:
+        shown = f"{code.q}^{code.m} x {code.key_count}"
     if total > budget:
         raise BudgetExceededError(
-            f"{total} joint states exceed the budget of {budget}; raise the budget to force the enumeration"
+            f"{shown} joint states exceed the budget of {budget}; raise the budget to force the enumeration"
         )
     if total * code.q ** max(code.m, 1) >= _KEY_LIMIT:
-        raise BudgetExceededError(f"{total} joint states are too many to index with 64-bit keys")
+        raise BudgetExceededError(f"{shown} joint states are too many to index with 64-bit keys")
 
 
 def _check_code_matches(code, inst: Instance) -> None:

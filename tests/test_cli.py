@@ -193,6 +193,23 @@ def test_verify_budget_exceeded(tmp_path, capsys, crossed2):
     assert "budget" in err.lower()
 
 
+# the largest prime below gf.MAX_MODULUS: q^600 has more than 4300 decimal digits
+BIG_Q = 94859939
+
+
+def test_verify_budget_refusal_prints_count_as_power(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(
+        {"q": BIG_Q, "m": 600, "receivers": [{"knows": [2], "wants": [1]}]}
+    ))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": BIG_Q, "G": [[1]] * 600}))
+    code, out, err = run(capsys, "verify", "--instance", str(inst_path), "--code", str(code_path))
+    assert code == 4
+    assert "budget" in err and f"{BIG_Q}^600" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_verify_never_renders_negative_zero(tmp_path, capsys, crossed2):
     # the identity code hands every block to the eavesdropper: H = 0 everywhere
     inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
@@ -398,6 +415,55 @@ def test_search_budget(tmp_path, capsys, crossed2):
     code, _, err = run(capsys, "search", "--instance", inst_path,
                        "--length", "2", "--budget", "3")
     assert code == 4
+
+
+def test_search_budget_refusal_prints_count_as_power(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 3, "m": 4, "receivers": [{"knows": [2], "wants": [1]}]}))
+    code, out, err = run(capsys, "search", "--instance", str(inst_path), "--length", "3000")
+    assert code == 4
+    assert "budget" in err and "3^12000" in err and "Traceback" not in err
+    assert out == ""
+
+
+# ---- one parser for every call -------------------------------------------------------------
+
+def test_back_to_back_calls_carry_no_option_over(tmp_path, capsys, crossed2):
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "c1.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    ))
+    argv = ["verify", "--instance", inst_path, "--code", str(code_path)]
+    _, out, _ = run(capsys, *argv, "--b", "2", "--json")
+    assert {len(p["B"]) for p in json.loads(out)["pairs"]} == {2}
+    _, out, _ = run(capsys, *argv)
+    assert out.startswith("receiver 1:")
+    blocks = [line.split(" B=")[1].split(":")[0] for line in out.splitlines() if line.startswith("A=")]
+    assert blocks and all(len(json.loads(block)) == 1 for block in blocks)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--budget", "5"),
+    ("graph", "--b", "2"),
+    ("graph", "--budget", "5"),
+    ("graph", "--json"),
+])
+def test_unread_options_are_refused(tmp_path, capsys, keyed2, argv):
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    code, out, err = run(capsys, argv[0], "--instance", inst_path, *argv[1:])
+    assert code == 1
+    assert argv[1] in err and out == ""
+
+
+def test_main_calls_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch, keyed2):
+    import secix.cli
+
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    seen = []
+    monkeypatch.setattr(secix.cli, "cmd_graph", lambda args: seen.append(args.instance) or 3)
+    code, _, _ = run(capsys, "graph", "--instance", inst_path)
+    assert code == 3 and seen == [inst_path]
 
 
 # ---- process-level smoke test --------------------------------------------------------------

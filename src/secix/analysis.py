@@ -14,15 +14,20 @@ reported honestly as unknown.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
-from .gf import FieldMatrix
+from .gf import FieldMatrix, radix_digits
 from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
-from .oracle import DEFAULT_BUDGET, BudgetExceededError, check_decodability, check_security
+from .oracle import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    block_pairs,
+    check_state_budget,
+    secure_generators,
+)
 
 __all__ = [
     "ANSWER_YES",
@@ -41,6 +46,10 @@ __all__ = [
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
 ANSWER_UNKNOWN = "unknown"
+
+# Joint states screened per search chunk: larger chunks buy little speed
+# and raise peak memory.
+_SEARCH_BATCH = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -213,21 +222,34 @@ def search_linear(
     length works.  Independent of the constructions above, so it can
     confirm their optimality at tiny scale and settle instances the
     structural decision leaves unknown.
+
+    Generators are screened in chunks of consecutive candidates, about
+    _SEARCH_BATCH joint states per chunk, each chunk in one call of
+    `secure_generators`.  `budget` bounds both the q^(m*length)
+    candidates and the q^m states of each candidate.
     """
     require_normalized(inst, "analysis")
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
+    if b < 1:
+        raise ValueError(f"block size must be >= 1, got {b}")
     q, m = inst.q, inst.m
-    if q ** (m * length) > budget:
+    width = m * length
+    candidates = q ** width
+    if candidates > budget:
         raise BudgetExceededError(
-            f"{q}^{m * length} candidate generators exceed the budget of {budget}"
+            f"{q}^{width} candidate generators exceed the budget of {budget}"
         )
-    for entries in itertools.product(range(q), repeat=m * length):
-        generator = FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(m, length))
-        code = LinearCode(generator)
-        if not all(check_decodability(code, inst, budget=budget)):
-            continue
-        report = check_security(code, inst, acc, b=b, budget=budget, stop_on_failure=True)
-        if report.secure:
-            return code
+    if candidates >= 2 ** 63:
+        raise BudgetExceededError(f"{q}^{width} candidate generators are too many to index with 64-bit integers")
+    check_state_budget(q, m, 1, f"{q}^{m}", budget)
+    pairs = block_pairs(inst, acc, b)
+    chunk = max(1, _SEARCH_BATCH // q ** m)
+    # base-q digits of consecutive indices run in itertools.product order
+    for start in range(0, candidates, chunk):
+        stop = min(start + chunk, candidates)
+        generators = radix_digits(np.arange(start, stop), q, width).reshape(stop - start, m, length)
+        hits = np.flatnonzero(secure_generators(q, generators, inst, pairs, budget))
+        if hits.size:
+            return LinearCode(FieldMatrix(q, generators[hits[0]]))
     return None

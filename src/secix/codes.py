@@ -401,10 +401,21 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     one messages before any span vector lets it peel off a symbol.  -1
     means some single message is readable outright.  Works for any
     generator; for a Vandermonde generator the value is m - ell - 1.
+    A span of more than `budget` vectors raises BudgetExceededError.
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
-    basis, pivots = code.generator.transpose().rref()
+    transpose = code.generator.transpose()
+    # q^k <= budget < q^(k+1): k + 1 independent rows of G^T already refuse
+    # the span, without the full reduction, and its rank is at most top
+    k = 0
+    while code.q ** (k + 1) <= budget:
+        k += 1
+    top = min(code.m, code.length)
+    if k < top and FieldMatrix(code.q, transpose.data[: k + 1]).rank() == k + 1:
+        shown = f"{code.q}^{top}" if k + 1 == top else f"{code.q}^{k + 1} to {code.q}^{top}"
+        raise BudgetExceededError(f"column span has {shown} vectors, exceeding the budget of {budget}")
+    basis, pivots = transpose.rref()
     rank = len(pivots)
     if rank == 0:
         return -1  # trivial span: the code sends nothing

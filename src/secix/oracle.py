@@ -18,14 +18,17 @@ receiver and (A, B) pair it checks.  The table holds the message digits
 of every state, in the order of the nested enumeration (x in
 lexicographic order, key index fastest), and a dense integer id per
 distinct codeword: a linear code is encoded by one matrix product over
-all states, a table code by one lookup per state.  A receiver or pair
-then packs its view (codeword id, X_A) and its target (X_B) into one
-int64 key per state, sorts the keys and reads off run lengths:
+all states, a table code by one lookup per state.  The codeword ids
+carry a leading candidate axis, one row per code, so `secure_generators`
+screens a whole stack of deterministic generators over one shared
+message table while `check_*` pass a single row.  A receiver or pair
+then packs each row's view (codeword id, X_A) and target (X_B) into one
+int64 key per state, sorts every row and reads off run lengths:
 
-* a receiver decodes iff no view occurs in two runs, i.e. the number
-  of distinct views equals the number of distinct (view, target) keys;
-* a pair is uniform iff every view occurs in exactly q^b runs of
-  equal length.
+* a receiver decodes iff no view occurs in two runs, i.e. equal
+  adjacent views never carry different targets;
+* a pair is uniform iff every run holds 1/q^b of its view's states,
+  i.e. every view splits into q^b runs of equal length.
 
 Verdicts come from these integer count comparisons alone, so they are
 exact; the entropies attached to reports are decimal renderings of the
@@ -49,9 +52,12 @@ __all__ = [
     "InfeasibleBlockError",
     "PairCheck",
     "SecurityReport",
+    "block_pairs",
     "check_decodability",
     "check_security",
+    "check_state_budget",
     "entropy_bits",
+    "secure_generators",
     "state_count",
 ]
 
@@ -76,19 +82,25 @@ def state_count(code) -> int:
     return code.q ** code.m * code.key_count
 
 
-def _check_budget(code, budget: int) -> None:
-    total = state_count(code)
-    # a power of q: past 4300 digits Python refuses to print the decimal
-    if code.kind == "linear":
-        shown = f"{code.q}^{code.m + code.key_dim}"
-    else:
-        shown = f"{code.q}^{code.m} x {code.key_count}"
+def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> None:
+    """Refuse to enumerate q^m * keys joint states past the budget, or past
+    what 64-bit (view, target) keys can index.  `shown` names the count
+    as a power of q: past 4300 digits Python refuses to print the decimal."""
+    total = q ** m * keys
     if total > budget:
         raise BudgetExceededError(
             f"{shown} joint states exceed the budget of {budget}; raise the budget to force the enumeration"
         )
-    if total * code.q ** max(code.m, 1) >= _KEY_LIMIT:
+    if total * q ** max(m, 1) >= _KEY_LIMIT:
         raise BudgetExceededError(f"{shown} joint states are too many to index with 64-bit keys")
+
+
+def _check_budget(code, budget: int) -> None:
+    if code.kind == "linear":
+        shown = f"{code.q}^{code.m + code.key_dim}"
+    else:
+        shown = f"{code.q}^{code.m} x {code.key_count}"
+    check_state_budget(code.q, code.m, code.key_count, shown, budget)
 
 
 def _check_code_matches(code, inst: Instance) -> None:
@@ -99,35 +111,68 @@ def _check_code_matches(code, inst: Instance) -> None:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
 
 
+def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
+    """(A, [size-b blocks outside A]) for every access set A of `acc`.
+
+    The full message set is skipped: no block lies outside it, so it is
+    vacuously leak-free.  Raises InfeasibleBlockError when some access
+    set leaves fewer than b messages outside it.
+    """
+    full = frozenset(inst.messages())
+    pairs = []
+    for a in acc.expand(inst.m):
+        if a == full:
+            continue
+        outside = sorted(full - a)
+        if b > len(outside):
+            raise InfeasibleBlockError(
+                f"block size {b} exceeds the {len(outside)} messages outside access set {sorted(a)}"
+            )
+        pairs.append((tuple(sorted(a)), list(itertools.combinations(outside, b))))
+    return pairs
+
+
 def _dense(keys):
-    """Re-number keys as 0, 1, ... in sorted order; returns (ids, id count)."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    """Re-number each row's keys as 0, 1, ... in sorted order; returns
+    (ids, bound on the ids of every row)."""
+    order = np.argsort(keys, axis=-1)
+    ordered = np.take_along_axis(keys, order, -1)
+    new = np.zeros(keys.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
+    ranks = np.cumsum(new, axis=-1)
     ids = np.empty_like(keys)
-    ids[order] = np.cumsum(new) - 1
-    return ids, int(ids[order[-1]]) + 1
+    np.put_along_axis(ids, order, ranks, -1)
+    return ids, int(ranks[:, -1].max()) + 1
 
 
 def _pack(keys, bound: int, columns, indices, q: int):
     """Append the digit columns at `indices` to keys below `bound`.
 
-    Returns (keys, new bound): two rows get equal keys iff they had equal
-    keys and equal digits.  Keys are re-ranked before they could leave
-    int64, which long codewords need.
+    `columns[..., j]` broadcasts against the (candidates x states) keys.
+    Returns (keys, new bound): two states of a row get equal keys iff
+    they had equal keys and equal digits.  Keys are re-ranked before
+    they could leave int64, which long codewords need.
     """
     for j in indices:
         if bound * q >= _KEY_LIMIT:
             keys, bound = _dense(keys)
-        keys = keys * q + columns[:, j]
+        keys = keys * q + columns[..., j]
         bound *= q
     return keys, bound
 
 
+def _codeword_ids(words, q: int):
+    """(ids, bound) for candidates x states x length codeword symbols:
+    per row, equal codewords get equal ids below bound <= states."""
+    ids, bound = _pack(np.zeros(words.shape[:2], dtype=np.int64), 1, words, range(words.shape[2]), q)
+    if bound > words.shape[1]:
+        ids, bound = _dense(ids)
+    return ids, bound
+
+
 def _state_table(code):
-    """(message digits, codeword ids, id count) over every joint state."""
+    """(message digits, codeword ids as one candidate row, id bound) over
+    every joint state."""
     q, m, keys = code.q, code.m, code.key_count
     total = state_count(code)
     index = np.arange(total, dtype=np.int64)
@@ -140,21 +185,62 @@ def _state_table(code):
         x = radix_digits(index // keys, q, m)
         states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
         words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(total, code.length)
-    ids, bound = _pack(np.zeros(total, dtype=np.int64), 1, words, range(code.length), q)
-    if bound > total:
-        ids, bound = _dense(ids)
-    return x, ids, bound
+    return (x, *_codeword_ids(words[None], q))
 
 
 def _group(view, view_bound: int, x, target, q: int):
-    """Sort the states by (view, target values).
+    """Sort every row's states by (view, target values).
 
-    Returns the sorted packed keys and the width q^|target| that divides
-    a key down to its view.
+    Returns the row-sorted packed keys and the width q^|target| that
+    divides a key down to its view.
     """
-    # _check_budget keeps view_bound * width below the limit, so _pack does
-    # not re-rank and key // width is the view
-    return np.sort(_pack(view, view_bound, x, target, q)[0]), q ** len(target)
+    # the state budget keeps view_bound * width below the limit, so _pack
+    # does not re-rank and key // width is the view
+    return np.sort(_pack(view, view_bound, x, target, q)[0], axis=-1), q ** len(target)
+
+
+def _decodes(ids, bound: int, x, receiver, q: int):
+    """Per candidate row: True iff the receiver's wanted values are a
+    function of the codeword and its side information."""
+    # wanted messages already known are read off the side information
+    view = _pack(ids, bound, x, [j - 1 for j in sorted(receiver.knows)], q)
+    keys, width = _group(*view, x, [j - 1 for j in sorted(receiver.wants - receiver.knows)], q)
+    views = keys // width
+    return ~((views[:, 1:] == views[:, :-1]) & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+
+
+def _leak_free(view, x, block, q: int):
+    """Per candidate row: True iff every view holds all q^b block values
+    equally often.
+
+    Also returns, per run of equal keys, its length and the number of
+    states sharing its view, from which H(X_B | C, X_A) is rendered.
+    """
+    keys, width = _group(*view, x, block, q)
+    rows, states = keys.shape
+    keys = keys.ravel()
+    # every row start opens a run and a view, so neither spans two rows;
+    # the trailing entry closes the last run
+    first = np.zeros(keys.size + 1, dtype=bool)
+    first[::states] = True
+    new_key = first.copy()
+    new_key[1:-1] |= keys[1:] != keys[:-1]
+    edges = new_key.nonzero()[0]
+    runs = edges[:-1]
+    lengths = edges[1:] - runs
+    run_views = keys[runs] // width
+    # per edge: does a view end there; the last edge closes the last view
+    new_view = first[edges]
+    new_view[1:-1] |= run_views[1:] != run_views[:-1]
+    view_edges = new_view.nonzero()[0]
+    cuts = edges[view_edges]
+    view_sizes = np.repeat(cuts[1:] - cuts[:-1], view_edges[1:] - view_edges[:-1])
+    # width = q^b: each run must hold 1/width of its view's states, which
+    # also makes it one of exactly width runs
+    bad = lengths * width != view_sizes
+    uniform = np.ones(rows, dtype=bool)
+    uniform[runs[bad] // states] = False
+    return uniform, lengths, view_sizes
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -167,17 +253,38 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
     _check_code_matches(code, inst)
     _check_budget(code, budget)
     x, ids, bound = _state_table(code)
-    verdicts = []
+    return [bool(_decodes(ids, bound, x, r, code.q)[0]) for r in inst.receivers]
+
+
+def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: int = DEFAULT_BUDGET):
+    """Which of a candidates x m x length stack of generators over GF(q)
+    decode for every receiver and leak nothing on any of `pairs` (from
+    `block_pairs`); returns one bool per candidate.
+
+    All candidates share one message table and one matrix product; a
+    candidate is dropped at the first receiver or pair it fails, so
+    pairs are checked only on candidates every receiver decodes.
+    """
+    count, m, _ = generators.shape
+    check_state_budget(q, m, 1, f"{q}^{m}", budget)
+    x = radix_digits(np.arange(q ** m), q, m)
+    ids, bound = _codeword_ids(x @ generators % q, q)
+    secure = np.zeros(count, dtype=bool)
+    alive = np.arange(count)
     for r in inst.receivers:
-        # wanted messages already known are read off the side information
-        view = _pack(ids, bound, x, [j - 1 for j in sorted(r.knows)], code.q)
-        keys, width = _group(*view, x, [j - 1 for j in sorted(r.wants - r.knows)], code.q)
-        views = keys // width
-        # decodes iff #distinct views == #distinct (view, target) keys
-        verdicts.append(
-            bool(np.count_nonzero(views[1:] != views[:-1]) == np.count_nonzero(keys[1:] != keys[:-1]))
-        )
-    return verdicts
+        ok = _decodes(ids, bound, x, r, q)
+        alive, ids = alive[ok], ids[ok]
+        if not alive.size:
+            return secure
+    for access, blocks in pairs:
+        view, view_bound = _pack(ids, bound, x, [j - 1 for j in access], q)
+        for block in blocks:
+            ok = _leak_free((view, view_bound), x, [j - 1 for j in block], q)[0]
+            alive, ids, view = alive[ok], ids[ok], view[ok]
+            if not alive.size:
+                return secure
+    secure[alive] = True
+    return secure
 
 
 @dataclass(frozen=True)
@@ -244,17 +351,7 @@ def check_security(
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
     _check_budget(code, budget)
-    full = frozenset(inst.messages())
-    pairs = []
-    for a in acc.expand(inst.m):
-        if a == full:
-            continue  # nothing outside A: vacuously leak-free
-        outside = sorted(full - a)
-        if b > len(outside):
-            raise InfeasibleBlockError(
-                f"block size {b} exceeds the {len(outside)} messages outside access set {sorted(a)}"
-            )
-        pairs.append((tuple(sorted(a)), list(itertools.combinations(outside, b))))
+    pairs = block_pairs(inst, acc, b)
     pair_count = sum(len(blocks) for _, blocks in pairs)
 
     q = code.q
@@ -266,19 +363,10 @@ def check_security(
     for access, blocks in pairs:
         view = _pack(ids, bound, x, [j - 1 for j in access], q)
         for block in blocks:
-            keys, width = _group(*view, x, [j - 1 for j in block], q)
-            edges = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True])))
-            lengths = edges[1:] - edges[:-1]
-            run_views = keys[edges[:-1]] // width
-            starts = np.flatnonzero(np.concatenate(([True], run_views[1:] != run_views[:-1])))
-            runs_per_view = np.diff(starts, append=len(lengths))
-            # per run: the number of states sharing its view
-            view_sizes = np.repeat(np.add.reduceat(lengths, starts), runs_per_view)
-            # width = q^b: every view must hold all block values equally often
-            uniform = bool((runs_per_view == width).all() and (lengths * width == view_sizes).all())
+            uniform, lengths, view_sizes = _leak_free(view, x, [j - 1 for j in block], q)
             conditional = float(lengths @ (np.log2(view_sizes) - np.log2(lengths))) / total
-            checks.append(PairCheck(access, block, uniform, block_entropy, conditional))
-            if stop_on_failure and not uniform:
+            checks.append(PairCheck(access, block, bool(uniform[0]), block_entropy, conditional))
+            if stop_on_failure and not uniform[0]:
                 return SecurityReport(tuple(checks), b, complete=len(checks) == pair_count)
     return SecurityReport(tuple(checks), b, complete=True)
 

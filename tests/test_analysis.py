@@ -1,8 +1,11 @@
 """Existence decisions, certificates, bounds, and exhaustive search."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from secix import (
     ANSWER_NO,
@@ -24,7 +27,9 @@ from secix import (
     search_linear,
     strip_unwanted,
 )
-from secix.oracle import BudgetExceededError
+from secix import analysis
+from secix.oracle import BudgetExceededError, InfeasibleBlockError
+import reference_search
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
@@ -207,6 +212,97 @@ def test_search_confirms_lower_bound_small_case():
     acc = AccessStructure.t_level(1)
     assert search_linear(inst, acc, 1) is not None
     assert search_linear(inst, acc, 0) is None
+
+
+@st.composite
+def search_cases(draw):
+    """(instance, adversary, length, b) with q in {2, 3}, m <= 4, length <= 2,
+    normalized receivers and a block size every access set leaves room for."""
+    q = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 2))
+    receivers = []
+    for _ in range(draw(st.integers(1, 3))):
+        knows = draw(st.frozensets(st.integers(1, m), max_size=m - 1))
+        lacking = sorted(set(range(1, m + 1)) - knows)
+        wants = draw(st.frozensets(st.integers(1, m))) | {draw(st.sampled_from(lacking))}
+        receivers.append(Receiver(knows, wants))
+    if draw(st.booleans()):
+        acc = AccessStructure.t_level(draw(st.integers(0, m - 1)))
+    else:
+        acc = AccessStructure.explicit(draw(st.lists(st.frozensets(st.integers(1, m)), min_size=1, max_size=2)))
+    b = draw(st.sampled_from([1, 2]))
+    full = frozenset(range(1, m + 1))
+    assume(all(b <= m - len(a) for a in acc.expand(m) if a != full))
+    return Instance(q, m, tuple(receivers)), acc, length, b
+
+
+@given(search_cases())
+@example((crossed_pairs_instance(2), AccessStructure.explicit([[3]]), 2, 1))   # found past index 0
+@example((unwanted_key_instance(2), AccessStructure.t_level(1), 1, 1))         # no secure code exists
+@example((complementary_instance(3, 3), AccessStructure.t_level(1), 1, 2))     # b = 2: none secure
+@example((complementary_instance(2, 4), AccessStructure.t_level(1), 1, 2))     # b = 2: found
+@settings(max_examples=80, deadline=None)
+def test_search_matches_per_candidate_reference(case):
+    inst, acc, length, b = case
+    found = search_linear(inst, acc, length, b=b)
+    expected = reference_search.search(inst, acc, length, b=b)
+    assert found == expected
+
+
+def test_search_winner_past_first_chunk(monkeypatch, crossed2):
+    acc = AccessStructure.explicit([[3]])
+    expected = reference_search.search(crossed2, acc, 2)
+    assert expected.generator.to_lists() != [[0, 0]] * 4
+    monkeypatch.setattr(analysis, "_SEARCH_BATCH", 1)  # one candidate per chunk
+    assert search_linear(crossed2, acc, 2) == expected
+
+
+def test_search_rejects_bad_block_size_before_any_candidate(crossed2):
+    acc = AccessStructure.explicit([[3]])
+    for length in (0, 1):
+        with pytest.raises(ValueError, match="block size"):
+            search_linear(crossed2, acc, length, b=0)
+        with pytest.raises(InfeasibleBlockError):
+            search_linear(crossed2, acc, length, b=4)
+
+
+def test_full_search_scan_stays_small():
+    # t = 4 covers a receiver's knowledge, so all 2^15 generators are
+    # screened: many decode, none is secure
+    inst = complementary_instance(2, 5)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert search_linear(inst, AccessStructure.t_level(4), 3) is None
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
+
+def test_search_budget_refusals_allocate_nothing():
+    # 2^40 states per candidate, and C(40, 20) access sets that must not be expanded
+    inst = Instance(2, 40, (Receiver({1}, {2}),))
+    acc = AccessStructure.t_level(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"2\^40 candidate"):
+            search_linear(inst, acc, 1)
+        with pytest.raises(BudgetExceededError, match=r"2\^40 joint states exceed"):
+            search_linear(inst, acc, 0)
+        # a raised budget does not help once 64-bit state keys could wrap,
+        # nor once candidate indices could
+        with pytest.raises(BudgetExceededError, match="joint states are too many"):
+            search_linear(inst, acc, 0, budget=2 ** 90)
+        with pytest.raises(BudgetExceededError, match="candidate generators are too many"):
+            search_linear(inst, acc, 2, budget=2 ** 90)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---- certificate soundness ------------------------------------------------------------

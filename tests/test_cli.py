@@ -426,6 +426,44 @@ def test_search_budget_refusal_prints_count_as_power(tmp_path, capsys):
     assert out == ""
 
 
+# two receivers want message 4, one wants 1; every access set leaves 3 messages outside
+BLOCK_CHECK_INSTANCE = {
+    "q": 2, "m": 4,
+    "receivers": [{"knows": [1, 2, 3], "wants": [4]}, {"knows": [1, 2, 3], "wants": [4]},
+                  {"knows": [2, 3, 4], "wants": [1]}],
+    "adversary": {"type": "explicit", "sets": [[2], [4]]},
+}
+
+
+@pytest.mark.parametrize("length", ["0", "1"])
+@pytest.mark.parametrize("b", ["0", "4"])
+def test_search_rejects_bad_block_size_before_scanning(tmp_path, capsys, length, b):
+    # at length 0 no candidate decodes, so a check made per decodable
+    # candidate would never run and the search would report found: false
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(BLOCK_CHECK_INSTANCE))
+    code, out, err = run(capsys, "search", "--instance", str(inst_path),
+                         "--length", length, "--b", b, "--json")
+    assert_one_error_line(code, err)
+    assert out == ""
+
+
+def test_construct_refuses_wide_span_without_full_reduction(tmp_path, capsys):
+    # the MDS code has a 700 x 699 generator: a full reduction of it takes seconds
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "q": BIG_Q, "m": 700,
+        "receivers": [{"knows": [1], "wants": [2]}, {"knows": [2], "wants": [1]}],
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--instance", str(inst_path), "--t-level", "0")
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    assert "budget" in err and f"{BIG_Q}^699 vectors" in err and "Traceback" not in err
+    assert out == ""
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
 # ---- one parser for every call -------------------------------------------------------------
 
 def test_back_to_back_calls_carry_no_option_over(tmp_path, capsys, crossed2):

@@ -24,7 +24,13 @@ from secix import (
     check_security,
     entropy_bits,
 )
-from secix.oracle import BudgetExceededError, InfeasibleBlockError, state_count
+from secix.oracle import (
+    BudgetExceededError,
+    InfeasibleBlockError,
+    block_pairs,
+    secure_generators,
+    state_count,
+)
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
@@ -156,6 +162,19 @@ def test_budget_refusal_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_secure_generators_keeps_candidates_apart():
+    # the receiver wants only what it knows, so even the constant code
+    # decodes; its one view must not merge with the next candidate's
+    # first view, or the leaking x1 code would condemn it too
+    inst = Instance(2, 2, (Receiver({1}, {1}),))
+    pairs = block_pairs(inst, AccessStructure.explicit([[]]), 1)
+    stack = np.array([[[0], [0]], [[1], [0]]])
+    assert secure_generators(2, stack, inst, pairs).tolist() == [True, False]
+    for generator, secure in zip(stack, [True, False]):
+        code = LinearCode(FieldMatrix(2, generator))
+        assert check_security(code, inst, AccessStructure.explicit([[]])).secure is secure
 
 
 def test_codewords_longer_than_64_bits():

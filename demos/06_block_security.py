@@ -33,8 +33,7 @@ yes = decide_t_level(instance, 1, b=2)
 code = yes.code
 print(f"\ncertificate at b=2, t=1: generator {code.generator.to_lists()}")
 for t, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-    rep = check_security(code, instance, AccessStructure.t_level(t), b=b,
-                         stop_on_failure=True)
+    rep = check_security(code, instance, AccessStructure.t_level(t), b=b)
     print(f"  oracle t={t} b={b}: {'secure' if rep.secure else 'leaks'}")
 
 print("\nAt t=2, b=2 the eavesdropper holding two messages learns the sum")

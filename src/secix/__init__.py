@@ -14,7 +14,6 @@ from .model import (
     Instance,
     Receiver,
     build_graph,
-    cooperate,
     every_message_wanted,
     instance_to_dict,
     load_instance,
@@ -48,7 +47,6 @@ from .oracle import (
     SecurityReport,
     check_decodability,
     check_security,
-    entropy_bits,
 )
 from .analysis import (
     ANSWER_NO,

@@ -176,8 +176,9 @@ def cmd_verify(args) -> int:
     inst, file_acc = _load_instance(args)
     acc = _resolve_access(args, file_acc, inst.m)
     code = _load_code(args, inst)
-    decodable = oracle.check_decodability(code, inst, budget=args.budget)
+    # security first: it refuses states x pairs before any state table is built
     report = oracle.check_security(code, inst, acc, b=args.b, budget=args.budget)
+    decodable = oracle.check_decodability(code, inst, budget=args.budget)
     payload = report.to_dict()
     payload["decodable"] = decodable
     if args.json:

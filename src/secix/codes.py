@@ -114,10 +114,6 @@ class LinearCode:
     def is_randomized(self) -> bool:
         return self.key_generator is not None
 
-    def key_vector(self, key_index: int) -> tuple:
-        """Key symbols for an enumeration index (last symbol varies fastest)."""
-        return tuple(int(v) for v in radix_digits([key_index], self.q, self.key_dim)[0])
-
     def encode(self, x, y=None) -> tuple:
         """Codeword for message vector x (and key vector y when keyed)."""
         x = [int(v) % self.q for v in x]
@@ -133,11 +129,6 @@ class LinearCode:
         elif y is not None:
             raise ValueError("deterministic code takes no key")
         return tuple(int(v) for v in np.array(x, dtype=np.int64) @ self.matrix % self.q)
-
-    def encode_state(self, x, key_index: int) -> tuple:
-        if self.is_randomized:
-            return self.encode(x, self.key_vector(key_index))
-        return self.encode(x)
 
     def __repr__(self):
         tail = f", key_dim={self.key_dim}" if self.is_randomized else ""
@@ -185,9 +176,6 @@ class TableCode:
 
     def encode(self, x, y=0) -> tuple:
         return tuple(self.table[(tuple(int(v) for v in x), int(y))])
-
-    def encode_state(self, x, key_index: int) -> tuple:
-        return tuple(self.table[(tuple(x), key_index)])
 
     def __repr__(self):
         return f"TableCode(q={self.q}, m={self.m}, length={self.length}, keys={self.key_count})"

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "FieldMatrix",
+    "MAX_ACCESS_SETS",
     "MAX_MESSAGES",
     "MAX_MODULUS",
     "is_prime",
@@ -28,6 +29,9 @@ __all__ = [
 # Largest message count m, and largest m + key_dim and length of a code:
 # it bounds the dense m x m arrays that constructions and decode build.
 MAX_MESSAGES = 2 ** 10
+# Largest number of t-level access sets listed at once: about 46 MiB of
+# frozensets of 8 messages.
+MAX_ACCESS_SETS = 2 ** 16
 # Largest field modulus.  With inner dimensions at most MAX_MESSAGES,
 # every product the package forms -- a sum of MAX_MESSAGES terms below
 # (q-1)^2, plus one reduced term -- stays below 2^63.

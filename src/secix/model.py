@@ -14,9 +14,11 @@ from __future__ import annotations
 import graphlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .gf import MAX_MESSAGES, MAX_MODULUS, is_prime
+from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, MAX_MODULUS, is_prime
 
 __all__ = [
     "Receiver",
@@ -26,7 +28,6 @@ __all__ = [
     "validate",
     "normalize",
     "every_message_wanted",
-    "cooperate",
     "strip_unwanted",
     "build_graph",
     "parse_instance",
@@ -133,24 +134,6 @@ def every_message_wanted(inst: Instance) -> bool:
     return all(j in wanted for j in inst.messages())
 
 
-def cooperate(inst: Instance, i: int, j: int) -> Instance:
-    """Let receivers i and j (1-based) pool their side information.
-
-    Both end up knowing the union of their knows-sets; wants-sets,
-    q, and m are unchanged.
-    """
-    if i == j:
-        raise ValueError("cooperation needs two distinct receivers")
-    for idx in (i, j):
-        if not 1 <= idx <= inst.n:
-            raise ValueError(f"receiver index {idx} out of range [1, {inst.n}]")
-    union = inst.receivers[i - 1].knows | inst.receivers[j - 1].knows
-    updated = list(inst.receivers)
-    updated[i - 1] = Receiver(union, inst.receivers[i - 1].wants)
-    updated[j - 1] = Receiver(union, inst.receivers[j - 1].wants)
-    return Instance(inst.q, inst.m, tuple(updated))
-
-
 def strip_unwanted(inst: Instance, acc: "AccessStructure | None" = None):
     """Remove messages wanted by no receiver, renumbering the rest.
 
@@ -183,6 +166,7 @@ def strip_unwanted(inst: Instance, acc: "AccessStructure | None" = None):
     return stripped, AccessStructure.explicit(remapped)
 
 
+@dataclass(frozen=True)
 class AccessStructure:
     """The collection of message subsets the eavesdropper might hold.
 
@@ -191,15 +175,12 @@ class AccessStructure:
     expansion so size-based analysis never materializes them).
     """
 
-    KIND_T_LEVEL = "t_level"
-    KIND_EXPLICIT = "explicit"
+    KIND_T_LEVEL: ClassVar[str] = "t_level"
+    KIND_EXPLICIT: ClassVar[str] = "explicit"
 
-    __slots__ = ("kind", "t", "sets")
-
-    def __init__(self, kind, t=None, sets=None):
-        self.kind = kind
-        self.t = t
-        self.sets = sets
+    kind: str
+    t: int | None = None
+    sets: tuple | None = None
 
     @classmethod
     def t_level(cls, t: int) -> "AccessStructure":
@@ -228,12 +209,16 @@ class AccessStructure:
         """All access sets for an instance with m messages.
 
         t-level expands to every size-t proper subset in lexicographic
-        order; explicit sets pass through (already deduplicated) after
-        a range check.
+        order, and refuses more than gf.MAX_ACCESS_SETS of them; explicit
+        sets pass through (already deduplicated) after a range check.
         """
         if self.kind == self.KIND_T_LEVEL:
-            if not 0 <= self.t <= m - 1:
-                raise ValueError(f"access level must satisfy 0 <= t <= {m - 1}, got {self.t}")
+            count = math.comb(m, self.max_size(m))
+            if count > MAX_ACCESS_SETS:
+                raise ValueError(
+                    f"t-level {self.t} access on {m} messages has {count} access sets, "
+                    f"more than the {MAX_ACCESS_SETS} that can be listed"
+                )
             return [frozenset(c) for c in itertools.combinations(range(1, m + 1), self.t)]
         for a in self.sets:
             for j in a:
@@ -275,14 +260,6 @@ class AccessStructure:
                 raise ValueError("explicit adversary needs a 'sets' list")
             return cls.explicit([checked_ints(a, "access set") for a in sets])
         raise ValueError(f"unknown adversary type {kind!r}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AccessStructure)
-            and other.kind == self.kind
-            and other.t == self.t
-            and other.sets == self.sets
-        )
 
     def __repr__(self):
         if self.kind == self.KIND_T_LEVEL:

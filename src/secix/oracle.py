@@ -56,7 +56,6 @@ __all__ = [
     "check_decodability",
     "check_security",
     "check_state_budget",
-    "entropy_bits",
     "secure_generators",
     "state_count",
 ]
@@ -95,12 +94,15 @@ def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> No
         raise BudgetExceededError(f"{shown} joint states are too many to index with 64-bit keys")
 
 
-def _check_budget(code, budget: int) -> None:
+def _check_budget(code, budget: int) -> str:
+    """Refuse the code's joint states past the budget; returns their count
+    as printed."""
     if code.kind == "linear":
         shown = f"{code.q}^{code.m + code.key_dim}"
     else:
         shown = f"{code.q}^{code.m} x {code.key_count}"
     check_state_budget(code.q, code.m, code.key_count, shown, budget)
+    return shown
 
 
 def _check_code_matches(code, inst: Instance) -> None:
@@ -313,7 +315,6 @@ class SecurityReport:
 
     checks: tuple
     block_size: int
-    complete: bool
 
     @property
     def secure(self) -> bool:
@@ -334,7 +335,6 @@ def check_security(
     acc: AccessStructure,
     b: int = 1,
     budget: int = DEFAULT_BUDGET,
-    stop_on_failure: bool = False,
 ) -> SecurityReport:
     """Exact block-security verdict for every (A, B) pair.
 
@@ -342,21 +342,28 @@ def check_security(
     no block exists and nothing can leak) and each size-b subset B of
     the remaining messages, tests conditional uniformity of the B
     values given every (codeword, A values) of positive probability.
-
-    With stop_on_failure the report is truncated at the first failing
-    pair (its `complete` flag records this); the overall verdict is
-    unaffected since one failure already decides it.
+    Every pair sorts all joint states, so states x pairs past the budget
+    is refused before the pairs are listed.
     """
     _check_code_matches(code, inst)
+    shown = _check_budget(code, budget)
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
-    _check_budget(code, budget)
+    m = inst.m
+    if acc.kind == acc.KIND_T_LEVEL:
+        pair_count = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
+    else:
+        # the full set counts C(0, b) = 0 pairs, as block_pairs skips it
+        pair_count = sum(math.comb(m - len(a), b) for a in acc.expand(m))
+    total = state_count(code)
+    if total * pair_count > budget:
+        raise BudgetExceededError(
+            f"{shown} joint states x {pair_count} (access set, block) pairs exceed the budget of {budget}"
+        )
     pairs = block_pairs(inst, acc, b)
-    pair_count = sum(len(blocks) for _, blocks in pairs)
 
     q = code.q
     block_entropy = b * math.log2(q)
-    total = state_count(code)
     checks = []
     if pairs:
         x, ids, bound = _state_table(code)
@@ -366,21 +373,4 @@ def check_security(
             uniform, lengths, view_sizes = _leak_free(view, x, [j - 1 for j in block], q)
             conditional = float(lengths @ (np.log2(view_sizes) - np.log2(lengths))) / total
             checks.append(PairCheck(access, block, bool(uniform[0]), block_entropy, conditional))
-            if stop_on_failure and not uniform[0]:
-                return SecurityReport(tuple(checks), b, complete=len(checks) == pair_count)
-    return SecurityReport(tuple(checks), b, complete=True)
-
-
-def entropy_bits(counts) -> float:
-    """Shannon entropy in bits of an exact count distribution.
-
-    Accepts an iterable of positive counts or a mapping to counts.
-    Rendering only: verdicts never compare these floats.
-    """
-    if hasattr(counts, "values"):
-        counts = counts.values()
-    counts = [c for c in counts if c]
-    if not counts:
-        raise ValueError("entropy of an empty distribution is undefined")
-    total = sum(counts)
-    return -sum((c / total) * math.log2(c / total) for c in counts)
+    return SecurityReport(tuple(checks), b)

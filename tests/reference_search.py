@@ -15,6 +15,6 @@ def search(inst, acc, length, b=1):
         code = LinearCode(FieldMatrix(inst.q, np.array(entries, dtype=np.int64).reshape(inst.m, length)))
         if not all(check_decodability(code, inst)):
             continue
-        if check_security(code, inst, acc, b=b, stop_on_failure=True).secure:
+        if check_security(code, inst, acc, b=b).secure:
             return code
     return None

@@ -49,9 +49,7 @@ def report(number: int, text: str) -> None:
 
 
 def passes_level(code, inst, t: int, b: int = 1) -> bool:
-    return check_security(
-        code, inst, AccessStructure.t_level(t), b=b, stop_on_failure=True
-    ).secure
+    return check_security(code, inst, AccessStructure.t_level(t), b=b).secure
 
 
 # ---- shared grid for criteria 2-4 -----------------------------------------------
@@ -133,9 +131,7 @@ def test_criterion_3_construction_converse():
             assert len(cert.access) == t
             witness_acc = AccessStructure.explicit([cert.access])
             for code in samples:
-                assert not check_security(
-                    code, inst, witness_acc, stop_on_failure=True
-                ).secure
+                assert not check_security(code, inst, witness_acc).secure
                 codes_checked += 1
     report(3, f"{codes_checked} decodable random codes all leak above the threshold")
 

@@ -288,6 +288,40 @@ def test_message_count_cap_refuses_before_allocating(tmp_path, capsys):
     assert elapsed < 1.0 and peak < 2 ** 20
 
 
+def test_verify_refuses_states_times_pairs_before_building_states(tmp_path, capsys):
+    # 2^20 states pass the state budget, but each of the C(20, 10) * 10
+    # (A, B) pairs would sort all of them
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 20, "receivers": [{"knows": [2], "wants": [1]}]}))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1, 0, 0, 0, 1]] * 20}))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "verify", "--instance", str(inst_path), "--code", str(code_path),
+                             "--t-level", "10")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "budget" in err and "2^20 joint states x 1847560 " in err and "Traceback" not in err
+    assert out == ""
+    assert elapsed < 1.0 and peak < 2 ** 20
+
+
+def test_graph_refuses_too_many_access_sets(tmp_path, capsys):
+    # C(60, 12) = 1399358844975 access sets would not fit in memory
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 60, "receivers": [{"knows": [2], "wants": [1]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "graph", "--instance", str(inst_path), "--t-level", "12")
+    elapsed = time.perf_counter() - start
+    assert_one_error_line(code, err)
+    assert "1399358844975" in err and out == ""
+    assert elapsed < 1.0
+
+
 # q = 4294967311 is prime, but products of its elements overflow int64
 WIDE_Q = 4294967311
 

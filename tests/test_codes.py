@@ -96,18 +96,8 @@ def test_randomized_encode_and_key_enumeration():
     code = LinearCode(g, gt)
     assert code.key_count == 2
     assert code.encode((1, 0), (1,)) == (0, 1)
-    assert code.encode_state((1, 0), 1) == (0, 1)
-    assert code.encode_state((1, 0), 0) == (1, 0)
     with pytest.raises(ValueError):
         code.encode((1, 0))  # key required
-
-
-def test_key_vector_order_matches_lexicographic():
-    g = FieldMatrix(3, [[1]])
-    gt = FieldMatrix(3, [[1], [1]])
-    code = LinearCode(g, gt)
-    seen = [code.key_vector(i) for i in range(code.key_count)]
-    assert seen == list(itertools.product(range(3), repeat=2))
 
 
 def test_table_code_lookup_and_validation():

@@ -8,13 +8,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import secix.model
 from secix.gf import MAX_MESSAGES
 from secix import (
     AccessStructure,
     Instance,
     Receiver,
     build_graph,
-    cooperate,
     every_message_wanted,
     instance_to_dict,
     load_instance,
@@ -24,7 +24,7 @@ from secix import (
     strip_unwanted,
     validate,
 )
-from conftest import crossed_pairs_instance, random_instance, unwanted_key_instance
+from conftest import random_instance, unwanted_key_instance
 
 
 # ---- validate / normalize ----------------------------------------------------
@@ -107,6 +107,15 @@ def test_t_level_expansion_counts_and_order():
             assert all(len(a) == t for a in sets)
 
 
+def test_expand_refuses_more_t_level_sets_than_the_cap(monkeypatch):
+    monkeypatch.setattr(secix.model, "MAX_ACCESS_SETS", 6)
+    assert len(AccessStructure.t_level(2).expand(4)) == 6
+    with pytest.raises(ValueError, match="10 access sets"):
+        AccessStructure.t_level(2).expand(5)
+    # explicit sets are already listed and pass through
+    assert len(AccessStructure.explicit([[j] for j in range(1, 8)]).expand(7)) == 7
+
+
 def test_explicit_deduplicates():
     acc = AccessStructure.explicit([[3, 4], [4, 3]])
     assert acc.expand(4) == [frozenset({3, 4})]
@@ -134,51 +143,6 @@ def test_max_size_symbolic():
     assert AccessStructure.t_level(2).max_size(4) == 2
     assert AccessStructure.explicit([[3, 4], [1]]).max_size(4) == 2
     assert AccessStructure.explicit([[]]).max_size(4) == 0
-
-
-# ---- cooperate -----------------------------------------------------------------
-
-def test_cooperate_unions_knowledge():
-    inst = Instance(2, 2, (Receiver({1}, {2}), Receiver({2}, {1})))
-    merged = cooperate(inst, 1, 2)
-    assert merged.receivers[0].knows == frozenset({1, 2})
-    assert merged.receivers[1].knows == frozenset({1, 2})
-    assert merged.receivers[0].wants == frozenset({2})
-
-
-def test_cooperate_rejects_self():
-    inst = crossed_pairs_instance(2)
-    with pytest.raises(ValueError):
-        cooperate(inst, 1, 1)
-    with pytest.raises(ValueError):
-        cooperate(inst, 1, 9)
-
-
-def test_cooperate_on_crossed_instance_recomputed():
-    # recomputing the side-information minimum after each union:
-    # pairing 1 with 3 leaves receiver 2 at a single known message,
-    # pairing 1 with 2 lifts the minimum to 2.
-    inst = crossed_pairs_instance(2)
-    with_3 = cooperate(inst, 1, 3)
-    assert with_3.receivers[0].knows == frozenset({2, 4})
-    assert with_3.receivers[2].knows == frozenset({2, 4})
-    assert min(len(r.knows) for r in with_3.receivers) == 1
-    with_2 = cooperate(inst, 1, 2)
-    assert min(len(r.knows) for r in with_2.receivers) == 2
-
-
-@given(instances(), st.data())
-@settings(max_examples=60)
-def test_cooperate_never_shrinks(inst, data):
-    if inst.n < 2:
-        return
-    i = data.draw(st.integers(1, inst.n))
-    j = data.draw(st.integers(1, inst.n).filter(lambda v: v != i))
-    merged = cooperate(inst, i, j)
-    assert merged.q == inst.q and merged.m == inst.m
-    for before, after in zip(inst.receivers, merged.receivers):
-        assert before.knows <= after.knows
-        assert before.wants == after.wants
 
 
 # ---- graph view ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy.stats import entropy as scipy_entropy
 
 import reference_oracle
 
+import secix.oracle
 from secix import (
     AccessStructure,
     FieldMatrix,
@@ -22,7 +23,6 @@ from secix import (
     TableCode,
     check_decodability,
     check_security,
-    entropy_bits,
 )
 from secix.oracle import (
     BudgetExceededError,
@@ -145,6 +145,24 @@ def test_budget_guard():
         check_decodability(code, inst, budget=15)
 
 
+@pytest.mark.parametrize("acc, b", [
+    (AccessStructure.t_level(1), 1),
+    (AccessStructure.explicit([[3, 4], [1, 2, 3, 4], [], [2]]), 2),
+], ids=["t-level", "explicit"])
+def test_budget_counts_states_times_pairs_before_listing_them(monkeypatch, acc, b):
+    inst = crossed_pairs_instance(2)
+    code = disjoint_sum_code(2)
+    pairs = sum(len(blocks) for _, blocks in block_pairs(inst, acc, b))
+    assert len(check_security(code, inst, acc, b=b, budget=16 * pairs).checks) == pairs
+
+    def unreachable(*args):
+        raise AssertionError("pairs listed before the budget was checked")
+
+    monkeypatch.setattr(secix.oracle, "block_pairs", unreachable)
+    with pytest.raises(BudgetExceededError, match=rf"2\^4 joint states x {pairs} \(access set, block\) pairs"):
+        check_security(code, inst, acc, b=b, budget=16 * pairs - 1)
+
+
 def test_budget_refusal_allocates_nothing():
     # 2^40 joint states: any state table would take terabytes
     inst = Instance(2, 40, (Receiver({1}, {2}),))
@@ -254,21 +272,10 @@ def test_unequal_counts_leak_even_when_every_value_occurs():
     assert math.isclose(report.checks[0].conditional_entropy_bits, 2 - 0.75 * math.log2(3))
 
 
-def test_stop_on_failure_truncates_but_agrees():
-    inst = crossed_pairs_instance(2)
-    code = LinearCode(FieldMatrix.identity(2, 4))
-    full = check_security(code, inst, AccessStructure.t_level(1))
-    fast = check_security(code, inst, AccessStructure.t_level(1), stop_on_failure=True)
-    assert not full.secure and not fast.secure
-    assert len(fast.checks) <= len(full.checks)
-    assert not fast.complete or len(fast.checks) == len(full.checks)
-
-
 # ---- structural invariants ------------------------------------------------------
 
 def security_passes_at_level(code, inst, t, b=1):
-    return check_security(code, inst, AccessStructure.t_level(t), b=b,
-                          stop_on_failure=True).secure
+    return check_security(code, inst, AccessStructure.t_level(t), b=b).secure
 
 
 def corpus_for(q, m):
@@ -303,7 +310,7 @@ def test_compromised_pattern_breaks_every_decodable_code():
     acc = AccessStructure.explicit([[2, 3]])  # covers receiver 1's knowledge
     for _ in range(10):
         code = random_decodable_code(rng, inst)
-        assert not check_security(code, inst, acc, stop_on_failure=True).secure
+        assert not check_security(code, inst, acc).secure
 
 
 def test_conditioning_never_helps_the_block():
@@ -329,23 +336,23 @@ def test_report_json_shape():
         assert set(pair) == {"A", "B", "uniform", "H_B_bits", "H_B_given_CA_bits"}
 
 
-# ---- entropy rendering -------------------------------------------------------------
+# ---- entropy rendering in the reference ---------------------------------------------
 
 def test_entropy_examples():
-    assert entropy_bits([1, 1, 1, 1]) == 2.0
-    assert entropy_bits([7]) == 0.0
-    assert entropy_bits([2, 1, 1]) == 1.5
+    assert reference_oracle.entropy_bits([1, 1, 1, 1]) == 2.0
+    assert reference_oracle.entropy_bits([7]) == 0.0
+    assert reference_oracle.entropy_bits([2, 1, 1]) == 1.5
 
 
 def test_entropy_matches_scipy():
     for counts in ([3, 1], [5, 2, 2, 1], [1, 1, 1]):
-        assert math.isclose(entropy_bits(counts), scipy_entropy(counts, base=2))
+        assert math.isclose(reference_oracle.entropy_bits(counts), scipy_entropy(counts, base=2))
 
 
 def test_entropy_accepts_mapping_and_rejects_empty():
-    assert entropy_bits({"a": 2, "b": 2}) == 1.0
+    assert reference_oracle.entropy_bits({"a": 2, "b": 2}) == 1.0
     with pytest.raises(ValueError):
-        entropy_bits([])
+        reference_oracle.entropy_bits([])
 
 
 # ---- differential test against the per-state reference --------------------------
@@ -378,9 +385,9 @@ def oracle_cases(draw):
         cuts = [rng.randint(1, m * (q - 1)) for _ in range(length)]
         table = {}
         for x in itertools.product(range(q), repeat=m):
-            for key in range(linear.key_count):
+            for key, y in enumerate(itertools.product(range(q), repeat=key_dim)):
                 if kind == "copy":
-                    word = linear.encode_state(x, key)
+                    word = linear.encode(x, y or None)
                 elif kind == "random":
                     word = tuple(rng.randrange(q) for _ in range(length))
                 else:
@@ -397,20 +404,19 @@ def oracle_cases(draw):
     return code, Instance(q, m, tuple(receivers)), acc, draw(st.sampled_from([1, 2]))
 
 
-@given(oracle_cases(), st.booleans())
+@given(oracle_cases())
 @settings(max_examples=150, deadline=None)
-def test_vectorized_oracle_matches_reference(case, stop_on_failure):
+def test_vectorized_oracle_matches_reference(case):
     code, inst, acc, b = case
     assert check_decodability(code, inst) == reference_oracle.decodability(code, inst)
     try:
-        expected, complete = reference_oracle.security(code, inst, acc, b, stop_on_failure)
+        expected = reference_oracle.security(code, inst, acc, b)
     except InfeasibleBlockError:
         with pytest.raises(InfeasibleBlockError):
-            check_security(code, inst, acc, b=b, stop_on_failure=stop_on_failure)
+            check_security(code, inst, acc, b=b)
         return
-    report = check_security(code, inst, acc, b=b, stop_on_failure=stop_on_failure)
+    report = check_security(code, inst, acc, b=b)
     assert [(p.access, p.block, p.uniform) for p in report.checks] == [row[:3] for row in expected]
-    assert report.complete == complete
     for pair, row in zip(report.checks, expected):
         assert pair.block_entropy_bits == b * math.log2(code.q)
         assert abs(pair.conditional_entropy_bits - row[3]) <= 1e-9

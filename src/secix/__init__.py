@@ -24,6 +24,7 @@ from .model import (
     validate,
 )
 from .codes import (
+    Decoder,
     DecoderWitness,
     InvalidWitnessError,
     LinearCode,

@@ -25,6 +25,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     block_pairs,
+    check_pair_budget,
     check_state_budget,
     secure_generators,
 )
@@ -225,8 +226,9 @@ def search_linear(
 
     Generators are screened in chunks of consecutive candidates, about
     _SEARCH_BATCH joint states per chunk, each chunk in one call of
-    `secure_generators`.  `budget` bounds both the q^(m*length)
-    candidates and the q^m states of each candidate.
+    `secure_generators`.  `budget` bounds the q^(m*length) candidates,
+    the q^m states of each candidate, and those states times the
+    (access set, block) pairs each candidate is checked on.
     """
     require_normalized(inst, "analysis")
     if length < 0:
@@ -243,6 +245,7 @@ def search_linear(
     if candidates >= 2 ** 63:
         raise BudgetExceededError(f"{q}^{width} candidate generators are too many to index with 64-bit integers")
     check_state_budget(q, m, 1, f"{q}^{m}", budget)
+    check_pair_budget(q ** m, f"{q}^{m}", m, acc, b, budget)
     pairs = block_pairs(inst, acc, b)
     chunk = max(1, _SEARCH_BATCH // q ** m)
     # base-q digits of consecutive indices run in itertools.product order

@@ -18,8 +18,11 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+
+import numpy as np
 
 from . import analysis, codes, model, oracle
 
@@ -193,19 +196,83 @@ def cmd_verify(args) -> int:
     return EXIT_OK if (all(decodable) and report.secure) else EXIT_NO
 
 
-def _read_symbol_lines(q):
-    for lineno, line in enumerate(sys.stdin, start=1):
-        stripped = line.strip()
-        if not stripped:
+# Stdin lines per block in encode and decode: a block is parsed and
+# checked as a whole, computed with numpy products and written at once,
+# so memory stays bounded for any input length.
+_LINE_BATCH = 2 ** 10
+
+
+def _line_problem(tokens, q, expect, counted):
+    """Why the tokens of one stdin line are refused, or None.
+
+    A token that int() reads but that is not plain ASCII digits, such as
+    "+3", "-0", "1_0" or a non-ASCII digit, is reported only when the
+    line breaks no other rule."""
+    try:
+        values = [int(tok) for tok in tokens]
+    except ValueError:
+        return "non-integer symbol"
+    for v in values:
+        if not 0 <= v < q:
+            return f"symbol {v} outside GF({q})"
+    if len(values) != expect:
+        return f"expected {expect} symbols {counted}, got {len(values)}"
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            return f"symbol {tok!r} is not an ASCII decimal number"
+    return None
+
+
+def _block_values(rows, q, expect):
+    """The rows of tokens as an n x expect int64 array, or None unless
+    every token is an ASCII decimal number below q and every row holds
+    `expect` of them.  The block is checked as a whole, with no Python
+    work per token."""
+    digits = "".join(map("".join, rows))
+    if not (digits.isascii() and digits.isdigit()) or any(len(tokens) != expect for tokens in rows):
+        return None
+    # parsing saturates past int64, so a symbol that large fails the range check
+    values = np.fromstring(" ".join(map(" ".join, rows)), dtype=np.int64, sep=" ")
+    if values.size != len(rows) * expect or (values >= q).any():
+        return None
+    return values.reshape(len(rows), expect)
+
+
+def _symbol_blocks(q, expect, counted):
+    """Stdin in blocks of at most _LINE_BATCH lines, each yielded as an
+    n x expect int64 array of the symbols on its non-blank lines.
+
+    Every non-blank line must hold `expect` symbols (`counted` says of
+    what), each an ASCII decimal number below q.  At the first line that
+    does not, the lines before it are yielded and a _UsageError naming
+    the line is raised.
+    """
+    lineno = 0
+    while True:
+        block = list(itertools.islice(sys.stdin, _LINE_BATCH))
+        if not block:
+            return
+        numbered = [(n, tokens) for n, tokens in enumerate(map(str.split, block), start=lineno + 1) if tokens]
+        lineno += len(block)
+        if not numbered:
             continue
-        try:
-            values = [int(tok) for tok in stripped.split()]
-        except ValueError:
-            raise _UsageError(f"stdin line {lineno}: non-integer symbol")
-        for v in values:
-            if not 0 <= v < q:
-                raise _UsageError(f"stdin line {lineno}: symbol {v} outside GF({q})")
-        yield lineno, values
+        rows = [tokens for _, tokens in numbered]
+        values = _block_values(rows, q, expect)
+        if values is not None:
+            yield values
+            continue
+        for good, (number, tokens) in enumerate(numbered):
+            problem = _line_problem(tokens, q, expect, counted)
+            if problem:
+                break
+        if good:
+            yield _block_values(rows[:good], q, expect)
+        raise _UsageError(f"stdin line {number}: {problem}")
+
+
+def _write_rows(rows):
+    """Print each row of a 2-D int array as a line of space-separated symbols."""
+    sys.stdout.write("".join(" ".join(map(str, row)) + "\n" for row in rows.tolist()))
 
 
 def cmd_encode(args) -> int:
@@ -213,16 +280,9 @@ def cmd_encode(args) -> int:
         code = codes.load_code(args.code)
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read code: {exc}")
-    expect = code.m + code.key_dim
-    for lineno, values in _read_symbol_lines(code.q):
-        if len(values) != expect:
-            raise _UsageError(
-                f"stdin line {lineno}: expected {expect} symbols "
-                f"({code.m} message + {code.key_dim} key), got {len(values)}"
-            )
-        x, y = values[: code.m], values[code.m :]
-        word = code.encode(x, y if code.is_randomized else None)
-        print(" ".join(str(v) for v in word))
+    counted = f"({code.m} message + {code.key_dim} key)"
+    for block in _symbol_blocks(code.q, code.m + code.key_dim, counted):
+        _write_rows(block @ code.matrix % code.q)
     return EXIT_OK
 
 
@@ -233,20 +293,16 @@ def cmd_decode(args) -> int:
         raise _UsageError("decode applies to deterministic codes")
     if not 1 <= args.receiver <= inst.n:
         raise _UsageError(f"--receiver must be in [1, {inst.n}]")
-    rec = inst.receivers[args.receiver - 1]
-    expect = code.length + len(rec.knows)
-    for lineno, values in _read_symbol_lines(code.q):
-        if len(values) != expect:
-            raise _UsageError(
-                f"stdin line {lineno}: expected {expect} symbols "
-                f"({code.length} codeword + {len(rec.knows)} side), got {len(values)}"
-            )
-        word, side = values[: code.length], values[code.length :]
-        out = codes.decode(code, inst, args.receiver, word, side)
-        if out is None:
-            print(f"receiver {args.receiver} cannot decode this code", file=sys.stderr)
-            return EXIT_NO
-        print(" ".join(str(v) for v in out))
+    decoder = codes.Decoder(code, inst, args.receiver)
+    counted = f"({code.length} codeword + {decoder.side_count} side)"
+    for block in _symbol_blocks(code.q, code.length + decoder.side_count, counted):
+        values, ok = decoder.apply(block)
+        if ok.all():
+            _write_rows(values)
+            continue
+        _write_rows(values[: ok.argmin()])  # up to the first word that does not decode
+        print(f"receiver {args.receiver} cannot decode this code", file=sys.stderr)
+        return EXIT_NO
     return EXIT_OK
 
 

@@ -2,8 +2,9 @@
 plus the constructions used by the existence analysis.
 
 Linear-code arithmetic goes through `gf` and numpy only: encoding is one
-vector-matrix product mod q, decoding is one row reduction, and the
-security level weighs the column span in fixed-size numpy batches.
+vector-matrix product mod q, decoding is one row reduction per receiver
+and then two products per batch of codewords, and the security level
+weighs the column span in fixed-size numpy batches.
 
 The code constructions here:
 
@@ -36,6 +37,7 @@ from .oracle import DEFAULT_BUDGET, BudgetExceededError
 __all__ = [
     "LinearCode",
     "TableCode",
+    "Decoder",
     "DecoderWitness",
     "NoSecureCodeError",
     "InvalidWitnessError",
@@ -197,6 +199,75 @@ class DecoderWitness:
         return self.entries.get((receiver, message))
 
 
+class Decoder:
+    """Decoding map of one receiver of a deterministic linear code.
+
+    The receiver solves x_U G_U = r for the messages U it lacks, where
+    r = c - x_K G_K is the codeword with its side information x_K
+    cancelled.  One row reduction of [G_U^T | I] gives T with T G_U^T = R
+    in reduced row-echelon form.  T depends on the code and the receiver
+    only, never on the codeword, so every line reuses it:
+
+    * r is consistent iff the rows of T past rank(R) send it to 0;
+    * then [R | T r] is the reduced form of [G_U^T | r], which is
+      unique, and a pivot row of R with no entry in a free column pins
+      its unknown to the matching entry of T r.
+
+    `decodable` is False when some wanted message is neither known nor
+    pinned; then no line decodes.
+    """
+
+    def __init__(self, code: LinearCode, inst: Instance, receiver: int):
+        if code.is_randomized:
+            raise ValueError("decode applies to deterministic linear codes")
+        if code.m != inst.m:
+            raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
+        if not 1 <= receiver <= inst.n:
+            raise ValueError(f"receiver index {receiver} out of range [1, {inst.n}]")
+        rec = inst.receivers[receiver - 1]
+        known = sorted(rec.knows)
+        unknown = [j for j in inst.messages() if j not in rec.knows]
+        g = code.generator.data
+        self.q = code.q
+        self.length = code.length
+        self.side_count = len(known)
+        self._known_rows = g[np.array(known, dtype=np.intp) - 1]
+        system = np.hstack([g[np.array(unknown, dtype=np.intp) - 1].T, np.eye(code.length, dtype=np.int64)])
+        reduced, pivots = FieldMatrix(code.q, system).rref()
+        lead = [c for c in pivots if c < len(unknown)]
+        free = [c for c in range(len(unknown)) if c not in lead]
+        # x_j is pinned iff its pivot row has no entry in a free column
+        pinned = {unknown[c]: row for row, c in enumerate(lead) if not reduced.data[row, free].any()}
+        side_at = {j: p for p, j in enumerate(known)}
+        wanted = sorted(rec.wants)
+        solved = [j for j in wanted if j not in side_at]
+        self.decodable = all(j in pinned for j in solved)
+        if not self.decodable:
+            solved = wanted = []
+        # columns of T r: the wanted unknowns, then the consistency checks
+        self._checked_from = len(solved)
+        rows = [pinned[j] for j in solved] + list(range(len(lead), code.length))
+        self._map = reduced.data[rows, len(unknown):].T
+        # wanted values in ascending order, picked from [T r | side]
+        column = {j: i for i, j in enumerate(solved)}
+        column.update((j, len(rows) + p) for j, p in side_at.items())
+        self._pick = [column[j] for j in wanted]
+
+    def apply(self, lines):
+        """Decode an n x (length + side_count) int64 array of field
+        symbols, one codeword and its side information per row.
+
+        Returns (n x wanted values, n flags).  A row's flag is False
+        when its codeword is inconsistent with its side information or
+        the receiver cannot decode; its values then mean nothing.
+        """
+        words, side = lines[:, : self.length], lines[:, self.length :]
+        residual = (words - side @ self._known_rows) % self.q
+        solved = residual @ self._map % self.q
+        ok = ~solved[:, self._checked_from :].any(axis=1) & self.decodable
+        return np.hstack([solved, side])[:, self._pick], ok
+
+
 def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     """Recover receiver's wanted values from a codeword and its side
     information (values for its known messages in ascending index order).
@@ -204,51 +275,18 @@ def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     Returns the wanted values in ascending index order, or None when
     the codeword is inconsistent with the side information or the
     wanted values are not all pinned down by the available equations.
-    One row reduction settles both: the wanted coordinates may be
-    determined even when the system as a whole is underdetermined.
+    This is `Decoder` applied to one line; build the Decoder once to
+    decode many codewords for the same receiver.
     """
-    if code.is_randomized:
-        raise ValueError("decode applies to deterministic linear codes")
-    if code.m != inst.m:
-        raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
-    if not 1 <= receiver <= inst.n:
-        raise ValueError(f"receiver index {receiver} out of range [1, {inst.n}]")
-    rec = inst.receivers[receiver - 1]
-    known = sorted(rec.knows)
-    wanted = sorted(rec.wants)
+    decoder = Decoder(code, inst, receiver)
     codeword = [int(v) % code.q for v in codeword]
     side = [int(v) % code.q for v in side]
     if len(codeword) != code.length:
         raise ValueError(f"codeword has length {len(codeword)}, expected {code.length}")
-    if len(side) != len(known):
-        raise ValueError(f"side information has {len(side)} values, expected {len(known)}")
-
-    g = code.generator.data
-    unknown = [j for j in inst.messages() if j not in rec.knows]
-    # x_unknown G_unknown = c - x_known G_known: one reduction of
-    # [G_unknown^T | residual] decides consistency and pins coordinates
-    residual = np.array(codeword, dtype=np.int64) - np.array(side, dtype=np.int64) @ g[[j - 1 for j in known]]
-    system = np.column_stack([g[[j - 1 for j in unknown]].T, residual])
-    reduced, pivots = FieldMatrix(code.q, system).rref()
-    if len(unknown) in pivots:
-        return None  # a pivot in the residual column: 0 = nonzero
-    free = [c for c in range(len(unknown)) if c not in pivots]
-    # x_j is pinned iff its pivot row has no entry in a free column
-    pinned = {
-        unknown[c]: int(reduced.data[row, -1])
-        for row, c in enumerate(pivots)
-        if not reduced.data[row, free].any()
-    }
-    side_by_index = dict(zip(known, side))
-    values = []
-    for j in wanted:
-        if j in side_by_index:
-            values.append(side_by_index[j])
-        elif j in pinned:
-            values.append(pinned[j])
-        else:
-            return None
-    return tuple(values)
+    if len(side) != decoder.side_count:
+        raise ValueError(f"side information has {len(side)} values, expected {decoder.side_count}")
+    values, ok = decoder.apply(np.array([codeword + side], dtype=np.int64))
+    return tuple(int(v) for v in values[0]) if ok[0] else None
 
 
 def derandomize(code: LinearCode, inst: Instance, witness: DecoderWitness) -> LinearCode:

@@ -54,6 +54,7 @@ __all__ = [
     "SecurityReport",
     "block_pairs",
     "check_decodability",
+    "check_pair_budget",
     "check_security",
     "check_state_budget",
     "secure_generators",
@@ -92,6 +93,22 @@ def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> No
         )
     if total * q ** max(m, 1) >= _KEY_LIMIT:
         raise BudgetExceededError(f"{shown} joint states are too many to index with 64-bit keys")
+
+
+def check_pair_budget(states: int, shown: str, m: int, acc: AccessStructure, b: int, budget: int) -> None:
+    """Refuse `states` joint states (`shown` as printed) times the (access
+    set, block) pairs of `block_pairs` past the budget: every pair sorts
+    every state.  The pairs are counted with math.comb, before any access
+    set is listed."""
+    if acc.kind == acc.KIND_T_LEVEL:
+        pairs = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
+    else:
+        # the full set counts C(0, b) = 0 pairs, as block_pairs skips it
+        pairs = sum(math.comb(m - len(a), b) for a in acc.expand(m))
+    if states * pairs > budget:
+        raise BudgetExceededError(
+            f"{shown} joint states x {pairs} (access set, block) pairs exceed the budget of {budget}"
+        )
 
 
 def _check_budget(code, budget: int) -> str:
@@ -349,17 +366,8 @@ def check_security(
     shown = _check_budget(code, budget)
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
-    m = inst.m
-    if acc.kind == acc.KIND_T_LEVEL:
-        pair_count = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
-    else:
-        # the full set counts C(0, b) = 0 pairs, as block_pairs skips it
-        pair_count = sum(math.comb(m - len(a), b) for a in acc.expand(m))
     total = state_count(code)
-    if total * pair_count > budget:
-        raise BudgetExceededError(
-            f"{shown} joint states x {pair_count} (access set, block) pairs exceed the budget of {budget}"
-        )
+    check_pair_budget(total, shown, inst.m, acc, b, budget)
     pairs = block_pairs(inst, acc, b)
 
     q = code.q

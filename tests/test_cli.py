@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from secix import AccessStructure, instance_to_dict, save_instance
+from secix import AccessStructure, Instance, Receiver, cli, instance_to_dict, save_instance
 from secix.cli import main
 from conftest import (
     complementary_instance,
@@ -421,6 +421,98 @@ def test_decode_reports_failure(tmp_path, capsys, monkeypatch):
     assert "cannot decode" in err
 
 
+# c = (x1 + x2, x2 + x3) over GF(5): receiver 1 solves for x1, receiver 2 for x2 and x3
+FILTER_CODE = {"kind": "linear_det", "q": 5, "G": [[1, 0], [1, 1], [0, 1]]}
+FILTER_INSTANCE = {"q": 5, "m": 3, "receivers": [{"knows": [2, 3], "wants": [1]},
+                                                 {"knows": [1], "wants": [2, 3]}]}
+FILTER_MESSAGES = [(1, 2, 3), (4, 4, 4), (0, 1, 0), (3, 0, 2), (2, 2, 1)]
+
+
+def filter_lines(receiver=None):
+    """(stdin lines, expected stdout lines) of encode, or of decode for a receiver."""
+    words = [((x1 + x2) % 5, (x2 + x3) % 5) for x1, x2, x3 in FILTER_MESSAGES]
+    if receiver is None:
+        rows = [(list(x), list(w)) for x, w in zip(FILTER_MESSAGES, words)]
+    elif receiver == 1:
+        rows = [(list(w) + [x[1], x[2]], [x[0]]) for x, w in zip(FILTER_MESSAGES, words)]
+    else:
+        rows = [(list(w) + [x[0]], [x[1], x[2]]) for x, w in zip(FILTER_MESSAGES, words)]
+    return [" ".join(map(str, i)) for i, _ in rows], [" ".join(map(str, o)) for _, o in rows]
+
+
+def run_filter(tmp_path, capsys, monkeypatch, lines, receiver=None):
+    code_path = tmp_path / "filter.code.json"
+    code_path.write_text(json.dumps(FILTER_CODE))
+    feed_stdin(monkeypatch, "".join(line + "\n" for line in lines))
+    if receiver is None:
+        return run(capsys, "encode", "--code", str(code_path))
+    inst_path = tmp_path / "filter.instance.json"
+    inst_path.write_text(json.dumps(FILTER_INSTANCE))
+    return run(capsys, "decode", "--instance", str(inst_path), "--code", str(code_path),
+               "--receiver", str(receiver))
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("receiver", [None, 1, 2], ids=["encode", "decode1", "decode2"])
+def test_filters_across_block_edges(tmp_path, capsys, monkeypatch, batch, receiver):
+    monkeypatch.setattr(cli, "_LINE_BATCH", batch)
+    lines, expected = filter_lines(receiver)
+    # a blank line still counts as a line and as a slot in its block
+    code, out, err = run_filter(tmp_path, capsys, monkeypatch, lines[:2] + [""] + lines[2:], receiver)
+    assert (code, out.splitlines(), err) == (0, expected, "")
+
+
+# the parent's stderr line and exit code for a bad line k
+FILTER_FAILURES = {
+    "encode-count": (None, "1 2", "error: stdin line {k}: expected 3 symbols (3 message + 0 key), got 2\n", 1),
+    "encode-field": (None, "1 7 2", "error: stdin line {k}: symbol 7 outside GF(5)\n", 1),
+    "encode-huge": (None, "1 99999999999999999999 2",
+                    "error: stdin line {k}: symbol 99999999999999999999 outside GF(5)\n", 1),
+    "decode-count": (2, "1 1 1 1", "error: stdin line {k}: expected 3 symbols (2 codeword + 1 side), got 4\n", 1),
+    "decode-field": (1, "1 2 3 5", "error: stdin line {k}: symbol 5 outside GF(5)\n", 1),
+    # x2 + x3 = 0 contradicts the side information x2 = 1, x3 = 1
+    "decode-inconsistent": (1, "3 0 1 1", "receiver 1 cannot decode this code\n", 2),
+}
+
+
+@pytest.mark.parametrize("batch, k", [(1, 3), (2, 3), (2, 4), (3, 2), (1024, 4)],
+                         ids=["batch1", "block-start", "block-end", "mid-block", "one-block"])
+@pytest.mark.parametrize("failure", sorted(FILTER_FAILURES))
+def test_filter_failure_prints_lines_before_it(tmp_path, capsys, monkeypatch, batch, k, failure):
+    receiver, bad, message, status = FILTER_FAILURES[failure]
+    monkeypatch.setattr(cli, "_LINE_BATCH", batch)
+    lines, expected = filter_lines(receiver)
+    # a later unparseable line must not take the report from line k
+    lines = lines[: k - 1] + [bad, "x"] + lines[k - 1 :]
+    code, out, err = run_filter(tmp_path, capsys, monkeypatch, lines, receiver)
+    assert (code, out.splitlines(), err) == (status, expected[: k - 1], message.format(k=k))
+
+
+def test_decode_empty_stdin_prints_nothing(tmp_path, capsys, monkeypatch):
+    for lines in ([], ["", "  "]):
+        assert run_filter(tmp_path, capsys, monkeypatch, lines, receiver=1) == (0, "", "")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13", "+3", "-0"],
+                         ids=["underscore", "arabic-indic", "fullwidth", "plus", "minus-zero"])
+@pytest.mark.parametrize("receiver", [None, 1], ids=["encode", "decode"])
+def test_filters_take_only_ascii_decimal_symbols(tmp_path, capsys, monkeypatch, token, receiver):
+    # int() reads each token as a symbol of GF(11)
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 11, "G": [[1], [1]]}))
+    inst_path = write_instance(tmp_path, Instance(11, 2, (Receiver({2}, {1}),)))
+    feed_stdin(monkeypatch, f"2 1\n{token} 1\n")
+    if receiver is None:
+        code, out, err = run(capsys, "encode", "--code", str(code_path))
+        assert out == "3\n"
+    else:
+        code, out, err = run(capsys, "decode", "--instance", inst_path, "--code", str(code_path),
+                             "--receiver", "1")
+        assert out == "1\n"
+    assert_one_error_line(code, err)
+    assert "stdin line 2:" in err and repr(token) in err
+
+
 # ---- graph / search ----------------------------------------------------------------------
 
 def test_graph_dot_output(tmp_path, capsys, keyed2):
@@ -458,6 +550,20 @@ def test_search_budget_refusal_prints_count_as_power(tmp_path, capsys):
     assert code == 4
     assert "budget" in err and "3^12000" in err and "Traceback" not in err
     assert out == ""
+
+
+def test_search_refuses_states_times_pairs_before_listing_pairs(tmp_path, capsys):
+    # 2^20 candidates and 2^20 states pass their budgets, but every chunk
+    # that decodes would sort its states for C(20, 5) * 15 (A, B) pairs
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 20, "receivers": [{"knows": [1, 2], "wants": [3]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--instance", str(inst_path), "--length", "1", "--t-level", "5")
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    assert "budget" in err and "2^20 joint states x 232560 " in err and "Traceback" not in err
+    assert out == ""
+    assert elapsed < 1.0
 
 
 # two receivers want message 4, one wants 1; every access set leaves 3 messages outside

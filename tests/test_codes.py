@@ -15,6 +15,7 @@ from secix import (
     InvalidWitnessError,
     LinearCode,
     NoSecureCodeError,
+    Decoder,
     Receiver,
     TableCode,
     check_decodability,
@@ -32,6 +33,7 @@ from secix import (
 )
 from secix.gf import MAX_MESSAGES
 from secix.oracle import BudgetExceededError
+import reference_decode
 from conftest import (
     WIDEST_Q,
     complementary_instance,
@@ -234,6 +236,45 @@ def test_decode_agrees_with_oracle_decodability(case):
         for x in itertools.product(range(code.q), repeat=code.m):
             got = decode(code, inst, i, code.encode(x), [x[j - 1] for j in sorted(rec.knows)])
             assert got == (tuple(x[j - 1] for j in sorted(rec.wants)) if decodes else None)
+
+
+@st.composite
+def decoder_cases(draw):
+    """(code, one-receiver instance, lines of codeword + side symbols).
+
+    Lengths run from 0 to m + 2, so the receiver's system is under- and
+    overdetermined; half the lines are encodings and half are drawn at
+    random, so inconsistent codewords occur too."""
+    q = draw(st.sampled_from([2, 3, 5, 251]))
+    m = draw(st.integers(1, 5))
+    length = draw(st.integers(0, m + 2))
+    symbol = st.integers(0, q - 1)
+    data = draw(st.lists(symbol, min_size=m * length, max_size=m * length))
+    knows = sorted(draw(st.frozensets(st.integers(1, m), max_size=m)))
+    wants = draw(st.frozensets(st.integers(1, m), min_size=1, max_size=m))
+    code = LinearCode(FieldMatrix(q, np.array(data, dtype=np.int64).reshape(m, length)))
+    messages = draw(st.lists(st.lists(symbol, min_size=m, max_size=m), max_size=4))
+    width = length + len(knows)
+    lines = [list(code.encode(x)) + [x[j - 1] for j in knows] for x in messages]
+    lines += draw(st.lists(st.lists(symbol, min_size=width, max_size=width), max_size=4))
+    return code, Instance(q, m, (Receiver(knows, wants),)), lines
+
+
+@given(decoder_cases())
+@settings(max_examples=150, deadline=None)
+def test_decoder_matches_per_line_reference(case):
+    """One reduction per receiver gives, line by line, what a fresh
+    reduction of [G_unknown^T | residual] gives: the same values and the
+    same None for inconsistent or undecodable words."""
+    code, inst, lines = case
+    width = code.length + len(inst.receivers[0].knows)
+    block = np.array(lines, dtype=np.int64).reshape(len(lines), width)
+    values, ok = Decoder(code, inst, 1).apply(block)
+    for line, got, flag in zip(lines, values.tolist(), ok):
+        word, side = line[: code.length], line[code.length :]
+        want = reference_decode.decode(code, inst, 1, word, side)
+        assert (tuple(got) if flag else None) == want
+        assert decode(code, inst, 1, word, side) == want
 
 
 def test_decode_rejects_randomized_and_bad_dimensions():

@@ -82,8 +82,7 @@ def _load_code(args, inst):
 
 
 def _print_json(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _verdict_exit(verdict):

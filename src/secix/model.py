@@ -346,7 +346,10 @@ def checked_ints(values, what: str) -> list:
     """values when it is a list of ints; ValueError otherwise."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return [checked_int(v, f"{what} entry") for v in values]
+    for v in values:
+        if type(v) is not int:
+            checked_int(v, f"{what} entry")
+    return values
 
 
 def parse_instance(obj):

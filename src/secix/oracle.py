@@ -16,18 +16,28 @@ decodability and security reduce to integer counting over that space:
 Each `check_*` call builds one state table and shares it across every
 receiver and (A, B) pair it checks.  The table holds the message digits
 of every state, in the order of the nested enumeration (x in
-lexicographic order, key index fastest), and a dense integer id per
-distinct codeword: a linear code is encoded by one matrix product over
-all states, a table code by one lookup per state.  The codeword ids
-carry a leading candidate axis, one row per code, so `secure_generators`
-screens a whole stack of deterministic generators over one shared
-message table while `check_*` pass a single row.  A receiver or pair
-then packs each row's view (codeword id, X_A) and target (X_B) into one
-int64 key per state, sorts every row and reads off run lengths:
+lexicographic order, key index fastest), as one contiguous row per
+message, and an integer id per distinct codeword, below the number of
+states: a linear code is encoded by one matrix product over all states,
+a table code by one lookup per state.  The ids have one row per
+candidate code, so `secure_generators` screens a whole stack of
+deterministic generators over one shared digit table while `check_*`
+pass a single row.
 
-* a receiver decodes iff no view occurs in two runs, i.e. equal
-  adjacent views never carry different targets;
-* a pair is uniform iff every run holds 1/q^b of its view's states,
+Every check is a row of one int64 key matrix.  A row is a digit list,
+view then target, for one candidate code: a receiver and one wanted
+message it does not know (view: its side information; it decodes iff
+it decodes each such message), or an (A, B) pair (view: X_A, target:
+X_B).  A row's key per state is the codeword id followed by the listed
+digits in base q (Horner steps over the digit table), so key //
+q^|target| is the view.  One `np.sort(axis=-1)` sorts the rows of a
+chunk of at most _SORT_KEYS keys, and one run-length pass over the
+flattened chunk reads all its verdicts; each row start opens a run and
+a view, so neither spans two rows:
+
+* a receiver row passes iff every view is one run, i.e. equal views
+  never carry different targets;
+* a pair row is uniform iff every run holds 1/q^b of its view's states,
   i.e. every view splits into q^b runs of equal length.
 
 Verdicts come from these integer count comparisons alone, so they are
@@ -65,9 +75,15 @@ __all__ = [
 DEFAULT_BUDGET = 2 ** 22
 
 # Packed keys must stay below this.  A (view, target) key is below
-# states * q^m, because codeword ids are dense and a view and its target
-# cover disjoint messages.
+# states * q^m, because codeword ids are below the number of states and
+# a view and its target cover disjoint messages.
 _KEY_LIMIT = 2 ** 63
+
+# Keys per np.sort: the rows of one check are sorted in chunks of at
+# most this many (row, state) keys, and of at least one digit list.
+# Larger chunks save calls; smaller ones let the generator search drop
+# failed candidates sooner and keep the arrays of one chunk small.
+_SORT_KEYS = 2 ** 13
 
 
 class BudgetExceededError(RuntimeError):
@@ -164,34 +180,33 @@ def _dense(keys):
     return ids, int(ranks[:, -1].max()) + 1
 
 
-def _pack(keys, bound: int, columns, indices, q: int):
-    """Append the digit columns at `indices` to keys below `bound`.
-
-    `columns[..., j]` broadcasts against the (candidates x states) keys.
-    Returns (keys, new bound): two states of a row get equal keys iff
-    they had equal keys and equal digits.  Keys are re-ranked before
-    they could leave int64, which long codewords need.
-    """
-    for j in indices:
-        if bound * q >= _KEY_LIMIT:
-            keys, bound = _dense(keys)
-        keys = keys * q + columns[..., j]
-        bound *= q
-    return keys, bound
-
-
 def _codeword_ids(words, q: int):
-    """(ids, bound) for candidates x states x length codeword symbols:
-    per row, equal codewords get equal ids below bound <= states."""
-    ids, bound = _pack(np.zeros(words.shape[:2], dtype=np.int64), 1, words, range(words.shape[2]), q)
+    """Per row of a candidates x states x length stack of codeword
+    symbols, equal codewords get equal ids below the number of states.
+    Ids are re-ranked before they could leave int64, which long
+    codewords need."""
+    ids, bound = np.zeros(words.shape[:2], dtype=np.int64), 1
+    for j in range(words.shape[2]):
+        if bound * q >= _KEY_LIMIT:
+            ids, bound = _dense(ids)
+        ids = ids * q + words[..., j]
+        bound *= q
     if bound > words.shape[1]:
-        ids, bound = _dense(ids)
-    return ids, bound
+        ids = _dense(ids)[0]
+    return ids
+
+
+def _digit_table(x):
+    """The states x m message digits as one contiguous m+1 x states
+    table: row j holds message j+1 in every state, the last row is zero."""
+    table = np.zeros((x.shape[1] + 1, x.shape[0]), dtype=np.int64)
+    table[:-1] = x.T
+    return table
 
 
 def _state_table(code):
-    """(message digits, codeword ids as one candidate row, id bound) over
-    every joint state."""
+    """(digit table, codeword ids as one candidate row) over every joint
+    state."""
     q, m, keys = code.q, code.m, code.key_count
     total = state_count(code)
     index = np.arange(total, dtype=np.int64)
@@ -204,38 +219,42 @@ def _state_table(code):
         x = radix_digits(index // keys, q, m)
         states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
         words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(total, code.length)
-    return (x, *_codeword_ids(words[None], q))
+    return _digit_table(x), _codeword_ids(words[None], q)
 
 
-def _group(view, view_bound: int, x, target, q: int):
-    """Sort every row's states by (view, target values).
+def _keys(ids, digits, rows, q: int):
+    """The key matrix with a row per digit list in `rows` and candidate
+    (a row of the candidates x states `ids`), list-major: per state, the
+    codeword id followed by the listed message digits, in base q.
 
-    Returns the row-sorted packed keys and the width q^|target| that
-    divides a key down to its view.
+    `digits` is a _digit_table of the states, read by Horner steps over
+    its rows; shorter lists are right-aligned after zero digits from its
+    last row.  Two states of a row get equal keys iff they have equal
+    codewords and equal listed digits.  No list holds more than m
+    digits, so the state budget keeps every key below states * q^m <
+    2^63.
     """
-    # the state budget keeps view_bound * width below the limit, so _pack
-    # does not re-rank and key // width is the view
-    return np.sort(_pack(view, view_bound, x, target, q)[0], axis=-1), q ** len(target)
+    steps = max(map(len, rows))
+    pad = len(digits) - 1
+    cols = np.array([[pad] * (steps - len(r)) + r for r in rows], dtype=np.intp).T
+    term = digits[cols[0]]
+    for col in cols[1:]:
+        term *= q
+        term += digits[col]
+    return (ids * q ** steps + term[:, None, :]).reshape(-1, ids.shape[1])
 
 
-def _decodes(ids, bound: int, x, receiver, q: int):
-    """Per candidate row: True iff the receiver's wanted values are a
-    function of the codeword and its side information."""
-    # wanted messages already known are read off the side information
-    view = _pack(ids, bound, x, [j - 1 for j in sorted(receiver.knows)], q)
-    keys, width = _group(*view, x, [j - 1 for j in sorted(receiver.wants - receiver.knows)], q)
-    views = keys // width
-    return ~((views[:, 1:] == views[:, :-1]) & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+def _runs(keys, width: int, parts: int):
+    """One run-length pass over row-sorted keys (rows x states).
 
-
-def _leak_free(view, x, block, q: int):
-    """Per candidate row: True iff every view holds all q^b block values
-    equally often.
-
-    Also returns, per run of equal keys, its length and the number of
-    states sharing its view, from which H(X_B | C, X_A) is rendered.
+    A run is a stretch of equal keys, a view a stretch of runs with equal
+    key // width, where width is q^|target|.  Returns per row whether
+    every run holds 1/parts of its view's states; and per run its start
+    in the flattened keys, its length and the size of its view.  With
+    parts = 1 each view is one run: the target is a function of the
+    view.  With parts = width = q^b each view splits into q^b equally
+    long runs: the block is uniform given the view.
     """
-    keys, width = _group(*view, x, block, q)
     rows, states = keys.shape
     keys = keys.ravel()
     # every row start opens a run and a view, so neither spans two rows;
@@ -254,12 +273,45 @@ def _leak_free(view, x, block, q: int):
     view_edges = new_view.nonzero()[0]
     cuts = edges[view_edges]
     view_sizes = np.repeat(cuts[1:] - cuts[:-1], view_edges[1:] - view_edges[:-1])
-    # width = q^b: each run must hold 1/width of its view's states, which
-    # also makes it one of exactly width runs
-    bad = lengths * width != view_sizes
-    uniform = np.ones(rows, dtype=bool)
-    uniform[runs[bad] // states] = False
-    return uniform, lengths, view_sizes
+    ok = np.ones(rows, dtype=bool)
+    ok[runs[lengths * parts != view_sizes] // states] = False
+    return ok, runs, lengths, view_sizes
+
+
+def _rows_per_sort(ids) -> int:
+    """Digit lists per sort for these candidates x states ids, so that
+    one sort holds at most _SORT_KEYS keys (and at least one list)."""
+    return max(1, _SORT_KEYS // ids.size)
+
+
+def _check_rows(ids, digits, rows, width: int, parts: int, q: int):
+    """_runs of one sorted key matrix with a row per digit list (view,
+    then target) and candidate (a row of `ids`), list-major."""
+    keys = _keys(ids, digits, rows, q)
+    keys.sort(axis=-1)
+    return _runs(keys, width, parts)
+
+
+def _receiver_rows(inst: Instance):
+    """One digit list per receiver and wanted message it does not know:
+    the view is the receiver's side information, the target that one
+    message.  A tuple of values is a function of the view iff each value
+    is, and the wanted messages a receiver knows are read off its view.
+    Returns the lists and, per list, its receiver's index."""
+    rows, owner = [], []
+    for i, r in enumerate(inst.receivers):
+        view = [j - 1 for j in sorted(r.knows)]
+        for j in sorted(r.wants - r.knows):
+            rows.append(view + [j - 1])
+            owner.append(i)
+    return rows, owner
+
+
+def _pair_rows(pairs: list):
+    """The (A, B) pairs of `pairs` (from `block_pairs`) and their digit
+    lists: the view is A, the target B."""
+    labels = [(access, block) for access, blocks in pairs for block in blocks]
+    return labels, [[j - 1 for j in access + block] for access, block in labels]
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -271,8 +323,15 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
     """
     _check_code_matches(code, inst)
     _check_budget(code, budget)
-    x, ids, bound = _state_table(code)
-    return [bool(_decodes(ids, bound, x, r, code.q)[0]) for r in inst.receivers]
+    digits, ids = _state_table(code)
+    rows, owner = _receiver_rows(inst)
+    step = _rows_per_sort(ids)
+    decodes = [True] * len(inst.receivers)
+    for start in range(0, len(rows), step):
+        ok = _check_rows(ids, digits, rows[start:start + step], code.q, 1, code.q)[0]
+        for i, row_ok in zip(owner[start:start + step], ok.tolist()):
+            decodes[i] = decodes[i] and row_ok
+    return decodes
 
 
 def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: int = DEFAULT_BUDGET):
@@ -280,28 +339,32 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: i
     decode for every receiver and leak nothing on any of `pairs` (from
     `block_pairs`); returns one bool per candidate.
 
-    All candidates share one message table and one matrix product; a
-    candidate is dropped at the first receiver or pair it fails, so
-    pairs are checked only on candidates every receiver decodes.
+    All candidates share one message table and one matrix product.  Each
+    sort holds a row per (receiver, candidate) or (pair, candidate) for
+    as many receivers, then pairs, as _SORT_KEYS allows, and a candidate
+    is dropped after the first sort in which it fails: pairs are checked
+    only on candidates every receiver decodes, and the fewer candidates
+    survive, the more receivers or pairs one sort takes.
     """
     count, m, _ = generators.shape
     check_state_budget(q, m, 1, f"{q}^{m}", budget)
     x = radix_digits(np.arange(q ** m), q, m)
-    ids, bound = _codeword_ids(x @ generators % q, q)
+    digits, ids = _digit_table(x), _codeword_ids(x @ generators % q, q)
     secure = np.zeros(count, dtype=bool)
     alive = np.arange(count)
-    for r in inst.receivers:
-        ok = _decodes(ids, bound, x, r, q)
-        alive, ids = alive[ok], ids[ok]
-        if not alive.size:
-            return secure
-    for access, blocks in pairs:
-        view, view_bound = _pack(ids, bound, x, [j - 1 for j in access], q)
-        for block in blocks:
-            ok = _leak_free((view, view_bound), x, [j - 1 for j in block], q)[0]
-            alive, ids, view = alive[ok], ids[ok], view[ok]
+    labels, pair_rows = _pair_rows(pairs)
+    # every block has one size b, and a uniform block splits a view into q^b runs
+    values = q ** len(labels[0][1]) if labels else 1
+    for rows, width, parts in ((_receiver_rows(inst)[0], q, 1), (pair_rows, values, values)):
+        start = 0
+        while start < len(rows):
+            part = slice(start, start + _rows_per_sort(ids))
+            ok = _check_rows(ids, digits, rows[part], width, parts, q)[0]
+            ok = ok.reshape(-1, len(ids)).all(axis=0)
+            alive, ids = alive[ok], ids[ok]
             if not alive.size:
                 return secure
+            start = part.stop
     secure[alive] = True
     return secure
 
@@ -368,17 +431,21 @@ def check_security(
         raise ValueError(f"block size must be >= 1, got {b}")
     total = state_count(code)
     check_pair_budget(total, shown, inst.m, acc, b, budget)
-    pairs = block_pairs(inst, acc, b)
+    labels, rows = _pair_rows(block_pairs(inst, acc, b))
 
     q = code.q
     block_entropy = b * math.log2(q)
     checks = []
-    if pairs:
-        x, ids, bound = _state_table(code)
-    for access, blocks in pairs:
-        view = _pack(ids, bound, x, [j - 1 for j in access], q)
-        for block in blocks:
-            uniform, lengths, view_sizes = _leak_free(view, x, [j - 1 for j in block], q)
-            conditional = float(lengths @ (np.log2(view_sizes) - np.log2(lengths))) / total
-            checks.append(PairCheck(access, block, bool(uniform[0]), block_entropy, conditional))
+    if rows:
+        digits, ids = _state_table(code)
+        step = _rows_per_sort(ids)
+        for start in range(0, len(rows), step):
+            uniform, runs, lengths, view_sizes = _check_rows(ids, digits, rows[start:start + step], q ** b, q ** b, q)
+            # H(X_B | C, X_A) is each row's dot product over its own runs
+            logs = np.log2(view_sizes) - np.log2(lengths)
+            weights = lengths.astype(np.float64)
+            cuts = np.searchsorted(runs, np.arange(len(uniform) + 1) * total).tolist()
+            for ok, first, last in zip(uniform.tolist(), cuts, cuts[1:]):
+                conditional = float(weights[first:last].dot(logs[first:last])) / total
+                checks.append(PairCheck(*labels[len(checks)], ok, block_entropy, conditional))
     return SecurityReport(tuple(checks), b)

@@ -24,6 +24,7 @@ from secix import (
     check_decodability,
     check_security,
 )
+from secix.gf import radix_digits
 from secix.oracle import (
     BudgetExceededError,
     InfeasibleBlockError,
@@ -193,6 +194,81 @@ def test_secure_generators_keeps_candidates_apart():
     for generator, secure in zip(stack, [True, False]):
         code = LinearCode(FieldMatrix(2, generator))
         assert check_security(code, inst, AccessStructure.explicit([[]])).secure is secure
+
+
+def test_constant_code_pair_rows_do_not_merge():
+    # the zero code leaks nothing, and a pair row's keys are its own X_A,
+    # X_B digits: the last view of one row equals the first view of the
+    # next, so the rows stay apart only through their row-start edges
+    inst = complementary_instance(2, 6)
+    code = LinearCode(FieldMatrix.zeros(2, 6, 2))
+    for t, b in [(0, 1), (1, 1), (2, 2)]:
+        report = check_security(code, inst, AccessStructure.t_level(t), b=b)
+        assert len(report.checks) == math.comb(6, t) * math.comb(6 - t, b)
+        assert all(p.uniform and p.conditional_entropy_bits == b for p in report.checks)
+    assert check_decodability(code, inst) == [False] * 6
+
+
+def test_receivers_with_empty_and_two_message_targets():
+    # c = [x1 + x2, x3 + x4, x2] over GF(3); receiver 1 wants only what it
+    # knows, 2 gets x2 but not x3, 3 gets both, 4 wants one it knows and
+    # one it lacks
+    inst = Instance(3, 4, (
+        Receiver({1}, {1}),
+        Receiver({1}, {2, 3}),
+        Receiver({4}, {2, 3}),
+        Receiver({2}, {1, 2}),
+    ))
+    code = LinearCode(FieldMatrix(3, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 0]]))
+    assert check_decodability(code, inst) == [True, False, True, True]
+    assert reference_oracle.decodability(code, inst) == [True, False, True, True]
+    # the same receivers screen a stack of candidates, with no pair to
+    # check: this code, and the code that sends x3 in the clear, which
+    # receiver 2 also decodes
+    no_pairs = block_pairs(inst, AccessStructure.explicit([[1, 2, 3, 4]]), 1)
+    stack = np.array([code.generator.data, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 0, 0]]])
+    expected = [all(check_decodability(LinearCode(FieldMatrix(3, g)), inst)) for g in stack]
+    assert expected == [False, True]
+    assert secure_generators(3, stack, inst, no_pairs).tolist() == expected
+
+
+@pytest.mark.parametrize("sort_keys", [1, 3 * 16, 5 * 16])
+def test_sort_chunks_split_rows(monkeypatch, sort_keys):
+    # 16 states: one digit list per sort, then chunks of 3 and of 5 lists
+    # that split the 12 pairs and 4 receivers unevenly
+    inst = crossed_pairs_instance(2)
+    acc = AccessStructure.t_level(1)
+    table = {(x, 0): (x[0] & x[1], x[1] ^ x[3]) for x in itertools.product(range(2), repeat=4)}
+    codes = [overlapping_sum_code(2), TableCode(2, 4, 2, 1, table)]
+    expected = [(check_decodability(c, inst), check_security(c, inst, acc)) for c in codes]
+    # every length-2 generator against 7 pairs; 6 of them pass
+    screen_acc = AccessStructure.explicit([[3], []])
+    pairs = block_pairs(inst, screen_acc, 1)
+    stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
+    screened = secure_generators(2, stack, inst, pairs).tolist()
+    assert sum(screened) == 6
+    monkeypatch.setattr(secix.oracle, "_SORT_KEYS", sort_keys)
+    assert [(check_decodability(c, inst), check_security(c, inst, acc)) for c in codes] == expected
+    assert secure_generators(2, stack, inst, pairs).tolist() == screened
+    one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
+                  for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
+    assert one_by_one == screened
+
+
+def test_two_to_the_fourteen_states_stay_small():
+    # 2^14 states x 182 (A, B) pairs, sorted in chunks of _SORT_KEYS keys
+    inst = complementary_instance(2, 14)
+    code = LinearCode(FieldMatrix(2, [[1]] * 14))
+    tracemalloc.start()
+    try:
+        report = check_security(code, inst, AccessStructure.t_level(1))
+        decodable = check_decodability(code, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 182 and report.secure
+    assert decodable == [True] * 14
+    assert peak < 16 * 2 ** 20
 
 
 def test_codewords_longer_than_64_bits():

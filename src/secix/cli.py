@@ -178,13 +178,11 @@ def cmd_verify(args) -> int:
     inst, file_acc = _load_instance(args)
     acc = _resolve_access(args, file_acc, inst.m)
     code = _load_code(args, inst)
-    # security first: it refuses states x pairs before any state table is built
+    # one pass: it refuses states x pairs before the state table is built
     report = oracle.check_security(code, inst, acc, b=args.b, budget=args.budget)
-    decodable = oracle.check_decodability(code, inst, budget=args.budget)
-    payload = report.to_dict()
-    payload["decodable"] = decodable
+    decodable = report.decodable
     if args.json:
-        _print_json(payload)
+        _print_json(report.to_dict())
     else:
         for i, ok in enumerate(decodable, start=1):
             print(f"receiver {i}: {'decodes' if ok else 'CANNOT DECODE'}")

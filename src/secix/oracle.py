@@ -13,16 +13,19 @@ decodability and security reduce to integer counting over that space:
   positive probability, the conditional distribution of the B-values is
   exactly uniform.
 
-Each `check_*` call builds one state table and shares it across every
-receiver and (A, B) pair it checks.  The table holds the message digits
-of every state, in the order of the nested enumeration (x in
-lexicographic order, key index fastest), as one contiguous row per
-message, and an integer id per distinct codeword, below the number of
-states: a linear code is encoded by one matrix product over all states,
-a table code by one lookup per state.  The ids have one row per
-candidate code, so `secure_generators` screens a whole stack of
-deterministic generators over one shared digit table while `check_*`
-pass a single row.
+One verification pass builds one state table and checks every
+receiver and every (A, B) pair on it: `check_security` returns the pair
+verdicts together with the per-receiver decodability verdicts, and
+`check_decodability` runs the same pass with no pairs.  The table holds
+the digits of every state, in the order of the nested enumeration (x
+in lexicographic order, key index fastest), as one contiguous row per
+message (then per key symbol of a linear code) and a zero row, built
+by one broadcast per row of the full base-q grid; and an integer id per
+distinct codeword, below the number of states: a linear code is
+encoded by one matrix product over all states, a table code by one
+lookup per state.  The ids have one row per candidate code, so
+`secure_generators` screens a whole stack of deterministic generators
+over one shared digit table while the checks pass a single row.
 
 Every check is a row of one int64 key matrix.  A row is a digit list,
 view then target, for one candidate code: a receiver and one wanted
@@ -30,15 +33,18 @@ message it does not know (view: its side information; it decodes iff
 it decodes each such message), or an (A, B) pair (view: X_A, target:
 X_B).  A row's key per state is the codeword id followed by the listed
 digits in base q (Horner steps over the digit table), so key //
-q^|target| is the view.  One `np.sort(axis=-1)` sorts the rows of a
-chunk of at most _SORT_KEYS keys, and one run-length pass over the
-flattened chunk reads all its verdicts; each row start opens a run and
-a view, so neither spans two rows:
+q^|target| is the view.  Receiver rows come first, then pair rows.  One
+`np.sort(axis=-1)` sorts the rows of a chunk of at most _SORT_KEYS
+keys, which may hold rows of both kinds, and one run-length pass over
+the flattened chunk reads all its verdicts, with each row's own width
+q^|target| and parts; each row start opens a run and a view, so
+neither spans two rows:
 
-* a receiver row passes iff every view is one run, i.e. equal views
-  never carry different targets;
-* a pair row is uniform iff every run holds 1/q^b of its view's states,
-  i.e. every view splits into q^b runs of equal length.
+* a receiver row (width q, parts 1) passes iff every view is one run,
+  i.e. equal views never carry different targets;
+* a pair row (width and parts q^b) is uniform iff every run holds 1/q^b
+  of its view's states, i.e. every view splits into q^b runs of equal
+  length.
 
 Verdicts come from these integer count comparisons alone, so they are
 exact; the entropies attached to reports are decimal renderings of the
@@ -53,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import radix_digits
 from .model import AccessStructure, Instance
 
 __all__ = [
@@ -196,30 +201,34 @@ def _codeword_ids(words, q: int):
     return ids
 
 
-def _digit_table(x):
-    """The states x m message digits as one contiguous m+1 x states
-    table: row j holds message j+1 in every state, the last row is zero."""
-    table = np.zeros((x.shape[1] + 1, x.shape[0]), dtype=np.int64)
-    table[:-1] = x.T
+def _digit_table(q: int, width: int, repeat: int = 1):
+    """The base-q digits of 0, 1, ..., q^width - 1, each value `repeat`
+    times in a row, as one contiguous width+1 x states table: row j holds
+    digit j (most significant first) of every state, the last row is
+    zero.  One broadcast assignment per row: digit j steps through 0 ..
+    q-1 over stretches of q^(width-1-j) * repeat states."""
+    table = np.zeros((width + 1, q ** width * repeat), dtype=np.int64)
+    values = np.arange(q)[:, None]
+    for j in range(width):
+        np.copyto(table[j].reshape(q ** j, q, -1), values)
     return table
 
 
 def _state_table(code):
     """(digit table, codeword ids as one candidate row) over every joint
-    state."""
-    q, m, keys = code.q, code.m, code.key_count
-    total = state_count(code)
-    index = np.arange(total, dtype=np.int64)
+    state.  Rows 0 .. m-1 of the digit table are the messages; a linear
+    code's key symbols are the least significant digits of the state
+    index and follow in rows m .. m+key_dim-1, before the zero row."""
+    q, m = code.q, code.m
     if code.kind == "linear":
-        # key symbols are the least significant digits of the state index
-        digits = radix_digits(index, q, m + code.key_dim)
-        words = digits @ code.matrix % q
-        x = digits[:, :m]
+        digits = _digit_table(q, m + code.key_dim)
+        words = digits[:-1].T @ code.matrix % q
     else:
-        x = radix_digits(index // keys, q, m)
+        keys = code.key_count
+        digits = _digit_table(q, m, keys)
         states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
-        words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(total, code.length)
-    return _digit_table(x), _codeword_ids(words[None], q)
+        words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(digits.shape[1], code.length)
+    return digits, _codeword_ids(words[None], q)
 
 
 def _keys(ids, digits, rows, q: int):
@@ -244,14 +253,16 @@ def _keys(ids, digits, rows, q: int):
     return (ids * q ** steps + term[:, None, :]).reshape(-1, ids.shape[1])
 
 
-def _runs(keys, width: int, parts: int):
+def _runs(keys, stretches):
     """One run-length pass over row-sorted keys (rows x states).
 
+    `stretches` gives each row its width and parts: one (row count,
+    width, parts) per stretch of consecutive rows, in order, none empty.
     A run is a stretch of equal keys, a view a stretch of runs with equal
-    key // width, where width is q^|target|.  Returns per row whether
-    every run holds 1/parts of its view's states; and per run its start
-    in the flattened keys, its length and the size of its view.  With
-    parts = 1 each view is one run: the target is a function of the
+    key // width, where a row's width is q^|target|.  Returns per row
+    whether every run holds 1/parts of its view's states; and per run its
+    start in the flattened keys, its length and the size of its view.
+    With parts = 1 each view is one run: the target is a function of the
     view.  With parts = width = q^b each view splits into q^b equally
     long runs: the block is uniform given the view.
     """
@@ -266,13 +277,27 @@ def _runs(keys, width: int, parts: int):
     edges = new_key.nonzero()[0]
     runs = edges[:-1]
     lengths = edges[1:] - runs
-    run_views = keys[runs] // width
+    if len(stretches) == 1:
+        (_, width, parts), = stretches
+        run_views = keys[runs] // width
+    else:
+        # each stretch's runs are divided by its own width: numpy divides
+        # by a scalar many times faster than by an array
+        cuts, row = [0], 0
+        for count, _, _ in stretches[:-1]:
+            row += count
+            cuts.append(int(runs.searchsorted(row * states)))
+        cuts.append(runs.size)
+        run_views = keys[runs]
+        for (_, width, _), lo, hi in zip(stretches, cuts, cuts[1:]):
+            run_views[lo:hi] //= width
+        parts = np.repeat([parts for _, _, parts in stretches], np.diff(cuts))
     # per edge: does a view end there; the last edge closes the last view
     new_view = first[edges]
     new_view[1:-1] |= run_views[1:] != run_views[:-1]
     view_edges = new_view.nonzero()[0]
-    cuts = edges[view_edges]
-    view_sizes = np.repeat(cuts[1:] - cuts[:-1], view_edges[1:] - view_edges[:-1])
+    ends = edges[view_edges]
+    view_sizes = np.repeat(ends[1:] - ends[:-1], view_edges[1:] - view_edges[:-1])
     ok = np.ones(rows, dtype=bool)
     ok[runs[lengths * parts != view_sizes] // states] = False
     return ok, runs, lengths, view_sizes
@@ -284,12 +309,16 @@ def _rows_per_sort(ids) -> int:
     return max(1, _SORT_KEYS // ids.size)
 
 
-def _check_rows(ids, digits, rows, width: int, parts: int, q: int):
+def _check_rows(ids, digits, rows, receivers: int, values: int, q: int):
     """_runs of one sorted key matrix with a row per digit list (view,
-    then target) and candidate (a row of `ids`), list-major."""
+    then target) and candidate (a row of `ids`), list-major.  The first
+    `receivers` lists are receiver rows (width q, parts 1), the rest
+    pair rows (width and parts `values` = q^b)."""
     keys = _keys(ids, digits, rows, q)
     keys.sort(axis=-1)
-    return _runs(keys, width, parts)
+    n = len(ids)
+    stretches = [(receivers * n, q, 1), ((len(rows) - receivers) * n, values, values)]
+    return _runs(keys, [s for s in stretches if s[0]])
 
 
 def _receiver_rows(inst: Instance):
@@ -307,11 +336,47 @@ def _receiver_rows(inst: Instance):
     return rows, owner
 
 
-def _pair_rows(pairs: list):
-    """The (A, B) pairs of `pairs` (from `block_pairs`) and their digit
-    lists: the view is A, the target B."""
+def _check_lists(inst: Instance, pairs: list, q: int):
+    """The digit lists of every receiver row, then of every (A, B) pair
+    of `pairs` (from `block_pairs`; view A, target B).  Also returns each
+    receiver row's receiver index, each pair row's (A, B), and q^b: a
+    uniform size-b block splits a view into q^b runs."""
+    rows, owner = _receiver_rows(inst)
     labels = [(access, block) for access, blocks in pairs for block in blocks]
-    return labels, [[j - 1 for j in access + block] for access, block in labels]
+    rows += [[j - 1 for j in access + block] for access, block in labels]
+    return rows, owner, labels, q ** len(labels[0][1]) if labels else 1
+
+
+def _verify(code, inst: Instance, pairs: list, b: int):
+    """Per-receiver decodability and the PairChecks of `pairs`, all read
+    from one state table: each sort holds up to _SORT_KEYS keys of
+    receiver rows, then pair rows, and one _runs pass gives the verdicts
+    of every row in it."""
+    q = code.q
+    rows, owner, labels, values = _check_lists(inst, pairs, q)
+    decodes = [True] * len(inst.receivers)
+    checks = []
+    if not rows:
+        return decodes, checks
+    digits, ids = _state_table(code)
+    total = ids.shape[1]
+    block_entropy = b * math.log2(q)
+    step = _rows_per_sort(ids)
+    for start in range(0, len(rows), step):
+        receivers = owner[start:start + step]
+        ok, runs, lengths, view_sizes = _check_rows(ids, digits, rows[start:start + step], len(receivers), values, q)
+        ok = ok.tolist()
+        for i, row_ok in zip(receivers, ok):
+            decodes[i] = decodes[i] and row_ok
+        if len(receivers) < len(ok):
+            # H(X_B | C, X_A) is each pair row's dot product over its own runs
+            logs = np.log2(view_sizes) - np.log2(lengths)
+            weights = lengths.astype(np.float64)
+            cuts = np.searchsorted(runs, np.arange(len(receivers), len(ok) + 1) * total).tolist()
+            for row_ok, first, last in zip(ok[len(receivers):], cuts, cuts[1:]):
+                conditional = float(weights[first:last].dot(logs[first:last])) / total
+                checks.append(PairCheck(*labels[len(checks)], row_ok, block_entropy, conditional))
+    return decodes, checks
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -320,18 +385,11 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
 
     Randomized codes must decode for every key value, since receivers
     never see the key; the joint enumeration enforces exactly that.
+    `check_security` returns the same verdicts with its pair checks.
     """
     _check_code_matches(code, inst)
     _check_budget(code, budget)
-    digits, ids = _state_table(code)
-    rows, owner = _receiver_rows(inst)
-    step = _rows_per_sort(ids)
-    decodes = [True] * len(inst.receivers)
-    for start in range(0, len(rows), step):
-        ok = _check_rows(ids, digits, rows[start:start + step], code.q, 1, code.q)[0]
-        for i, row_ok in zip(owner[start:start + step], ok.tolist()):
-            decodes[i] = decodes[i] and row_ok
-    return decodes
+    return _verify(code, inst, [], 1)[0]
 
 
 def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: int = DEFAULT_BUDGET):
@@ -348,23 +406,25 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: i
     """
     count, m, _ = generators.shape
     check_state_budget(q, m, 1, f"{q}^{m}", budget)
-    x = radix_digits(np.arange(q ** m), q, m)
-    digits, ids = _digit_table(x), _codeword_ids(x @ generators % q, q)
+    digits = _digit_table(q, m)
+    ids = _codeword_ids(digits[:-1].T @ generators % q, q)
     secure = np.zeros(count, dtype=bool)
     alive = np.arange(count)
-    labels, pair_rows = _pair_rows(pairs)
-    # every block has one size b, and a uniform block splits a view into q^b runs
-    values = q ** len(labels[0][1]) if labels else 1
-    for rows, width, parts in ((_receiver_rows(inst)[0], q, 1), (pair_rows, values, values)):
-        start = 0
-        while start < len(rows):
-            part = slice(start, start + _rows_per_sort(ids))
-            ok = _check_rows(ids, digits, rows[part], width, parts, q)[0]
-            ok = ok.reshape(-1, len(ids)).all(axis=0)
-            alive, ids = alive[ok], ids[ok]
-            if not alive.size:
-                return secure
-            start = part.stop
+    rows, owner, _, values = _check_lists(inst, pairs, q)
+    start = 0
+    while start < len(rows):
+        stop = start + _rows_per_sort(ids)
+        if start < len(owner):
+            # no pair shares a sort with a receiver, so pairs run only on
+            # candidates every receiver decodes
+            stop = min(stop, len(owner))
+        receivers = len(owner[start:stop])
+        ok = _check_rows(ids, digits, rows[start:stop], receivers, values, q)[0]
+        ok = ok.reshape(-1, len(ids)).all(axis=0)
+        alive, ids = alive[ok], ids[ok]
+        if not alive.size:
+            return secure
+        start = stop
     secure[alive] = True
     return secure
 
@@ -391,10 +451,12 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """All pair verdicts plus the overall conjunction."""
+    """All pair verdicts plus the overall conjunction, and per receiver
+    whether it decodes."""
 
     checks: tuple
     block_size: int
+    decodable: tuple
 
     @property
     def secure(self) -> bool:
@@ -406,6 +468,7 @@ class SecurityReport:
             "secure": self.secure,
             "block_size": self.block_size,
             "assumptions": "messages and keys uniform and independent",
+            "decodable": list(self.decodable),
         }
 
 
@@ -416,36 +479,22 @@ def check_security(
     b: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> SecurityReport:
-    """Exact block-security verdict for every (A, B) pair.
+    """Exact block-security verdict for every (A, B) pair, and the
+    per-receiver decodability verdicts of `check_decodability`, from one
+    state table.
 
     For each access set A (except the full message set, against which
     no block exists and nothing can leak) and each size-b subset B of
     the remaining messages, tests conditional uniformity of the B
     values given every (codeword, A values) of positive probability.
     Every pair sorts all joint states, so states x pairs past the budget
-    is refused before the pairs are listed.
+    is refused before the pairs are listed; receiver rows are not
+    counted.
     """
     _check_code_matches(code, inst)
     shown = _check_budget(code, budget)
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
-    total = state_count(code)
-    check_pair_budget(total, shown, inst.m, acc, b, budget)
-    labels, rows = _pair_rows(block_pairs(inst, acc, b))
-
-    q = code.q
-    block_entropy = b * math.log2(q)
-    checks = []
-    if rows:
-        digits, ids = _state_table(code)
-        step = _rows_per_sort(ids)
-        for start in range(0, len(rows), step):
-            uniform, runs, lengths, view_sizes = _check_rows(ids, digits, rows[start:start + step], q ** b, q ** b, q)
-            # H(X_B | C, X_A) is each row's dot product over its own runs
-            logs = np.log2(view_sizes) - np.log2(lengths)
-            weights = lengths.astype(np.float64)
-            cuts = np.searchsorted(runs, np.arange(len(uniform) + 1) * total).tolist()
-            for ok, first, last in zip(uniform.tolist(), cuts, cuts[1:]):
-                conditional = float(weights[first:last].dot(logs[first:last])) / total
-                checks.append(PairCheck(*labels[len(checks)], ok, block_entropy, conditional))
-    return SecurityReport(tuple(checks), b)
+    check_pair_budget(state_count(code), shown, inst.m, acc, b, budget)
+    decodes, checks = _verify(code, inst, block_pairs(inst, acc, b), b)
+    return SecurityReport(tuple(checks), b, tuple(decodes))

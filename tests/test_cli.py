@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from secix import AccessStructure, Instance, Receiver, cli, instance_to_dict, save_instance
+from secix import AccessStructure, Instance, Receiver, cli, instance_to_dict, oracle, save_instance
 from secix.cli import main
 from conftest import (
     complementary_instance,
@@ -170,6 +170,44 @@ def test_verify_secure_code_exits_zero(tmp_path, capsys, crossed2):
     ))
     code, _, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path))
     assert code == 0
+
+
+def test_verify_is_one_pass(tmp_path, capsys, monkeypatch, crossed2):
+    # decodability and security come from one check_security call and one
+    # state table; perfbench/selfcheck.py injects its failing job there
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "c1.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    ))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("check_security", "check_decodability", "_state_table"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    code, out, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
+    assert code == 2
+    assert calls == ["check_security", "_state_table"]
+    report = json.loads(out)
+    assert list(report)[-1] == "decodable" and report["decodable"] == [True] * 4
+
+
+def test_verify_accepts_receiver_wanting_only_what_it_knows(tmp_path, capsys):
+    # receiver 1 gets no decodability row and decodes; receiver 2 does not
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 2, "receivers": [
+        {"knows": [1, 2], "wants": [1]}, {"knows": [], "wants": [2]}]}))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1], [1]]}))
+    code, out, err = run(capsys, "verify", "--instance", str(inst_path), "--code", str(code_path),
+                         "--t-level", "0")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:2] == ["receiver 1: decodes", "receiver 2: CANNOT DECODE"]
 
 
 def test_verify_dimension_mismatch(tmp_path, capsys, crossed2):

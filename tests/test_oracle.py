@@ -43,6 +43,22 @@ from conftest import (
 )
 
 
+# ---- state table ----------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_digit_table_is_the_radix_grid(q, width):
+    total = q ** width
+    table = secix.oracle._digit_table(q, width)
+    assert table.shape == (width + 1, total) and table.flags.c_contiguous
+    assert (table[:-1].T == radix_digits(np.arange(total), q, width)).all()
+    assert not table[-1].any()
+    # a table code's key index runs fastest, below the message digits
+    keyed = secix.oracle._digit_table(q, width, 3)
+    assert (keyed[:-1].T == radix_digits(np.arange(3 * total) // 3, q, width)).all()
+    assert not keyed[-1].any()
+
+
 # ---- decodability ------------------------------------------------------------
 
 def test_all_receivers_decode_both_sum_codes():
@@ -253,6 +269,85 @@ def test_sort_chunks_split_rows(monkeypatch, sort_keys):
     one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
                   for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
     assert one_by_one == screened
+
+
+# ---- one pass: receiver and pair rows share a state table and sorts ------------
+
+def one_pass(code, inst, acc, b=1):
+    """check_security's report, after checking that its decodability
+    verdicts are check_decodability's and the reference's, and its pair
+    verdicts the reference's."""
+    report = check_security(code, inst, acc, b=b)
+    assert list(report.decodable) == check_decodability(code, inst) == reference_oracle.decodability(code, inst)
+    expected = reference_oracle.security(code, inst, acc, b)
+    assert [(p.access, p.block, p.uniform) for p in report.checks] == [row[:3] for row in expected]
+    return report
+
+
+def test_one_pass_without_pair_rows():
+    # the classical adversary and the explicit full set leave no block outside
+    inst = crossed_pairs_instance(3)
+    for acc in (AccessStructure.classical(4), AccessStructure.explicit([[1, 2, 3, 4]])):
+        assert one_pass(overlapping_sum_code(3), inst, acc).decodable == (True,) * 4
+        report = one_pass(LinearCode(FieldMatrix(3, [[1], [1], [0], [0]])), inst, acc)
+        assert report.decodable == (True, True, False, False)
+        assert report.checks == () and report.secure
+
+
+def test_one_pass_without_receiver_rows():
+    # every receiver wants only what it knows, so it decodes from any code,
+    # and only pair rows are sorted
+    inst = Instance(2, 3, (Receiver({1, 2}, {1}), Receiver({3}, {3})))
+    report = one_pass(LinearCode(FieldMatrix(2, [[1], [1], [0]])), inst, AccessStructure.t_level(1))
+    assert report.decodable == (True, True)
+    assert [p.uniform for p in report.checks] == [False, True, False, True, True, True]
+
+
+def test_one_pass_zero_length_codes():
+    # nothing is sent: no receiver that lacks a wanted message decodes,
+    # and every block stays uniform
+    inst = crossed_pairs_instance(2)
+    table = {(x, key): () for x in itertools.product(range(2), repeat=4) for key in range(3)}
+    for code in (LinearCode(FieldMatrix.zeros(2, 4, 0)), TableCode(2, 4, 0, 3, table)):
+        report = one_pass(code, inst, AccessStructure.t_level(1), b=2)
+        assert report.decodable == (False,) * 4
+        assert len(report.checks) == 12 and all(p.conditional_entropy_bits == 2 for p in report.checks)
+
+
+def keyed_codes(q):
+    """A keyed linear code, and a table code with q keys: both send
+    [x1 + x2, x3 + x4 + y, x4 + y] for a uniform key y."""
+    linear = LinearCode(FieldMatrix(q, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]]), FieldMatrix(q, [[0, 1, 1]]))
+    table = {(x, y): linear.encode(x, (y,)) for x in itertools.product(range(q), repeat=4) for y in range(q)}
+    return [linear, TableCode(q, 4, 3, q, table)]
+
+
+def test_one_pass_keyed_codes():
+    # receivers 1 and 2 read c1, receiver 3 reads x3 = c2 - c3 whatever
+    # the key, and receiver 4 sees x4 only under the key
+    inst = crossed_pairs_instance(3)
+    for code in keyed_codes(3):
+        for acc, b in [(AccessStructure.t_level(1), 1), (AccessStructure.t_level(1), 2),
+                       (AccessStructure.explicit([[], [3]]), 1)]:
+            assert one_pass(code, inst, acc, b).decodable == (True, True, True, False)
+
+
+@pytest.mark.parametrize("lists", [1, 3, 5])
+@pytest.mark.parametrize("b", [1, 2])
+def test_one_pass_chunks_mix_row_kinds(monkeypatch, lists, b):
+    # 4 receiver rows, then the pair rows, in sorts of `lists` digit lists:
+    # one row per sort, and sorts whose rows start as receivers and end as
+    # pairs at every offset; with b = 2 a pair row's width q^2 differs
+    # from a receiver row's q
+    inst = crossed_pairs_instance(3)
+    acc = AccessStructure.t_level(1)
+    majority = {(x, 0): (int(x[0] + x[1] >= 2), (x[2] + x[3]) % 3) for x in itertools.product(range(3), repeat=4)}
+    # the total sum and the empty code leave the first pairs, A = [1], uniform
+    codes = [overlapping_sum_code(3), disjoint_sum_code(3), TableCode(3, 4, 2, 1, majority),
+             LinearCode(FieldMatrix(3, [[1]] * 4)), LinearCode(FieldMatrix.zeros(3, 4, 0))] + keyed_codes(3)
+    for code in codes:
+        monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * state_count(code))
+        one_pass(code, inst, acc, b)
 
 
 def test_two_to_the_fourteen_states_stay_small():
@@ -484,7 +579,8 @@ def oracle_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_vectorized_oracle_matches_reference(case):
     code, inst, acc, b = case
-    assert check_decodability(code, inst) == reference_oracle.decodability(code, inst)
+    decodable = reference_oracle.decodability(code, inst)
+    assert check_decodability(code, inst) == decodable
     try:
         expected = reference_oracle.security(code, inst, acc, b)
     except InfeasibleBlockError:
@@ -492,6 +588,7 @@ def test_vectorized_oracle_matches_reference(case):
             check_security(code, inst, acc, b=b)
         return
     report = check_security(code, inst, acc, b=b)
+    assert list(report.decodable) == decodable
     assert [(p.access, p.block, p.uniform) for p in report.checks] == [row[:3] for row in expected]
     for pair, row in zip(report.checks, expected):
         assert pair.block_entropy_bits == b * math.log2(code.q)

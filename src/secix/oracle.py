@@ -253,18 +253,18 @@ def _keys(ids, digits, rows, q: int):
     return (ids * q ** steps + term[:, None, :]).reshape(-1, ids.shape[1])
 
 
-def _runs(keys, stretches):
+def _runs(keys, receivers: int, q: int, values: int):
     """One run-length pass over row-sorted keys (rows x states).
 
-    `stretches` gives each row its width and parts: one (row count,
-    width, parts) per stretch of consecutive rows, in order, none empty.
-    A run is a stretch of equal keys, a view a stretch of runs with equal
-    key // width, where a row's width is q^|target|.  Returns per row
-    whether every run holds 1/parts of its view's states; and per run its
-    start in the flattened keys, its length and the size of its view.
-    With parts = 1 each view is one run: the target is a function of the
-    view.  With parts = width = q^b each view splits into q^b equally
-    long runs: the block is uniform given the view.
+    The first `receivers` rows are receiver rows, of width q and parts
+    1; the rest are pair rows, of width and parts `values` = q^b.  A run
+    is a stretch of equal keys, a view a stretch of runs with equal key
+    // width.  Returns per row whether every run holds 1/parts of its
+    view's states; and per run its start in the flattened keys, its
+    length and the size of its view.  With parts = 1 each view is one
+    run: the target is a function of the view.  With parts = width = q^b
+    each view splits into q^b equally long runs: the block is uniform
+    given the view.
     """
     rows, states = keys.shape
     keys = keys.ravel()
@@ -277,29 +277,24 @@ def _runs(keys, stretches):
     edges = new_key.nonzero()[0]
     runs = edges[:-1]
     lengths = edges[1:] - runs
-    if len(stretches) == 1:
-        (_, width, parts), = stretches
-        run_views = keys[runs] // width
-    else:
-        # each stretch's runs are divided by its own width: numpy divides
-        # by a scalar many times faster than by an array
-        cuts, row = [0], 0
-        for count, _, _ in stretches[:-1]:
-            row += count
-            cuts.append(int(runs.searchsorted(row * states)))
-        cuts.append(runs.size)
-        run_views = keys[runs]
-        for (_, width, _), lo, hi in zip(stretches, cuts, cuts[1:]):
-            run_views[lo:hi] //= width
-        parts = np.repeat([parts for _, _, parts in stretches], np.diff(cuts))
+    # the receiver rows' runs come before the first pair row's; each kind
+    # is divided by its own scalar, which numpy does many times faster
+    # than by an array
+    cut = int(runs.searchsorted(receivers * states))
+    run_views = keys[runs]
+    run_views[:cut] //= q
+    run_views[cut:] //= values
     # per edge: does a view end there; the last edge closes the last view
     new_view = first[edges]
     new_view[1:-1] |= run_views[1:] != run_views[:-1]
     view_edges = new_view.nonzero()[0]
     ends = edges[view_edges]
     view_sizes = np.repeat(ends[1:] - ends[:-1], view_edges[1:] - view_edges[:-1])
+    # a run of a uniform pair row holds 1/values of its view
+    shares = lengths.copy()
+    shares[cut:] *= values
     ok = np.ones(rows, dtype=bool)
-    ok[runs[lengths * parts != view_sizes] // states] = False
+    ok[runs[shares != view_sizes] // states] = False
     return ok, runs, lengths, view_sizes
 
 
@@ -316,9 +311,7 @@ def _check_rows(ids, digits, rows, receivers: int, values: int, q: int):
     pair rows (width and parts `values` = q^b)."""
     keys = _keys(ids, digits, rows, q)
     keys.sort(axis=-1)
-    n = len(ids)
-    stretches = [(receivers * n, q, 1), ((len(rows) - receivers) * n, values, values)]
-    return _runs(keys, [s for s in stretches if s[0]])
+    return _runs(keys, receivers * len(ids), q, values)
 
 
 def _receiver_rows(inst: Instance):
@@ -336,15 +329,14 @@ def _receiver_rows(inst: Instance):
     return rows, owner
 
 
-def _check_lists(inst: Instance, pairs: list, q: int):
+def _check_lists(inst: Instance, pairs: list):
     """The digit lists of every receiver row, then of every (A, B) pair
     of `pairs` (from `block_pairs`; view A, target B).  Also returns each
-    receiver row's receiver index, each pair row's (A, B), and q^b: a
-    uniform size-b block splits a view into q^b runs."""
+    receiver row's receiver index and each pair row's (A, B)."""
     rows, owner = _receiver_rows(inst)
     labels = [(access, block) for access, blocks in pairs for block in blocks]
     rows += [[j - 1 for j in access + block] for access, block in labels]
-    return rows, owner, labels, q ** len(labels[0][1]) if labels else 1
+    return rows, owner, labels
 
 
 def _verify(code, inst: Instance, pairs: list, b: int):
@@ -353,14 +345,14 @@ def _verify(code, inst: Instance, pairs: list, b: int):
     receiver rows, then pair rows, and one _runs pass gives the verdicts
     of every row in it."""
     q = code.q
-    rows, owner, labels, values = _check_lists(inst, pairs, q)
+    rows, owner, labels = _check_lists(inst, pairs)
     decodes = [True] * len(inst.receivers)
     checks = []
     if not rows:
         return decodes, checks
     digits, ids = _state_table(code)
     total = ids.shape[1]
-    block_entropy = b * math.log2(q)
+    block_entropy, values = b * math.log2(q), q ** b
     step = _rows_per_sort(ids)
     for start in range(0, len(rows), step):
         receivers = owner[start:start + step]
@@ -410,7 +402,9 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: i
     ids = _codeword_ids(digits[:-1].T @ generators % q, q)
     secure = np.zeros(count, dtype=bool)
     alive = np.arange(count)
-    rows, owner, _, values = _check_lists(inst, pairs, q)
+    rows, owner, labels = _check_lists(inst, pairs)
+    # every block has one size b, and a uniform block splits a view into q^b runs
+    values = q ** len(labels[0][1]) if labels else 1
     start = 0
     while start < len(rows):
         stop = start + _rows_per_sort(ids)

@@ -69,12 +69,13 @@ def _resolve_access(args, file_acc, m):
     return model.AccessStructure.classical(m)
 
 
-def _load_code(args, inst):
+def _load_code(args, inst=None):
+    """The code file --code, for the messages of `inst` when one is given."""
     try:
         code = codes.load_code(args.code)
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read code: {exc}")
-    if code.m != inst.m:
+    if inst is not None and code.m != inst.m:
         raise _UsageError(
             f"code is for {code.m} messages, instance has {inst.m}"
         )
@@ -83,14 +84,6 @@ def _load_code(args, inst):
 
 def _print_json(obj):
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _verdict_exit(verdict):
-    if verdict.answer == analysis.ANSWER_YES:
-        return EXIT_OK
-    if verdict.answer == analysis.ANSWER_NO:
-        return EXIT_NO
-    return EXIT_UNKNOWN
 
 
 def _describe_verdict(verdict):
@@ -112,6 +105,36 @@ def _describe_verdict(verdict):
     return "\n".join(lines)
 
 
+def _print_verdict(verdict, args) -> int:
+    """Print the verdict, as JSON with --json; returns its exit code."""
+    if args.json:
+        _print_json(verdict.to_dict())
+    else:
+        print(_describe_verdict(verdict))
+    if verdict.answer == analysis.ANSWER_YES:
+        return EXIT_OK
+    if verdict.answer == analysis.ANSWER_NO:
+        return EXIT_NO
+    return EXIT_UNKNOWN
+
+
+def _print_code(code, args, summary: dict, lines=()) -> None:
+    """Write the code to the --code file, if one is given, and print the
+    summary: with --json, the object `summary`, holding the code under
+    "code" when no file is written; otherwise the text `lines`, then the
+    file written or the code as one JSON line."""
+    if args.code:
+        codes.save_code(args.code, code)
+    if args.json:
+        if not args.code:
+            summary = {**summary, "code": codes.code_to_dict(code)}
+        _print_json(summary)
+        return
+    for line in lines:
+        print(line)
+    print(f"code written to {args.code}" if args.code else json.dumps(codes.code_to_dict(code)))
+
+
 def _decide(inst, acc, args):
     if acc.kind == model.AccessStructure.KIND_T_LEVEL:
         return analysis.decide_t_level(inst, acc.t, b=args.b)
@@ -124,12 +147,7 @@ def cmd_analyze(args) -> int:
     inst, file_acc = _load_instance(args)
     inst = model.normalize(inst)
     acc = _resolve_access(args, file_acc, inst.m)
-    verdict = _decide(inst, acc, args)
-    if args.json:
-        _print_json(verdict.to_dict())
-    else:
-        print(_describe_verdict(verdict))
-    return _verdict_exit(verdict)
+    return _print_verdict(_decide(inst, acc, args), args)
 
 
 def cmd_construct(args) -> int:
@@ -138,39 +156,21 @@ def cmd_construct(args) -> int:
     acc = _resolve_access(args, file_acc, inst.m)
     verdict = _decide(inst, acc, args)
     if verdict.answer != analysis.ANSWER_YES:
-        if args.json:
-            _print_json(verdict.to_dict())
-        else:
-            print(_describe_verdict(verdict))
-        return _verdict_exit(verdict)
+        return _print_verdict(verdict, args)
     code = verdict.code
     level = codes.security_level(code, budget=args.budget)
     least = analysis.min_side_info(inst)
-    if args.code:
-        codes.save_code(args.code, code)
     summary = {
         "length": code.length,
         "min_side_info": least,
         "security_level": level,
         "q": code.q,
     }
+    lines = [f"length: {code.length}", f"min side information: {least}", f"security level: {level}"]
     if code.q != inst.q:
         summary["field_substituted_from"] = inst.q
-    if args.json:
-        out = dict(summary)
-        if not args.code:
-            out["code"] = codes.code_to_dict(code)
-        _print_json(out)
-    else:
-        print(f"length: {code.length}")
-        print(f"min side information: {least}")
-        print(f"security level: {level}")
-        if code.q != inst.q:
-            print(f"field: GF({code.q}) (instance field GF({inst.q}) too small)")
-        if args.code:
-            print(f"code written to {args.code}")
-        else:
-            print(json.dumps(codes.code_to_dict(code)))
+        lines.append(f"field: GF({code.q}) (instance field GF({inst.q}) too small)")
+    _print_code(code, args, summary, lines)
     return EXIT_OK
 
 
@@ -273,10 +273,7 @@ def _write_rows(rows):
 
 
 def cmd_encode(args) -> int:
-    try:
-        code = codes.load_code(args.code)
-    except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read code: {exc}")
+    code = _load_code(args)
     counted = f"({code.m} message + {code.key_dim} key)"
     for block in _symbol_blocks(code.q, code.m + code.key_dim, counted):
         _write_rows(block @ code.matrix % code.q)
@@ -321,21 +318,12 @@ def cmd_search(args) -> int:
     acc = _resolve_access(args, file_acc, inst.m)
     code = analysis.search_linear(inst, acc, args.length, b=args.b, budget=args.budget)
     if code is None:
-        msg = f"no secure linear code of length {args.length} over GF({inst.q})"
         if args.json:
             _print_json({"found": False, "length": args.length})
         else:
-            print(msg)
+            print(f"no secure linear code of length {args.length} over GF({inst.q})")
         return EXIT_NO
-    if args.code:
-        codes.save_code(args.code, code)
-    if args.json:
-        out = {"found": True, "length": args.length}
-        if not args.code:
-            out["code"] = codes.code_to_dict(code)
-        _print_json(out)
-    else:
-        print(json.dumps(codes.code_to_dict(code)))
+    _print_code(code, args, {"found": True, "length": args.length})
     return EXIT_OK
 
 

@@ -461,10 +461,27 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 # ---- JSON code files -------------------------------------------------------
 
-def _int_matrix(rows, what: str) -> list:
+def _field_matrix(q: int, rows, what: str) -> FieldMatrix:
+    """The FieldMatrix of `rows` (the matrix `what` of a code file) when
+    it is a list of equally long rows of integers in [0, q); ValueError
+    naming the row otherwise.  No entry is reduced mod q."""
     if not isinstance(rows, list):
         raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
-    return [checked_ints(row, f"{what} row") for row in rows]
+    for i, row in enumerate(rows, start=1):
+        checked_ints(row, f"{what} row {i}")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"{what} row {i} has length {len(row)}, row 1 has length {len(rows[0])}")
+    try:
+        data = np.array(rows, dtype=np.int64)
+    except OverflowError:  # entries past int64, outside every GF(q)
+        data = np.array(rows, dtype=object)
+    matrix = FieldMatrix(q, data)  # checks q, and reduces a copy of data
+    # reducing mod q changes exactly the entries outside [0, q)
+    outside = matrix.data != data
+    if np.count_nonzero(outside):
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(f"{what} row {i + 1} entry {rows[i][j]} is outside GF({q})")
+    return matrix
 
 
 def parse_code(obj) -> LinearCode:
@@ -472,8 +489,8 @@ def parse_code(obj) -> LinearCode:
 
     Schema: {"kind": "linear_det" | "linear_rand", "q": int,
              "G": [[int...]...], "Gtilde": [[int...]...]}
-    Matrices are row-major; G has m rows and ell columns, Gtilde is
-    required exactly for "linear_rand".
+    Matrices are row-major, with entries in [0, q); G has m rows and ell
+    columns, Gtilde is required exactly for "linear_rand".
     """
     if not isinstance(obj, dict):
         raise ValueError("code file must contain a JSON object")
@@ -484,12 +501,12 @@ def parse_code(obj) -> LinearCode:
     if kind not in ("linear_det", "linear_rand"):
         raise ValueError(f"unknown code kind {kind!r}")
     q = checked_int(obj["q"], "q")
-    generator = FieldMatrix(q, _int_matrix(obj["G"], "G"))
+    generator = _field_matrix(q, obj["G"], "G")
     key_generator = None
     if kind == "linear_rand":
         if "Gtilde" not in obj:
             raise ValueError("linear_rand code needs a 'Gtilde' matrix")
-        key_generator = FieldMatrix(q, _int_matrix(obj["Gtilde"], "Gtilde"))
+        key_generator = _field_matrix(q, obj["Gtilde"], "Gtilde")
     elif "Gtilde" in obj:
         raise ValueError("linear_det code must not carry a 'Gtilde' matrix")
     return LinearCode(generator, key_generator)

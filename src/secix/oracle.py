@@ -33,12 +33,12 @@ message it does not know (view: its side information; it decodes iff
 it decodes each such message), or an (A, B) pair (view: X_A, target:
 X_B).  A row's key per state is the codeword id followed by the listed
 digits in base q (Horner steps over the digit table), so key //
-q^|target| is the view.  Receiver rows come first, then pair rows.  One
-`np.sort(axis=-1)` sorts the rows of a chunk of at most _SORT_KEYS
-keys, which may hold rows of both kinds, and one run-length pass over
-the flattened chunk reads all its verdicts, with each row's own width
-q^|target| and parts; each row start opens a run and a view, so
-neither spans two rows:
+q^|target| is the view.  The receiver rows are sorted first, then the
+pair rows, each in chunks of at most _SORT_KEYS keys, so no chunk holds
+both kinds.  One `np.sort(axis=-1)` sorts the rows of a chunk, and one
+run-length pass over the flattened chunk reads all its verdicts, with
+its kind's width q^|target| and parts; each row start opens a run and
+a view, so neither spans two rows:
 
 * a receiver row (width q, parts 1) passes iff every view is one run,
   i.e. equal views never carry different targets;
@@ -253,13 +253,11 @@ def _keys(ids, digits, rows, q: int):
     return (ids * q ** steps + term[:, None, :]).reshape(-1, ids.shape[1])
 
 
-def _runs(keys, receivers: int, q: int, values: int):
+def _runs(keys, width: int, parts: int):
     """One run-length pass over row-sorted keys (rows x states).
 
-    The first `receivers` rows are receiver rows, of width q and parts
-    1; the rest are pair rows, of width and parts `values` = q^b.  A run
-    is a stretch of equal keys, a view a stretch of runs with equal key
-    // width.  Returns per row whether every run holds 1/parts of its
+    A run is a stretch of equal keys, a view a stretch of runs with equal
+    key // width.  Returns per row whether every run holds 1/parts of its
     view's states; and per run its start in the flattened keys, its
     length and the size of its view.  With parts = 1 each view is one
     run: the target is a function of the view.  With parts = width = q^b
@@ -277,24 +275,15 @@ def _runs(keys, receivers: int, q: int, values: int):
     edges = new_key.nonzero()[0]
     runs = edges[:-1]
     lengths = edges[1:] - runs
-    # the receiver rows' runs come before the first pair row's; each kind
-    # is divided by its own scalar, which numpy does many times faster
-    # than by an array
-    cut = int(runs.searchsorted(receivers * states))
-    run_views = keys[runs]
-    run_views[:cut] //= q
-    run_views[cut:] //= values
+    run_views = keys[runs] // width
     # per edge: does a view end there; the last edge closes the last view
     new_view = first[edges]
     new_view[1:-1] |= run_views[1:] != run_views[:-1]
     view_edges = new_view.nonzero()[0]
     ends = edges[view_edges]
     view_sizes = np.repeat(ends[1:] - ends[:-1], view_edges[1:] - view_edges[:-1])
-    # a run of a uniform pair row holds 1/values of its view
-    shares = lengths.copy()
-    shares[cut:] *= values
     ok = np.ones(rows, dtype=bool)
-    ok[runs[shares != view_sizes] // states] = False
+    ok[runs[lengths * parts != view_sizes] // states] = False
     return ok, runs, lengths, view_sizes
 
 
@@ -304,14 +293,12 @@ def _rows_per_sort(ids) -> int:
     return max(1, _SORT_KEYS // ids.size)
 
 
-def _check_rows(ids, digits, rows, receivers: int, values: int, q: int):
+def _check_rows(ids, digits, rows, width: int, parts: int, q: int):
     """_runs of one sorted key matrix with a row per digit list (view,
-    then target) and candidate (a row of `ids`), list-major.  The first
-    `receivers` lists are receiver rows (width q, parts 1), the rest
-    pair rows (width and parts `values` = q^b)."""
+    then target) and candidate (a row of `ids`), list-major."""
     keys = _keys(ids, digits, rows, q)
     keys.sort(axis=-1)
-    return _runs(keys, receivers * len(ids), q, values)
+    return _runs(keys, width, parts)
 
 
 def _receiver_rows(inst: Instance):
@@ -329,45 +316,43 @@ def _receiver_rows(inst: Instance):
     return rows, owner
 
 
-def _check_lists(inst: Instance, pairs: list):
-    """The digit lists of every receiver row, then of every (A, B) pair
-    of `pairs` (from `block_pairs`; view A, target B).  Also returns each
-    receiver row's receiver index and each pair row's (A, B)."""
-    rows, owner = _receiver_rows(inst)
+def _pair_rows(pairs: list):
+    """The (A, B) of every pair of `pairs` (from `block_pairs`), and its
+    digit list: view X_A, target X_B."""
     labels = [(access, block) for access, blocks in pairs for block in blocks]
-    rows += [[j - 1 for j in access + block] for access, block in labels]
-    return rows, owner, labels
+    return labels, [[j - 1 for j in access + block] for access, block in labels]
 
 
 def _verify(code, inst: Instance, pairs: list, b: int):
     """Per-receiver decodability and the PairChecks of `pairs`, all read
-    from one state table: each sort holds up to _SORT_KEYS keys of
-    receiver rows, then pair rows, and one _runs pass gives the verdicts
-    of every row in it."""
+    from one state table: the receiver rows, then the pair rows, are
+    sorted in chunks of up to _SORT_KEYS keys, and one _runs pass gives
+    the verdicts of every row of a chunk."""
     q = code.q
-    rows, owner, labels = _check_lists(inst, pairs)
+    rows, owner = _receiver_rows(inst)
+    labels, pair_rows = _pair_rows(pairs)
     decodes = [True] * len(inst.receivers)
     checks = []
-    if not rows:
+    if not rows and not labels:
         return decodes, checks
     digits, ids = _state_table(code)
-    total = ids.shape[1]
-    block_entropy, values = b * math.log2(q), q ** b
     step = _rows_per_sort(ids)
     for start in range(0, len(rows), step):
-        receivers = owner[start:start + step]
-        ok, runs, lengths, view_sizes = _check_rows(ids, digits, rows[start:start + step], len(receivers), values, q)
-        ok = ok.tolist()
-        for i, row_ok in zip(receivers, ok):
+        ok = _check_rows(ids, digits, rows[start:start + step], q, 1, q)[0]
+        for i, row_ok in zip(owner[start:start + step], ok.tolist()):
             decodes[i] = decodes[i] and row_ok
-        if len(receivers) < len(ok):
-            # H(X_B | C, X_A) is each pair row's dot product over its own runs
-            logs = np.log2(view_sizes) - np.log2(lengths)
-            weights = lengths.astype(np.float64)
-            cuts = np.searchsorted(runs, np.arange(len(receivers), len(ok) + 1) * total).tolist()
-            for row_ok, first, last in zip(ok[len(receivers):], cuts, cuts[1:]):
-                conditional = float(weights[first:last].dot(logs[first:last])) / total
-                checks.append(PairCheck(*labels[len(checks)], row_ok, block_entropy, conditional))
+    total = ids.shape[1]
+    block_entropy, values = b * math.log2(q), q ** b
+    for start in range(0, len(labels), step):
+        chunk = labels[start:start + step]
+        ok, runs, lengths, view_sizes = _check_rows(ids, digits, pair_rows[start:start + step], values, values, q)
+        # H(X_B | C, X_A) is each pair row's dot product over its own runs
+        logs = np.log2(view_sizes) - np.log2(lengths)
+        weights = lengths.astype(np.float64)
+        cuts = np.searchsorted(runs, np.arange(len(chunk) + 1) * total).tolist()
+        for label, row_ok, first, last in zip(chunk, ok.tolist(), cuts, cuts[1:]):
+            conditional = float(weights[first:last].dot(logs[first:last])) / total
+            checks.append(PairCheck(*label, row_ok, block_entropy, conditional))
     return decodes, checks
 
 
@@ -402,23 +387,19 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: i
     ids = _codeword_ids(digits[:-1].T @ generators % q, q)
     secure = np.zeros(count, dtype=bool)
     alive = np.arange(count)
-    rows, owner, labels = _check_lists(inst, pairs)
+    labels, pair_rows = _pair_rows(pairs)
     # every block has one size b, and a uniform block splits a view into q^b runs
     values = q ** len(labels[0][1]) if labels else 1
-    start = 0
-    while start < len(rows):
-        stop = start + _rows_per_sort(ids)
-        if start < len(owner):
-            # no pair shares a sort with a receiver, so pairs run only on
-            # candidates every receiver decodes
-            stop = min(stop, len(owner))
-        receivers = len(owner[start:stop])
-        ok = _check_rows(ids, digits, rows[start:stop], receivers, values, q)[0]
-        ok = ok.reshape(-1, len(ids)).all(axis=0)
-        alive, ids = alive[ok], ids[ok]
-        if not alive.size:
-            return secure
-        start = stop
+    for rows, width, parts in ((_receiver_rows(inst)[0], q, 1), (pair_rows, values, values)):
+        start = 0
+        while start < len(rows):
+            stop = start + _rows_per_sort(ids)
+            ok = _check_rows(ids, digits, rows[start:stop], width, parts, q)[0]
+            ok = ok.reshape(-1, len(ids)).all(axis=0)
+            alive, ids = alive[ok], ids[ok]
+            if not alive.size:
+                return secure
+            start = stop
     secure[alive] = True
     return secure
 

@@ -269,13 +269,29 @@ def assert_one_error_line(code, err):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("generator", [[[1.9], [True]], [[1], ["1"]]], ids=["float-bool", "string"])
-def test_verify_rejects_non_integer_generator(tmp_path, capsys, keyed2, generator):
+@pytest.mark.parametrize(
+    "matrices, named",
+    [
+        ({"G": [[1.9], [True]]}, "G row 1"),
+        ({"G": [[1], ["1"]]}, "G row 2"),
+        ({"G": [[1], [3]]}, "G row 2"),
+        ({"G": [[-1], [1]]}, "G row 1"),
+        ({"G": [[1, 0], [1]]}, "G row 2"),
+        ({"G": [[1], [1]], "Gtilde": [[0], [2]]}, "Gtilde row 2"),
+        ({"G": [[1], [1]], "Gtilde": [[1], [0, 1]]}, "Gtilde row 2"),
+    ],
+    ids=["float-bool", "string", "entry-3", "entry-minus-1", "ragged", "gtilde-entry-2", "gtilde-ragged"],
+)
+def test_verify_rejects_non_integer_generator(tmp_path, capsys, keyed2, matrices, named):
+    # code files are never reduced mod q or padded: a GF(2) entry of 3 or -1
+    # is refused, not read as 1
     inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
     code_path = tmp_path / "c.json"
-    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": generator}))
+    kind = "linear_rand" if "Gtilde" in matrices else "linear_det"
+    code_path.write_text(json.dumps({"kind": kind, "q": 2, **matrices}))
     code, _, err = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path))
     assert_one_error_line(code, err)
+    assert named + " " in err
 
 
 @pytest.mark.parametrize(
@@ -572,6 +588,25 @@ def test_search_finds_and_misses(tmp_path, capsys, keyed2):
     code, out, _ = run(capsys, "search", "--instance", inst_path, "--length", "0", "--json")
     assert code == 2
     assert json.loads(out) == {"found": False, "length": 0}
+
+
+def test_search_code_file_like_construct(tmp_path, capsys, keyed2):
+    # with --code the code goes to the file only, as construct does it
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    code_path = tmp_path / "found.code.json"
+    code, out, _ = run(capsys, "search", "--instance", inst_path, "--length", "1", "--code", str(code_path))
+    assert code == 0
+    assert out == f"code written to {code_path}\n"
+    assert json.loads(code_path.read_text())["G"] == [[1], [1]]
+    code_path.unlink()
+    code, out, _ = run(capsys, "search", "--instance", inst_path, "--length", "1", "--code", str(code_path),
+                       "--json")
+    assert code == 0
+    assert json.loads(out) == {"found": True, "length": 1}
+    assert json.loads(code_path.read_text())["G"] == [[1], [1]]
+    code, out, _ = run(capsys, "search", "--instance", inst_path, "--length", "1")
+    assert code == 0
+    assert json.loads(out)["G"] == [[1], [1]]
 
 
 def test_search_budget(tmp_path, capsys, crossed2):

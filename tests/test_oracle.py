@@ -271,7 +271,7 @@ def test_sort_chunks_split_rows(monkeypatch, sort_keys):
     assert one_by_one == screened
 
 
-# ---- one pass: receiver and pair rows share a state table and sorts ------------
+# ---- one pass: receiver and pair rows share a state table, not a sort ------------
 
 def one_pass(code, inst, acc, b=1):
     """check_security's report, after checking that its decodability
@@ -336,9 +336,9 @@ def test_one_pass_keyed_codes():
 @pytest.mark.parametrize("b", [1, 2])
 def test_one_pass_chunks_mix_row_kinds(monkeypatch, lists, b):
     # 4 receiver rows, then the pair rows, in sorts of `lists` digit lists:
-    # one row per sort, and sorts whose rows start as receivers and end as
-    # pairs at every offset; with b = 2 a pair row's width q^2 differs
-    # from a receiver row's q
+    # one row per sort, and sorts that end inside the receiver rows and
+    # inside the pair rows at every offset; with b = 2 a pair row's width
+    # q^2 differs from a receiver row's q
     inst = crossed_pairs_instance(3)
     acc = AccessStructure.t_level(1)
     majority = {(x, 0): (int(x[0] + x[1] >= 2), (x[2] + x[3]) % 3) for x in itertools.product(range(3), repeat=4)}
@@ -348,6 +348,34 @@ def test_one_pass_chunks_mix_row_kinds(monkeypatch, lists, b):
     for code in codes:
         monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * state_count(code))
         one_pass(code, inst, acc, b)
+
+
+@pytest.mark.parametrize("lists", [None, 3], ids=["default", "3-lists"])
+@pytest.mark.parametrize("check", ["check_security", "secure_generators"])
+def test_no_sort_mixes_row_kinds(monkeypatch, check, lists):
+    # every receiver knows 3 of the 4 messages, so its digit lists hold 4
+    # digits and a pair's (t = 1, b <= 2) at most 3: a list's length tells
+    # its kind
+    inst = complementary_instance(2, 4)
+    acc = AccessStructure.t_level(1)
+    stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
+    kinds = []
+    keys = secix.oracle._keys
+
+    def spy(ids, digits, rows, q):
+        kinds.append({len(r) == 4 for r in rows})
+        return keys(ids, digits, rows, q)
+
+    monkeypatch.setattr(secix.oracle, "_keys", spy)
+    if lists:
+        monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * 2 ** 4)
+    for b in (1, 2):
+        if check == "check_security":
+            check_security(LinearCode(FieldMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]])), inst, acc, b)
+        else:
+            assert secure_generators(2, stack, inst, block_pairs(inst, acc, b)).any()
+    assert {True} in kinds and {False} in kinds
+    assert all(len(k) == 1 for k in kinds)
 
 
 def test_two_to_the_fourteen_states_stay_small():

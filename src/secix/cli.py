@@ -83,7 +83,7 @@ def _load_code(args, inst=None):
 
 
 def _print_json(obj):
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(model.json_text(obj) + "\n")
 
 
 def _describe_verdict(verdict):
@@ -124,7 +124,10 @@ def _print_code(code, args, summary: dict, lines=()) -> None:
     "code" when no file is written; otherwise the text `lines`, then the
     file written or the code as one JSON line."""
     if args.code:
-        codes.save_code(args.code, code)
+        try:
+            codes.save_code(args.code, code)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.code}: {exc.strerror or exc}")
     if args.json:
         if not args.code:
             summary = {**summary, "code": codes.code_to_dict(code)}
@@ -305,8 +308,11 @@ def cmd_graph(args) -> int:
     acc = _resolve_access(args, file_acc, inst.m)
     dot = model.build_graph(inst, acc).to_dot()
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.dot}: {exc.strerror or exc}")
     else:
         sys.stdout.write(dot)
     return EXIT_OK
@@ -357,7 +363,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The `secix` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="secix",
         description="Secure index coding: constructions and exact verification.",
@@ -367,15 +374,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse_args(argv):
+    """`_PARSER.parse_args(argv)`, with argv led by a subcommand name
+    handed straight to that subcommand's parser: the same namespace,
+    help and error text and exit code, without the top-level parse."""
+    if argv and argv[0] in _SUBPARSERS:
+        args, extras = _SUBPARSERS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            _PARSER.error("unrecognized arguments: " + " ".join(extras))
+        return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; our API reserves 2 for proven-no
         return EXIT_USAGE if exc.code else EXIT_OK

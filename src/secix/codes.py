@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import MAX_MESSAGES, FieldMatrix, radix_digits, smallest_prime_at_least, vandermonde
-from .model import Instance, Receiver, checked_int, checked_ints, require_normalized
+from .model import Instance, Receiver, checked_int, checked_ints, read_json, require_normalized, write_json
 from .oracle import DEFAULT_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -524,19 +524,8 @@ def code_to_dict(code: LinearCode) -> dict:
 
 
 def load_code(path) -> LinearCode:
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return parse_code(obj)
+    return parse_code(read_json(path))
 
 
 def save_code(path, code: LinearCode) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(code_to_dict(code), fh, indent=2)
-        fh.write("\n")
+    write_json(path, code_to_dict(code))

@@ -330,7 +330,67 @@ def build_graph(inst: Instance, acc: AccessStructure) -> BipartiteGraph:
     return BipartiteGraph(inst.n, inst.m, access_sets, tuple(arcs))
 
 
-# ---- JSON instance files -------------------------------------------------
+# ---- JSON files ------------------------------------------------------------
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj, indent: str = "") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, nested `indent` deep.
+
+    The one writer of indented JSON: `--json` output, code files and
+    instance files.  It dispatches on the exact type of each value, so a
+    subclass of int or float (a numpy float64, an IntEnum) raises
+    TypeError, as a numpy int64 does in `json.dumps`, and is never
+    coerced.  Dict keys must be str: any other key raises TypeError.
+    """
+    t = type(obj)
+    if t is str:
+        return _ENCODE_STR(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is float:
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_ENCODE_STR(k) + ": " + json_text(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def read_json(path):
+    """The JSON value in the file at `path`.  ValueError naming the line
+    and column when the file is not valid JSON; OSError when it cannot
+    be read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` to the file at `path` as `json_text(obj)` and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(obj) + "\n")
+
 
 def checked_int(value, what: str) -> int:
     """value when it is an int; ValueError for bools, floats, strings, ...
@@ -395,15 +455,8 @@ def instance_to_dict(inst: Instance, acc: AccessStructure | None = None) -> dict
 
 
 def load_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return parse_instance(obj)
+    return parse_instance(read_json(path))
 
 
 def save_instance(path, inst: Instance, acc: AccessStructure | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst, acc), fh, indent=2)
-        fh.write("\n")
+    write_json(path, instance_to_dict(inst, acc))

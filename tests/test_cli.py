@@ -10,7 +10,19 @@ import tracemalloc
 
 import pytest
 
-from secix import AccessStructure, Instance, Receiver, cli, instance_to_dict, oracle, save_instance
+from secix import (
+    AccessStructure,
+    Instance,
+    Receiver,
+    analysis,
+    cli,
+    code_to_dict,
+    instance_to_dict,
+    load_code,
+    normalize,
+    oracle,
+    save_instance,
+)
 from secix.cli import main
 from conftest import (
     complementary_instance,
@@ -715,6 +727,130 @@ def test_main_calls_the_command_bound_at_call_time(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(secix.cli, "cmd_graph", lambda args: seen.append(args.instance) or 3)
     code, _, _ = run(capsys, "graph", "--instance", inst_path)
     assert code == 3 and seen == [inst_path]
+
+
+# ---- output bytes: json.dumps(obj, indent=2) and a newline -------------------------------
+
+SUMS = [[1, 0], [1, 0], [0, 1], [0, 1]]  # [x1+x2, x3+x4]
+
+
+def indented(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("code_obj, acc, secure, has_pairs", [
+    ({"kind": "linear_rand", "q": 2, "G": [row + [0] for row in SUMS], "Gtilde": [[0, 0, 1]]},
+     AccessStructure.explicit([[3, 4]]), True, True),
+    ({"kind": "linear_det", "q": 2, "G": SUMS}, AccessStructure.t_level(1), False, True),
+    ({"kind": "linear_det", "q": 2, "G": SUMS}, AccessStructure.explicit([[1, 2, 3, 4]]), True, False),
+], ids=["keyed", "leaky", "no-pairs"])
+def test_verify_json_is_json_dumps_indent_2(tmp_path, capsys, crossed2, code_obj, acc, secure, has_pairs):
+    inst_path = write_instance(tmp_path, crossed2, acc)
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps(code_obj))
+    report = oracle.check_security(load_code(code_path), crossed2, acc)
+    assert report.secure == secure and all(report.decodable) and bool(report.checks) == has_pairs
+    code, out, err = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
+    assert (code, err) == (0 if secure else 2, "")
+    assert out == indented(report.to_dict())
+
+
+def test_search_not_found_json_is_json_dumps_indent_2(tmp_path, capsys, keyed2):
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    code, out, _ = run(capsys, "search", "--instance", inst_path, "--length", "0", "--json")
+    assert code == 2
+    assert out == indented({"found": False, "length": 0})
+
+
+def test_analyze_null_certificate_json_is_json_dumps_indent_2(tmp_path, capsys, crossed2):
+    acc = AccessStructure.explicit([[3], [4]])
+    inst_path = write_instance(tmp_path, crossed2, acc)
+    verdict = analysis.decide(normalize(crossed2), acc).to_dict()
+    assert verdict["certificate"] is None
+    code, out, _ = run(capsys, "analyze", "--instance", inst_path, "--json")
+    assert code == 3
+    assert out == indented(verdict)
+
+
+def test_construct_code_file_is_json_dumps_indent_2(tmp_path, capsys, crossed2):
+    inst_path = write_instance(tmp_path, crossed2)
+    code_path = tmp_path / "code.json"
+    code, _, _ = run(capsys, "construct", "--instance", inst_path, "--t-level", "0", "--code", str(code_path))
+    assert code == 0
+    assert code_path.read_text() == indented(code_to_dict(load_code(code_path)))
+
+
+# ---- output paths --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--t-level", "0", "--code"),
+    ("search", "--length", "1", "--code"),
+    ("search", "--length", "1", "--json", "--code"),
+    ("graph", "--dot"),
+], ids=["construct", "search", "search-json", "graph"])
+def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, keyed2, argv):
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    out_path = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, argv[0], "--instance", inst_path, *argv[1:], str(out_path))
+    assert_one_error_line(code, err)
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
+    assert out == ""
+
+
+# ---- subcommand dispatch -------------------------------------------------------------------
+
+def top_level_parse(capsys, argv):
+    """Exit code, stdout and stderr of `argv` parsed by the top-level
+    parser alone, as main parsed every argv before it dispatched a
+    subcommand directly."""
+    with pytest.raises(SystemExit) as exc:
+        cli._PARSER.parse_args(argv)
+    captured = capsys.readouterr()
+    return cli.EXIT_USAGE if exc.value.code else cli.EXIT_OK, captured.out, captured.err
+
+
+def verify_argv(tmp_path, crossed2):
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": SUMS}))
+    return ["verify", "--instance", inst_path, "--code", str(code_path)]
+
+
+@pytest.mark.parametrize("head, tail", [
+    ([], []), (["-h"], []), (["bogus"], []), (["--"], []), (["verify", "-h"], []), (["verify"], []),
+    (None, ["--bogus"]), (None, ["extra"]), (None, ["extra", "--bogus", "--json"]), (None, ["--", "x"]),
+    (None, ["--b", "x"]),
+], ids=repr)
+def test_usage_errors_match_the_top_level_parse(tmp_path, capsys, crossed2, head, tail):
+    argv = (verify_argv(tmp_path, crossed2) if head is None else head) + tail
+    expected = top_level_parse(capsys, argv)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == (cli.EXIT_OK if "-h" in argv else cli.EXIT_USAGE)
+    if tail in (["--bogus"], ["extra"]):
+        assert expected[2].endswith(f"secix: error: unrecognized arguments: {' '.join(tail)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--instance", "i.json", "--t-level", "1", "--b", "2", "--json"],
+    ["construct", "--instance", "i.json", "--access", "[[1]]", "--budget", "9", "--code", "c.json"],
+    ["verify", "--instance", "i.json", "--code", "c.json", "--json"],
+    ["encode", "--code", "c.json"],
+    ["decode", "--instance", "i.json", "--code", "c.json", "--receiver", "1"],
+    ["graph", "--instance", "i.json", "--dot", "g.dot"],
+    ["search", "--instance", "i.json", "--length", "2", "--b", "2"],
+], ids=lambda argv: argv[0])
+def test_direct_dispatch_gives_the_top_level_namespace(argv):
+    assert cli._parse_args(argv) == cli._PARSER.parse_args(argv)
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch, crossed2):
+    argv = verify_argv(tmp_path, crossed2)
+    for args, expected in ((argv + ["--json"], run(capsys, *argv, "--json")),
+                           (argv + ["--bogus"], top_level_parse(capsys, argv + ["--bogus"]))):
+        monkeypatch.setattr(sys, "argv", ["secix"] + args)
+        code = main(None)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
 
 
 # ---- process-level smoke test --------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -266,3 +267,65 @@ def test_load_instance_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="line"):
         load_instance(path)
+
+
+# ---- the indented-JSON writer -------------------------------------------------------
+
+JSON_SCALARS = (
+    st.integers()  # unbounded: past 64 bits and negative
+    | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1.5e300, float("nan"), float("inf"), float("-inf")])
+    | st.booleans()
+    | st.none()
+    | st.text()  # any code point, astral ones included
+    | st.text(alphabet=st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7fé \U0001f600'))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)  # the all-int join
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert secix.model.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": []}, {"a": {}}, [[], {}, [[]]], {"k": [1, True, 2]}, [2 ** 64, -(2 ** 70)], -0.0,
+    "\ud800",
+], ids=repr)
+def test_json_text_edge_values(value):
+    assert secix.model.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), [1, np.int64(3)], {"a": np.int64(3)}, {1, 2}, b"x",
+], ids=repr)
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        secix.model.json_text(value)
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [{"H": np.float64(1.0)}, {1: "x"}, {None: 0}, {(1, 2): 3}], ids=repr)
+def test_json_text_never_coerces(value):
+    # json.dumps takes a np.float64 (a float subclass) and turns int and
+    # None keys into strings; the writer refuses them
+    with pytest.raises(TypeError):
+        secix.model.json_text(value)
+
+
+def test_instance_file_is_json_dumps_indent_2(tmp_path, crossed2):
+    acc = AccessStructure.explicit([[3, 4]])
+    path = tmp_path / "inst.json"
+    save_instance(path, crossed2, acc)
+    assert path.read_text() == json.dumps(instance_to_dict(crossed2, acc), indent=2) + "\n"

@@ -21,14 +21,7 @@ import numpy as np
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
 from .gf import FieldMatrix, radix_digits
 from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    block_pairs,
-    check_pair_budget,
-    check_state_budget,
-    secure_generators,
-)
+from .oracle import DEFAULT_BUDGET, block_pairs, check_pair_budget, check_state_budget, refuse, secure_generators
 
 __all__ = [
     "ANSWER_YES",
@@ -238,12 +231,7 @@ def search_linear(
     q, m = inst.q, inst.m
     width = m * length
     candidates = q ** width
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{q}^{width} candidate generators exceed the budget of {budget}"
-        )
-    if candidates >= 2 ** 63:
-        raise BudgetExceededError(f"{q}^{width} candidate generators are too many to index with 64-bit integers")
+    refuse(candidates, f"{q}^{width} candidate generators", budget)
     check_state_budget(q, m, 1, f"{q}^{m}", budget)
     check_pair_budget(q ** m, f"{q}^{m}", m, acc, b, budget)
     pairs = block_pairs(inst, acc, b)

@@ -10,9 +10,9 @@ Subcommands
     graph      export the instance's directed bipartite graph as DOT
     search     exhaustive search for a secure linear code of a given length
 
-Exit codes are the API: 0 success/secure, 1 usage or parse error,
-2 proven impossible (or verification failed), 3 unknown, 4 enumeration
-budget exceeded.
+Exit codes are the API: 0 success/secure, 1 usage or parse error or a
+failed write to stdout, 2 proven impossible (or verification failed),
+3 unknown, 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,35 +34,29 @@ EXIT_UNKNOWN = 3
 EXIT_BUDGET = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _load_instance(args):
     try:
         inst, file_acc = model.load_instance(args.instance)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read instance: {exc}")
-    violations = [
-        v for v in model.validate(inst) if "expungeable" not in v
-    ]
+        raise ValueError(f"cannot read instance: {exc}")
+    violations = [v for v in model.validate(inst) if "expungeable" not in v]
     if violations:
-        raise _UsageError("invalid instance: " + "; ".join(violations))
+        raise ValueError("invalid instance: " + "; ".join(violations))
     return inst, file_acc
 
 
 def _resolve_access(args, file_acc, m):
     if args.t_level is not None and args.access is not None:
-        raise _UsageError("give at most one of --t-level and --access")
+        raise ValueError("give at most one of --t-level and --access")
     if args.t_level is not None:
         return model.AccessStructure.t_level(args.t_level)
     if args.access is not None:
         try:
             sets = json.loads(args.access)
         except json.JSONDecodeError as exc:
-            raise _UsageError(f"--access is not valid JSON: {exc}")
+            raise ValueError(f"--access is not valid JSON: {exc}")
         if not isinstance(sets, list):
-            raise _UsageError("--access must be a JSON list of index lists, e.g. '[[3,4]]'")
+            raise ValueError("--access must be a JSON list of index lists, e.g. '[[3,4]]'")
         return model.AccessStructure.explicit([model.checked_ints(a, "--access set") for a in sets])
     if file_acc is not None:
         return file_acc
@@ -69,17 +64,11 @@ def _resolve_access(args, file_acc, m):
     return model.AccessStructure.classical(m)
 
 
-def _load_code(args, inst=None):
-    """The code file --code, for the messages of `inst` when one is given."""
+def _load_code(args):
     try:
-        code = codes.load_code(args.code)
+        return codes.load_code(args.code)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read code: {exc}")
-    if inst is not None and code.m != inst.m:
-        raise _UsageError(
-            f"code is for {code.m} messages, instance has {inst.m}"
-        )
-    return code
+        raise ValueError(f"cannot read code: {exc}")
 
 
 def _print_json(obj):
@@ -127,7 +116,7 @@ def _print_code(code, args, summary: dict, lines=()) -> None:
         try:
             codes.save_code(args.code, code)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.code}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write {args.code}: {exc.strerror or exc}")
     if args.json:
         if not args.code:
             summary = {**summary, "code": codes.code_to_dict(code)}
@@ -142,7 +131,7 @@ def _decide(inst, acc, args):
     if acc.kind == model.AccessStructure.KIND_T_LEVEL:
         return analysis.decide_t_level(inst, acc.t, b=args.b)
     if args.b != 1:
-        raise _UsageError("block sizes b > 1 are supported for t-level adversaries only")
+        raise ValueError("block sizes b > 1 are supported for t-level adversaries only")
     return analysis.decide(inst, acc)
 
 
@@ -180,7 +169,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     inst, file_acc = _load_instance(args)
     acc = _resolve_access(args, file_acc, inst.m)
-    code = _load_code(args, inst)
+    code = _load_code(args)
     # one pass: it refuses states x pairs before the state table is built
     report = oracle.check_security(code, inst, acc, b=args.b, budget=args.budget)
     decodable = report.decodable
@@ -244,7 +233,7 @@ def _symbol_blocks(q, expect, counted):
 
     Every non-blank line must hold `expect` symbols (`counted` says of
     what), each an ASCII decimal number below q.  At the first line that
-    does not, the lines before it are yielded and a _UsageError naming
+    does not, the lines before it are yielded and a ValueError naming
     the line is raised.
     """
     lineno = 0
@@ -267,7 +256,7 @@ def _symbol_blocks(q, expect, counted):
                 break
         if good:
             yield _block_values(rows[:good], q, expect)
-        raise _UsageError(f"stdin line {number}: {problem}")
+        raise ValueError(f"stdin line {number}: {problem}")
 
 
 def _write_rows(rows):
@@ -285,11 +274,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     inst, _ = _load_instance(args)
-    code = _load_code(args, inst)
-    if code.is_randomized:
-        raise _UsageError("decode applies to deterministic codes")
-    if not 1 <= args.receiver <= inst.n:
-        raise _UsageError(f"--receiver must be in [1, {inst.n}]")
+    code = _load_code(args)
     decoder = codes.Decoder(code, inst, args.receiver)
     counted = f"({code.length} codeword + {decoder.side_count} side)"
     for block in _symbol_blocks(code.q, code.length + decoder.side_count, counted):
@@ -312,7 +297,7 @@ def cmd_graph(args) -> int:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(dot)
         except OSError as exc:
-            raise _UsageError(f"cannot write {args.dot}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write {args.dot}: {exc.strerror or exc}")
     else:
         sys.stdout.write(dot)
     return EXIT_OK
@@ -392,6 +377,19 @@ def _parse_args(argv):
     return _PARSER.parse_args(argv)
 
 
+def _silence_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so that the
+    interpreter's last flush drops what could not be written.  A stream
+    with no descriptor, such as an in-process io.StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
@@ -399,23 +397,24 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; our API reserves 2 for proven-no
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        # looked up per call, so a rebound cmd_* (a tracer, a test) is used
-        return globals()["cmd_" + args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            # looked up per call, so a rebound cmd_* (a tracer, a test) is used
+            return globals()["cmd_" + args.command](args)
+        finally:
+            sys.stdout.flush()  # a failed write shows here, not at exit
     except oracle.BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except oracle.InfeasibleBlockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, message = EXIT_BUDGET, f"budget exceeded: {exc}"
     except codes.NoSecureCodeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO
+        status, message = EXIT_NO, str(exc)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, message = EXIT_USAGE, f"error: {exc}"
+    except OSError as exc:  # the commands turn errors of the files they name into ValueErrors
+        _silence_stdout()
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_USAGE  # the reader has gone: there is no one to tell
+        status, message = EXIT_USAGE, f"error: cannot write stdout: {exc.strerror or exc}"
+    print(message, file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import numpy as np
 
 from .gf import MAX_MESSAGES, FieldMatrix, radix_digits, smallest_prime_at_least, vandermonde
 from .model import Instance, Receiver, checked_int, checked_ints, read_json, require_normalized, write_json
-from .oracle import DEFAULT_BUDGET, BudgetExceededError
+from .oracle import DEFAULT_BUDGET, check_code_matches, refuse
 
 __all__ = [
     "LinearCode",
@@ -72,6 +72,18 @@ class NoSecureCodeError(Exception):
 
 class InvalidWitnessError(Exception):
     """A decoding witness does not actually decode the given code."""
+
+
+def _field_symbols(values, q: int, what: str) -> list:
+    """`values` as a list of ints when each is an integer in [0, q), never
+    reduced mod q; ValueError naming the first position, from 1, otherwise."""
+    values = list(values)
+    for i, v in enumerate(values, start=1):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} {i} is {v!r}, not an integer")
+        if not 0 <= v < q:
+            raise ValueError(f"{what} {i} is {v}, outside GF({q})")
+    return [int(v) for v in values]
 
 
 class LinearCode:
@@ -117,14 +129,15 @@ class LinearCode:
         return self.key_generator is not None
 
     def encode(self, x, y=None) -> tuple:
-        """Codeword for message vector x (and key vector y when keyed)."""
-        x = [int(v) % self.q for v in x]
+        """Codeword for message vector x (and key vector y when keyed),
+        each symbol an integer in [0, q)."""
+        x = _field_symbols(x, self.q, "message symbol")
         if len(x) != self.m:
             raise ValueError(f"message vector has length {len(x)}, expected {self.m}")
         if self.is_randomized:
             if y is None:
                 raise ValueError("randomized code needs a key vector")
-            y = [int(v) % self.q for v in y]
+            y = _field_symbols(y, self.q, "key symbol")
             if len(y) != self.key_dim:
                 raise ValueError(f"key vector has length {len(y)}, expected {self.key_dim}")
             x += y
@@ -218,10 +231,9 @@ class Decoder:
     """
 
     def __init__(self, code: LinearCode, inst: Instance, receiver: int):
+        check_code_matches(code, inst)
         if code.is_randomized:
             raise ValueError("decode applies to deterministic linear codes")
-        if code.m != inst.m:
-            raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
         if not 1 <= receiver <= inst.n:
             raise ValueError(f"receiver index {receiver} out of range [1, {inst.n}]")
         rec = inst.receivers[receiver - 1]
@@ -270,7 +282,8 @@ class Decoder:
 
 def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     """Recover receiver's wanted values from a codeword and its side
-    information (values for its known messages in ascending index order).
+    information (values for its known messages in ascending index order),
+    each symbol an integer in [0, q).
 
     Returns the wanted values in ascending index order, or None when
     the codeword is inconsistent with the side information or the
@@ -279,8 +292,8 @@ def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     decode many codewords for the same receiver.
     """
     decoder = Decoder(code, inst, receiver)
-    codeword = [int(v) % code.q for v in codeword]
-    side = [int(v) % code.q for v in side]
+    codeword = _field_symbols(codeword, code.q, "codeword symbol")
+    side = _field_symbols(side, code.q, "side information symbol")
     if len(codeword) != code.length:
         raise ValueError(f"codeword has length {len(codeword)}, expected {code.length}")
     if len(side) != decoder.side_count:
@@ -302,8 +315,7 @@ def derandomize(code: LinearCode, inst: Instance, witness: DecoderWitness) -> Li
     """
     if not code.is_randomized:
         raise ValueError("derandomize applies to randomized linear codes")
-    if code.m != inst.m:
-        raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
+    check_code_matches(code, inst)
     q = code.q
     for (receiver, message) in witness.entries:
         if not 1 <= receiver <= inst.n:
@@ -427,7 +439,8 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     one messages before any span vector lets it peel off a symbol.  -1
     means some single message is readable outright.  Works for any
     generator; for a Vandermonde generator the value is m - ell - 1.
-    A span of more than `budget` vectors raises BudgetExceededError.
+    A span of more than `budget` vectors, or of 2^63 or more, raises
+    BudgetExceededError.
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
@@ -440,14 +453,13 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     top = min(code.m, code.length)
     if k < top and FieldMatrix(code.q, transpose.data[: k + 1]).rank() == k + 1:
         shown = f"{code.q}^{top}" if k + 1 == top else f"{code.q}^{k + 1} to {code.q}^{top}"
-        raise BudgetExceededError(f"column span has {shown} vectors, exceeding the budget of {budget}")
+        refuse(code.q ** (k + 1), f"{shown} vectors of the column span", budget)
     basis, pivots = transpose.rref()
     rank = len(pivots)
     if rank == 0:
         return -1  # trivial span: the code sends nothing
     span = code.q ** rank
-    if span > budget:
-        raise BudgetExceededError(f"column span has {code.q}^{rank} vectors, exceeding the budget of {budget}")
+    refuse(span, f"{code.q}^{rank} vectors of the column span", budget)
     rows = basis.data[:rank]
     min_weight = code.m
     # span vector i has the base-q digits of i as coefficients; 0 is skipped

@@ -75,6 +75,8 @@ __all__ = [
     "secure_generators",
     "state_count",
 ]
+# `refuse` and `check_code_matches` stay unlisted, though codes and analysis call
+# them: perfbench's tracer wraps what is listed and counts a refusal where it wraps.
 
 # Joint (message, key) states enumerated per verification, unless overridden.
 DEFAULT_BUDGET = 2 ** 22
@@ -103,17 +105,25 @@ def state_count(code) -> int:
     return code.q ** code.m * code.key_count
 
 
+def refuse(count: int, shown: str, budget: int, limit: int = _KEY_LIMIT) -> None:
+    """The one budget gate: refuse `count` units of work, printed as
+    `shown`, past the budget, or at or past `limit`, below which 64-bit
+    integers index them.  `shown` names the count as a power of q: past
+    4300 digits Python refuses to print the decimal."""
+    if count > budget:
+        problem = f"exceed the budget of {budget}; raise the budget to force the enumeration"
+    elif count >= limit:
+        problem = "are too many to index with 64-bit integers"
+    else:
+        return
+    raise BudgetExceededError(f"{shown} {problem}")
+
+
 def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> None:
-    """Refuse to enumerate q^m * keys joint states past the budget, or past
-    what 64-bit (view, target) keys can index.  `shown` names the count
-    as a power of q: past 4300 digits Python refuses to print the decimal."""
-    total = q ** m * keys
-    if total > budget:
-        raise BudgetExceededError(
-            f"{shown} joint states exceed the budget of {budget}; raise the budget to force the enumeration"
-        )
-    if total * q ** max(m, 1) >= _KEY_LIMIT:
-        raise BudgetExceededError(f"{shown} joint states are too many to index with 64-bit keys")
+    """Refuse to enumerate q^m * keys joint states (`shown` as a power of
+    q) past the budget, or past what 64-bit (view, target) keys, below
+    states * q^m, can index."""
+    refuse(q ** m * keys, f"{shown} joint states", budget, -(-_KEY_LIMIT // q ** max(m, 1)))
 
 
 def check_pair_budget(states: int, shown: str, m: int, acc: AccessStructure, b: int, budget: int) -> None:
@@ -126,27 +136,13 @@ def check_pair_budget(states: int, shown: str, m: int, acc: AccessStructure, b: 
     else:
         # the full set counts C(0, b) = 0 pairs, as block_pairs skips it
         pairs = sum(math.comb(m - len(a), b) for a in acc.expand(m))
-    if states * pairs > budget:
-        raise BudgetExceededError(
-            f"{shown} joint states x {pairs} (access set, block) pairs exceed the budget of {budget}"
-        )
+    refuse(states * pairs, f"{shown} joint states x {pairs} (access set, block) pairs", budget)
 
 
-def _check_budget(code, budget: int) -> str:
-    """Refuse the code's joint states past the budget; returns their count
-    as printed."""
-    if code.kind == "linear":
-        shown = f"{code.q}^{code.m + code.key_dim}"
-    else:
-        shown = f"{code.q}^{code.m} x {code.key_count}"
-    check_state_budget(code.q, code.m, code.key_count, shown, budget)
-    return shown
-
-
-def _check_code_matches(code, inst: Instance) -> None:
-    # the code's field may legitimately differ from the instance's when a
-    # construction had to move to a bigger prime; the code's field then
-    # governs the message alphabet, and only the message count must agree
+def check_code_matches(code, inst: Instance) -> None:
+    """ValueError unless the code is for the instance's messages.  Only
+    the message count must agree: a construction may move to a bigger
+    field than the instance's, which then governs the message alphabet."""
     if code.m != inst.m:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
 
@@ -362,11 +358,9 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
 
     Randomized codes must decode for every key value, since receivers
     never see the key; the joint enumeration enforces exactly that.
-    `check_security` returns the same verdicts with its pair checks.
+    This is `check_security` with no access set, so with no pair checks.
     """
-    _check_code_matches(code, inst)
-    _check_budget(code, budget)
-    return _verify(code, inst, [], 1)[0]
+    return list(check_security(code, inst, AccessStructure.explicit([]), budget=budget).decodable)
 
 
 def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: int = DEFAULT_BUDGET):
@@ -466,8 +460,12 @@ def check_security(
     is refused before the pairs are listed; receiver rows are not
     counted.
     """
-    _check_code_matches(code, inst)
-    shown = _check_budget(code, budget)
+    check_code_matches(code, inst)
+    if code.kind == "linear":
+        shown = f"{code.q}^{code.m + code.key_dim}"
+    else:
+        shown = f"{code.q}^{code.m} x {code.key_count}"
+    check_state_budget(code.q, code.m, code.key_count, shown, budget)
     if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
     check_pair_budget(state_count(code), shown, inst.m, acc, b, budget)

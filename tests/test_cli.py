@@ -1,8 +1,10 @@
 """Command-line behaviour: exit codes, file formats, filters, round trips."""
 
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -487,6 +489,24 @@ def test_decode_reports_failure(tmp_path, capsys, monkeypatch):
     assert "cannot decode" in err
 
 
+@pytest.mark.parametrize("code_obj, receiver, message", [
+    ({"kind": "linear_rand", "q": 2, "G": [[1], [1]], "Gtilde": [[1]]}, "1",
+     "decode applies to deterministic linear codes"),
+    ({"kind": "linear_det", "q": 2, "G": [[1], [1]]}, "5", "receiver index 5 out of range [1, 1]"),
+    ({"kind": "linear_det", "q": 2, "G": [[1], [1], [1]]}, "1", "code is for 3 messages, instance has 2"),
+], ids=["keyed", "receiver", "messages"])
+def test_decode_preconditions_are_one_error_line(tmp_path, capsys, monkeypatch, code_obj, receiver, message):
+    inst_path = write_instance(tmp_path, Instance(2, 2, (Receiver({2}, {1}),)))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps(code_obj))
+    feed_stdin(monkeypatch, "0 0\n")
+    code, out, err = run(capsys, "decode", "--instance", inst_path, "--code", str(code_path),
+                         "--receiver", receiver)
+    assert_one_error_line(code, err)
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 # c = (x1 + x2, x2 + x3) over GF(5): receiver 1 solves for x1, receiver 2 for x2 and x3
 FILTER_CODE = {"kind": "linear_det", "q": 5, "G": [[1, 0], [1, 1], [0, 1]]}
 FILTER_INSTANCE = {"q": 5, "m": 3, "receivers": [{"knows": [2, 3], "wants": [1]},
@@ -797,6 +817,39 @@ def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, keyed2, argv
     assert out == ""
 
 
+class FailingStdout(io.StringIO):
+    """A stdout whose flushes raise `error`, and its writes too when
+    `on_write`: a buffered stream meets a full device or a closed pipe
+    at a write or only at the flush."""
+
+    def __init__(self, error, on_write):
+        super().__init__()
+        self.error, self.on_write = error, on_write
+
+    def write(self, text):
+        if self.on_write:
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        raise self.error
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+    (OSError(errno.ENOSPC, "No space left on device"), "error: cannot write stdout: No space left on device\n"),
+], ids=["closed-pipe", "full-device"])
+def test_failed_stdout_write_exits_1_without_traceback(tmp_path, capsys, monkeypatch, on_write, error, err):
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1], [1]]}))
+    feed_stdin(monkeypatch, "1 0\n" * 3)
+    monkeypatch.setattr(sys, "stdout", FailingStdout(error, on_write))
+    code = main(["encode", "--code", str(code_path)])
+    assert code == 1
+    assert capsys.readouterr().err == err
+
+
 # ---- subcommand dispatch -------------------------------------------------------------------
 
 def top_level_parse(capsys, argv):
@@ -864,3 +917,32 @@ def test_console_entrypoint_runs(tmp_path, keyed2):
     )
     assert proc.returncode == 0
     assert "yes" in proc.stdout
+
+
+def run_process(argv, stdout, stdin=None):
+    """(exit code, stderr) of `secix argv` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "secix.cli", *argv], input=stdin, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_pipe_exits_1_with_nothing_on_stderr(tmp_path):
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1], [1]]}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        status, err = run_process(["encode", "--code", str(code_path)], write, "1 0\n" * 200000)
+    finally:
+        os.close(write)
+    assert (status, err) == (1, "")
+
+
+def test_full_stdout_device_exits_1_with_one_error_line(tmp_path, crossed2):
+    argv = ["verify", "--instance", write_instance(tmp_path, crossed2), "--code", str(tmp_path / "c.json"), "--json"]
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    ))
+    with open("/dev/full", "w") as full:
+        status, err = run_process(argv, full)
+    assert (status, err) == (1, "error: cannot write stdout: No space left on device\n")

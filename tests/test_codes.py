@@ -76,9 +76,31 @@ def test_encode_matches_python_int_reference(q, data):
         return FieldMatrix(q, np.array(flat, dtype=np.int64).reshape(rows, length))
 
     code = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
-    x = data.draw(st.lists(st.integers(-3 * q, 3 * q), min_size=m, max_size=m))
+    x = data.draw(st.lists(entries, min_size=m, max_size=m))
     y = data.draw(st.lists(entries, min_size=key_dim, max_size=key_dim))
     assert code.encode(x, y if key_dim else None) == encode_reference(code, x, y)
+    # a symbol one field size off is refused, not reduced mod q
+    j = data.draw(st.integers(0, m - 1))
+    shifted = x[:j] + [x[j] + data.draw(st.sampled_from([-q, q]))] + x[j + 1:]
+    with pytest.raises(ValueError, match=rf"message symbol {j + 1} is -?\d+, outside GF\({q}\)"):
+        code.encode(shifted, y if key_dim else None)
+
+
+@pytest.mark.parametrize("x, y, problem", [
+    ((1, 5, 0), (1,), "message symbol 2 is 5, outside GF(5)"),
+    ((1, 0, -1), (1,), "message symbol 3 is -1, outside GF(5)"),
+    ((1.0, 0, 0), (1,), "message symbol 1 is 1.0, not an integer"),
+    ((0, True, 0), (1,), "message symbol 2 is True, not an integer"),
+    ((0, 0, 0), ("1",), "key symbol 1 is '1', not an integer"),
+    ((0, 0, 0), (7,), "key symbol 1 is 7, outside GF(5)"),
+], ids=["high", "negative", "float", "bool", "string-key", "high-key"])
+def test_encode_refuses_symbols_outside_the_field(x, y, problem):
+    code = LinearCode(FieldMatrix(5, [[1, 0], [1, 1], [0, 1]]), FieldMatrix(5, [[1, 1]]))
+    with pytest.raises(ValueError) as info:
+        code.encode(x, y)
+    assert str(info.value) == problem
+    # numpy integers in range are symbols too
+    assert code.encode(np.array([1, 2, 3]), np.array([4])) == code.encode((1, 2, 3), (4,))
 
 
 def test_encode_exact_at_the_size_and_modulus_caps():
@@ -287,6 +309,22 @@ def test_decode_rejects_randomized_and_bad_dimensions():
         decode(det, inst, 9, (0,), (0,))
     with pytest.raises(ValueError):
         decode(det, inst, 1, (0, 0), (0,))
+
+
+@pytest.mark.parametrize("word, side, problem", [
+    ((2, 0), (0,), "codeword symbol 1 is 2, outside GF(2)"),
+    ((0, -1), (0,), "codeword symbol 2 is -1, outside GF(2)"),
+    ((0, 0.5), (0,), "codeword symbol 2 is 0.5, not an integer"),
+    ((0, 0), (3,), "side information symbol 1 is 3, outside GF(2)"),
+    ((0, 0), (None,), "side information symbol 1 is None, not an integer"),
+], ids=["high", "negative", "float", "high-side", "none-side"])
+def test_decode_refuses_symbols_outside_the_field(word, side, problem):
+    inst = Instance(2, 2, (Receiver({2}, {1}),))
+    code = LinearCode(FieldMatrix(2, [[1, 0], [1, 1]]))
+    with pytest.raises(ValueError) as info:
+        decode(code, inst, 1, word, side)
+    assert str(info.value) == problem
+    assert decode(code, inst, 1, (1, 1), (1,)) == (0,)
 
 
 def test_roundtrip_for_constructed_codes():

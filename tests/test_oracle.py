@@ -4,6 +4,7 @@ independently computed expectations."""
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,8 @@ from secix import (
     TableCode,
     check_decodability,
     check_security,
+    search_linear,
+    security_level,
 )
 from secix.gf import radix_digits
 from secix.oracle import (
@@ -33,6 +36,7 @@ from secix.oracle import (
     state_count,
 )
 from conftest import (
+    WIDEST_Q,
     complementary_instance,
     crossed_pairs_instance,
     disjoint_sum_code,
@@ -197,6 +201,52 @@ def test_budget_refusal_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+# 2^40 joint states per code
+FORTY = Instance(2, 40, (Receiver({1}, {2}),))
+
+# per budget refusal: the call, its pinned message fragment, and the
+# function that asks the gate
+SEVEN_REFUSALS = {
+    "states": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY),
+               r"2\^40 joint states exceed", "check_state_budget"),
+    "state-keys": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY, budget=2 ** 90),
+                   "joint states are too many", "check_state_budget"),
+    # C(4, 1) access sets x C(3, 1) blocks
+    "pairs": (lambda: check_security(disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.t_level(1),
+                                     budget=16),
+              r"2\^4 joint states x 12 \(access set, block\) pairs", "check_pair_budget"),
+    "candidates": (lambda: search_linear(FORTY, AccessStructure.t_level(20), 1),
+                   r"2\^40 candidate", "search_linear"),
+    "candidate-index": (lambda: search_linear(FORTY, AccessStructure.t_level(20), 2, budget=2 ** 90),
+                        "candidate generators are too many", "search_linear"),
+    # one row of G^T already spans more than the budget
+    "span-rows": (lambda: security_level(LinearCode(FieldMatrix.identity(WIDEST_Q, 560))),
+                  rf"{WIDEST_Q}\^1 to {WIDEST_Q}\^560 vectors", "security_level"),
+    # the first two rows of G^T are equal, so only the full reduction finds rank 2
+    "span": (lambda: security_level(LinearCode(FieldMatrix(5, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])), budget=10),
+             r"5\^2 vectors of the column span exceed the budget of 10", "security_level"),
+}
+
+
+@pytest.mark.parametrize("name", SEVEN_REFUSALS)
+def test_every_budget_refusal_goes_through_the_gate(monkeypatch, name):
+    call, fragment, site = SEVEN_REFUSALS[name]
+    gate, raised = secix.oracle.refuse, []
+
+    def spy(*args, **kwargs):
+        try:
+            gate(*args, **kwargs)
+        except BudgetExceededError as exc:
+            raised.append((sys._getframe(1).f_code.co_name, exc))
+            raise
+
+    for module in (secix.oracle, secix.codes, secix.analysis):
+        monkeypatch.setattr(module, "refuse", spy)
+    with pytest.raises(BudgetExceededError, match=fragment) as info:
+        call()
+    assert raised == [(site, info.value)]
 
 
 def test_secure_generators_keeps_candidates_apart():

@@ -11,7 +11,6 @@ sees.
 
 from secix import (
     AccessStructure,
-    DecoderWitness,
     FieldMatrix,
     Instance,
     LinearCode,
@@ -26,12 +25,11 @@ keyed = LinearCode(
     FieldMatrix(2, [[1, 0], [1, 0]]),   # messages feed only the first symbol
     FieldMatrix(2, [[1, 1]]),           # the key pads both symbols
 )
-witness = DecoderWitness({(1, 1): ((1, 1), (1,))})
 
 print(f"keyed code: length {keyed.length}, key symbols {keyed.key_dim}")
 print(f"  decodable: {check_decodability(keyed, instance)}")
 
-deterministic = derandomize(keyed, instance, witness)
+deterministic = derandomize(keyed, instance)
 print(f"\nderandomized: length {deterministic.length} (was {keyed.length})")
 print(f"  generator: {deterministic.generator.to_lists()}  (c = x1 + x2)")
 

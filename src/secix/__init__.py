@@ -25,8 +25,6 @@ from .model import (
 )
 from .codes import (
     Decoder,
-    DecoderWitness,
-    InvalidWitnessError,
     LinearCode,
     NoSecureCodeError,
     TableCode,

@@ -21,7 +21,15 @@ import numpy as np
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
 from .gf import FieldMatrix, radix_digits
 from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
-from .oracle import DEFAULT_BUDGET, block_pairs, check_pair_budget, check_state_budget, refuse, secure_generators
+from .oracle import (
+    DEFAULT_BUDGET,
+    block_pairs,
+    check_block_size,
+    check_pair_budget,
+    check_state_budget,
+    refuse,
+    secure_generators,
+)
 
 __all__ = [
     "ANSWER_YES",
@@ -125,8 +133,7 @@ def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
     require_normalized(inst, "analysis")
     if not 0 <= t <= inst.m - 1:
         raise ValueError(f"access level must satisfy 0 <= t <= {inst.m - 1}, got {t}")
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
+    check_block_size(b)
     least = min_side_info(inst)
     if t <= least - b:
         lower, upper = length_bounds(inst, AccessStructure.t_level(t))
@@ -156,7 +163,10 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
     expanded = acc.expand(inst.m)
     lower, upper = length_bounds(inst, acc)
 
-    if not acc.is_classical(inst.m) and every_message_wanted(inst) and build_graph(inst, acc).is_acyclic():
+    # the acyclic certificate needs an access set that leaves a message out
+    full = frozenset(inst.messages())
+    exposed = any(a != full for a in expanded)
+    if exposed and every_message_wanted(inst) and build_graph(inst, acc).is_acyclic():
         return ExistenceVerdict(ANSWER_NO, certificate=AcyclicCertificate(), lower=lower, upper=upper)
 
     for a in expanded:
@@ -169,7 +179,8 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
                     upper=upper,
                 )
 
-    if acc.max_size(inst.m) < min_side_info(inst):
+    # with no access set there is nothing to hide, and the MDS code decodes
+    if not expanded or acc.max_size(inst.m) < min_side_info(inst):
         return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
 
     if len(expanded) == 1:
@@ -226,8 +237,7 @@ def search_linear(
     require_normalized(inst, "analysis")
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
+    check_block_size(b)
     q, m = inst.q, inst.m
     width = m * length
     candidates = q ** width

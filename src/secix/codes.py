@@ -17,7 +17,9 @@ The code constructions here:
 * `derandomize` -- projects a keyed linear code onto the nullspace of
   its key matrix.  Valid decoding vectors are killed by the key matrix,
   so they live in that nullspace and decoding survives; the projected
-  code is a function of the original, so security survives too.
+  code is a function of the original, so security survives too.  A
+  receiver that cannot decode the projection cannot decode the keyed
+  code either, and is named in the refusal.
 * `single_access_code` -- for a single adversary set A: send the A
   messages in the clear, and protect the rest with an MDS code over the
   reduced instance restricted to messages outside A.
@@ -26,7 +28,6 @@ The code constructions here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +39,7 @@ __all__ = [
     "LinearCode",
     "TableCode",
     "Decoder",
-    "DecoderWitness",
     "NoSecureCodeError",
-    "InvalidWitnessError",
     "decode",
     "derandomize",
     "construct_mds_code",
@@ -68,10 +67,6 @@ class NoSecureCodeError(Exception):
             f"no secure code: receiver {receiver} knows only messages inside "
             f"access set {sorted(self.access)} but wants one outside it"
         )
-
-
-class InvalidWitnessError(Exception):
-    """A decoding witness does not actually decode the given code."""
 
 
 def _field_symbols(values, q: int, what: str) -> list:
@@ -196,22 +191,6 @@ class TableCode:
         return f"TableCode(q={self.q}, m={self.m}, length={self.length}, keys={self.key_count})"
 
 
-@dataclass(frozen=True)
-class DecoderWitness:
-    """Decoding vectors for a keyed linear code.
-
-    entries maps (receiver, wanted message) to (d, e): the wanted symbol
-    equals codeword . d + side_information . e for every message and
-    key assignment.  Pairs where the receiver already knows the wanted
-    message need no entry (side information alone recovers them).
-    """
-
-    entries: dict
-
-    def get(self, receiver: int, message: int):
-        return self.entries.get((receiver, message))
-
-
 class Decoder:
     """Decoding map of one receiver of a deterministic linear code.
 
@@ -302,61 +281,26 @@ def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     return tuple(int(v) for v in values[0]) if ok[0] else None
 
 
-def derandomize(code: LinearCode, inst: Instance, witness: DecoderWitness) -> LinearCode:
-    """Deterministic code from a keyed linear code, given decoding vectors.
+def derandomize(code: LinearCode, inst: Instance) -> LinearCode:
+    """Deterministic code G N from a keyed linear code c = x G + y Gtilde,
+    for a nullspace basis N of Gtilde; its length is ell - rank(Gtilde).
 
-    Every witness vector d must satisfy Gtilde d = 0 (otherwise the key
-    would contaminate the decoded value, so the original code was not
-    decodable and InvalidWitnessError is raised) and G d + S e = e_j
-    where S selects the receiver's known coordinates.  The new
-    generator is G N for a nullspace basis N of Gtilde; its length is
-    ell - rank(Gtilde), every d lies in the span of N, and the new
-    codeword is a function of the old one.
+    A decoding vector d of the keyed code must satisfy Gtilde d = 0, or
+    the key would contaminate the decoded value, so d = N u and G N u
+    decodes the same symbol; conversely a decoding vector u of G N gives
+    d = N u for the keyed code.  So G N decodes for exactly the receivers
+    the keyed code serves, and ValueError names the first receiver it
+    fails.  The new codeword c N = x G N is a function of the old one,
+    so it leaks nothing the keyed code hides.
     """
     if not code.is_randomized:
         raise ValueError("derandomize applies to randomized linear codes")
     check_code_matches(code, inst)
-    q = code.q
-    for (receiver, message) in witness.entries:
-        if not 1 <= receiver <= inst.n:
-            raise InvalidWitnessError(f"witness names receiver {receiver}, instance has {inst.n}")
-        if message not in inst.receivers[receiver - 1].wants:
-            raise InvalidWitnessError(
-                f"witness entry ({receiver}, {message}) is not a wanted message of that receiver"
-            )
-    for i, rec in enumerate(inst.receivers, start=1):
-        for j in sorted(rec.wants - rec.knows):
-            if witness.get(i, j) is None:
-                raise InvalidWitnessError(f"witness missing entry for receiver {i}, message {j}")
-    for (receiver, message), (d_vec, e_vec) in sorted(witness.entries.items()):
-        rec = inst.receivers[receiver - 1]
-        known = sorted(rec.knows)
-        d = FieldMatrix.column(q, d_vec)
-        e = FieldMatrix.column(q, e_vec)
-        if d.rows != code.length:
-            raise InvalidWitnessError(
-                f"witness ({receiver}, {message}): d has {d.rows} entries, expected {code.length}"
-            )
-        if e.rows != len(known):
-            raise InvalidWitnessError(
-                f"witness ({receiver}, {message}): e has {e.rows} entries, expected {len(known)}"
-            )
-        if not (code.key_generator @ d).is_zero():
-            raise InvalidWitnessError(
-                f"witness ({receiver}, {message}): d is not in the nullspace of the key matrix, "
-                "so the keyed code cannot decode with it"
-            )
-        # G d + e placed at the known coordinates must be the unit vector e_j
-        recovered = code.generator.data @ d.data[:, 0]
-        recovered[[j - 1 for j in known]] += e.data[:, 0]
-        unit = np.zeros(code.m, dtype=np.int64)
-        unit[message - 1] = 1
-        if not np.array_equal(recovered % q, unit):
-            raise InvalidWitnessError(
-                f"witness ({receiver}, {message}) does not recover the wanted symbol"
-            )
-    basis = code.key_generator.nullspace()
-    return LinearCode(code.generator @ basis)
+    projected = LinearCode(code.generator @ code.key_generator.nullspace())
+    for i in range(1, inst.n + 1):
+        if not Decoder(projected, inst, i).decodable:
+            raise ValueError(f"receiver {i} cannot decode the keyed code")
+    return projected
 
 
 def construct_mds_code(inst: Instance) -> LinearCode:

@@ -15,6 +15,7 @@ import graphlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -37,6 +38,30 @@ __all__ = [
 ]
 
 
+def _index(value, what: str) -> int:
+    """value as an int when it is an integer, a numpy integer included;
+    ValueError for a bool, a float, a string or any other value."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _indices(values, what: str) -> frozenset:
+    """The frozenset of `_index` of each of values; ValueError naming the
+    first value that is not an integer.  One pass with no Python call
+    per value when all are integers."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return frozenset(map(operator.index, values))
+        except TypeError:
+            pass
+    return frozenset(_index(v, f"{what} entry") for v in values)
+
+
 @dataclass(frozen=True)
 class Receiver:
     """One receiver: the messages it knows and the messages it wants."""
@@ -45,8 +70,8 @@ class Receiver:
     wants: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "knows", frozenset(int(v) for v in self.knows))
-        object.__setattr__(self, "wants", frozenset(int(v) for v in self.wants))
+        object.__setattr__(self, "knows", _indices(self.knows, "receiver knows"))
+        object.__setattr__(self, "wants", _indices(self.wants, "receiver wants"))
 
     def missing_wants(self) -> frozenset:
         """Wanted messages not already known."""
@@ -62,8 +87,8 @@ class Instance:
     receivers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "q", _index(self.q, "field size q"))
+        object.__setattr__(self, "m", _index(self.m, "message count m"))
         object.__setattr__(self, "receivers", tuple(self.receivers))
 
     @property
@@ -184,7 +209,7 @@ class AccessStructure:
 
     @classmethod
     def t_level(cls, t: int) -> "AccessStructure":
-        t = int(t)
+        t = _index(t, "access level t")
         if t < 0:
             raise ValueError(f"access level must be >= 0, got {t}")
         return cls(cls.KIND_T_LEVEL, t=t)
@@ -194,7 +219,7 @@ class AccessStructure:
         deduped = []
         seen = set()
         for a in sets:
-            fa = frozenset(int(v) for v in a)
+            fa = _indices(a, "access set")
             if fa not in seen:
                 seen.add(fa)
                 deduped.append(fa)

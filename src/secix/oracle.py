@@ -75,8 +75,9 @@ __all__ = [
     "secure_generators",
     "state_count",
 ]
-# `refuse` and `check_code_matches` stay unlisted, though codes and analysis call
-# them: perfbench's tracer wraps what is listed and counts a refusal where it wraps.
+# `refuse`, `check_code_matches` and `check_block_size` stay unlisted, though codes
+# and analysis call them: perfbench's tracer wraps what is listed and counts a
+# refusal where it wraps.
 
 # Joint (message, key) states enumerated per verification, unless overridden.
 DEFAULT_BUDGET = 2 ** 22
@@ -145,6 +146,13 @@ def check_code_matches(code, inst: Instance) -> None:
     field than the instance's, which then governs the message alphabet."""
     if code.m != inst.m:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
+
+
+def check_block_size(b: int) -> None:
+    """ValueError unless the block size b is at least 1.  Callers run it
+    before any budget refusal, so a bad b is a usage error first."""
+    if b < 1:
+        raise ValueError(f"block size must be >= 1, got {b}")
 
 
 def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
@@ -460,14 +468,13 @@ def check_security(
     is refused before the pairs are listed; receiver rows are not
     counted.
     """
+    check_block_size(b)
     check_code_matches(code, inst)
     if code.kind == "linear":
         shown = f"{code.q}^{code.m + code.key_dim}"
     else:
         shown = f"{code.q}^{code.m} x {code.key_count}"
     check_state_budget(code.q, code.m, code.key_count, shown, budget)
-    if b < 1:
-        raise ValueError(f"block size must be >= 1, got {b}")
     check_pair_budget(state_count(code), shown, inst.m, acc, b, budget)
     decodes, checks = _verify(code, inst, block_pairs(inst, acc, b), b)
     return SecurityReport(tuple(checks), b, tuple(decodes))

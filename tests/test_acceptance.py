@@ -16,7 +16,6 @@ from secix import (
     AccessStructure,
     AcyclicCertificate,
     CompromisedReceiverCertificate,
-    DecoderWitness,
     FieldMatrix,
     Instance,
     LinearCode,
@@ -163,10 +162,10 @@ def test_criterion_4_level_monotonicity():
 # ---- criterion 5: derandomization dominates ----------------------------------------------
 
 def keyed_corpus():
-    """Hand-built randomized linear codes with decoding witnesses.
+    """Hand-built randomized linear codes that every receiver decodes.
 
-    Entries: (label, instance, code, witness, access structures to
-    compare verdicts on).
+    Entries: (label, instance, code, access structures to compare
+    verdicts on).
     """
     entries = []
 
@@ -182,49 +181,42 @@ def keyed_corpus():
         "pad-and-reveal q2",
         keyed_q2,
         lc(2, [[1, 0], [1, 0]], [[1, 1]]),
-        DecoderWitness({(1, 1): ((1, 1), (1,))}),
         accs_m2,
     ))
     entries.append((
         "pad-and-reveal q3",
         keyed_q3,
         lc(3, [[1, 0], [1, 0]], [[1, 1]]),
-        DecoderWitness({(1, 1): ((1, 2), (2,))}),
         accs_m2,
     ))
     entries.append((
         "scaled pad q5",
         keyed_q5,
         lc(5, [[1, 0], [1, 0]], [[1, 3]]),
-        DecoderWitness({(1, 1): ((1, 3), (4,))}),
         accs_m2,
     ))
     entries.append((
         "two chained keys q2",
         keyed_q2,
         lc(2, [[1, 0, 0], [1, 0, 0]], [[1, 1, 0], [0, 1, 1]]),
-        DecoderWitness({(1, 1): ((1, 1, 1), (1,))}),
         accs_m2,
     ))
     entries.append((
         "duplicate keys q2",
         keyed_q2,
         lc(2, [[1, 0], [1, 0]], [[1, 1], [1, 1]]),
-        DecoderWitness({(1, 1): ((1, 1), (1,))}),
         accs_m2,
     ))
     entries.append((
         "zero key matrix q2",
         keyed_q2,
         lc(2, [[1, 1], [1, 0]], [[0, 0]]),
-        DecoderWitness({(1, 1): ((0, 1), (0,))}),
         accs_m2,
     ))
     entries.append((
         "key on redundant symbol q3",
         keyed_q3,
         lc(3, [[1, 0], [1, 0]], [[0, 1]]),
-        DecoderWitness({(1, 1): ((1, 0), (2,))}),
         accs_m2,
     ))
 
@@ -233,7 +225,6 @@ def keyed_corpus():
         "padded total sum m3 q2",
         two_receivers,
         lc(2, [[1, 0], [1, 0], [1, 0]], [[1, 1]]),
-        DecoderWitness({(1, 1): ((1, 1), (1, 1)), (2, 2): ((1, 1), (1, 1))}),
         [AccessStructure.t_level(0), AccessStructure.t_level(1)],
     ))
 
@@ -242,11 +233,6 @@ def keyed_corpus():
         "padded scaled sum m3 q3",
         comp3,
         lc(3, [[1, 0], [1, 0], [1, 0]], [[1, 2]]),
-        DecoderWitness({
-            (1, 1): ((1, 1), (2, 2)),
-            (2, 2): ((1, 1), (2, 2)),
-            (3, 3): ((1, 1), (2, 2)),
-        }),
         [AccessStructure.t_level(0), AccessStructure.t_level(1)],
     ))
 
@@ -255,12 +241,6 @@ def keyed_corpus():
         "keyed pair sums m4 q2",
         crossed,
         lc(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], [[0, 1, 1]]),
-        DecoderWitness({
-            (1, 1): ((1, 0, 0), (1,)),
-            (2, 2): ((1, 0, 0), (1,)),
-            (3, 3): ((0, 1, 1), (0, 1)),
-            (4, 4): ((0, 1, 1), (0, 1)),
-        }),
         [AccessStructure.explicit([[3, 4]]), AccessStructure.explicit([[3]])],
     ))
 
@@ -269,7 +249,6 @@ def keyed_corpus():
         "two wants one receiver q2",
         wide,
         lc(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[1, 1, 1]]),
-        DecoderWitness({(1, 1): ((1, 0, 1), (1,)), (1, 2): ((0, 1, 1), (1,))}),
         [AccessStructure.explicit([[]]), AccessStructure.explicit([[3]])],
     ))
 
@@ -278,7 +257,6 @@ def keyed_corpus():
         "padded total sum m4 q2",
         comp4,
         lc(2, [[1, 0], [1, 0], [1, 0], [1, 0]], [[1, 1]]),
-        DecoderWitness({(i, i): ((1, 1), (1, 1, 1)) for i in range(1, 5)}),
         [AccessStructure.t_level(t) for t in range(3)],
     ))
 
@@ -288,8 +266,8 @@ def keyed_corpus():
 def test_criterion_5_derandomization_dominates():
     corpus = keyed_corpus()
     assert len(corpus) >= 10
-    for label, inst, code, witness, accs in corpus:
-        det = derandomize(code, inst, witness)
+    for label, inst, code, accs in corpus:
+        det = derandomize(code, inst)
         assert det.length <= code.length, label
         assert all(check_decodability(det, inst)), label
         assert all(check_decodability(code, inst)), label

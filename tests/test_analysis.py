@@ -154,6 +154,16 @@ def test_decide_classical_structure_yes(crossed2):
     assert all(check_decodability(verdict.code, crossed2))
 
 
+def test_decide_no_access_set_yes_with_mds(crossed2):
+    # no access set: nothing can leak, so the acyclic certificate must not apply
+    inst = Instance(2, 2, (Receiver(set(), {1}), Receiver({1}, {2})))
+    for case in (inst, crossed2):
+        verdict = decide(case, AccessStructure.explicit([]))
+        assert verdict.answer == ANSWER_YES
+        assert all(check_decodability(verdict.code, case))
+    assert decide(inst, AccessStructure.explicit([[]])).certificate == AcyclicCertificate()
+
+
 # ---- length bounds ---------------------------------------------------------------------
 
 def complementary_plus(q=2):
@@ -265,6 +275,17 @@ def test_search_rejects_bad_block_size_before_any_candidate(crossed2):
             search_linear(crossed2, acc, length, b=0)
         with pytest.raises(InfeasibleBlockError):
             search_linear(crossed2, acc, length, b=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: decide_t_level(inst, 0, b=0),
+    lambda inst: search_linear(inst, AccessStructure.t_level(0), 1, b=0, budget=1),
+    lambda inst: check_security(LinearCode(FieldMatrix(inst.q, [[1]] * inst.m)), inst,
+                                AccessStructure.t_level(0), b=0, budget=1),
+], ids=["decide_t_level", "search_linear", "check_security"])
+def test_block_size_refused_alike_before_any_budget(crossed2, call):
+    with pytest.raises(ValueError, match=r"^block size must be >= 1, got 0$"):
+        call(crossed2)
 
 
 def test_full_search_scan_stays_small():

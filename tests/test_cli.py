@@ -124,6 +124,33 @@ def test_analyze_block_size_needs_t_level(tmp_path, capsys, crossed2):
     assert "t-level" in err
 
 
+# receiver 1 knows nothing: the graph is acyclic and every message is wanted
+OPEN_INSTANCE = {"q": 2, "m": 2, "receivers": [{"knows": [], "wants": [1]}, {"knows": [1], "wants": [2]}]}
+
+
+def test_no_access_set_answers_yes_as_search_and_verify_do(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(OPEN_INSTANCE))
+    code_path = str(tmp_path / "code.json")
+    base = ("--instance", str(inst_path), "--access", "[]")
+    code, out, _ = run(capsys, "analyze", *base, "--json")
+    assert code == 0 and json.loads(out)["answer"] == "yes"
+    code, _, _ = run(capsys, "construct", *base, "--code", code_path)
+    assert code == 0 and load_code(code_path).length == 2
+    code, out, _ = run(capsys, "verify", *base, "--code", code_path)
+    assert code == 0 and out.endswith("secure: True\n")
+    code, _, _ = run(capsys, "search", *base, "--length", "2")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+def test_empty_access_set_keeps_the_acyclic_certificate(tmp_path, capsys, command):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(OPEN_INSTANCE))
+    code, out, _ = run(capsys, command, "--instance", str(inst_path), "--access", "[[]]", "--json")
+    assert code == 2 and json.loads(out)["certificate"] == {"type": "acyclic"}
+
+
 # ---- construct / verify ------------------------------------------------------------
 
 def test_construct_writes_code_and_reports_length(tmp_path, capsys, crossed2):
@@ -243,6 +270,19 @@ def test_verify_budget_exceeded(tmp_path, capsys, crossed2):
                        "--code", str(code_path), "--budget", "5")
     assert code == 4
     assert "budget" in err.lower()
+
+
+def test_verify_refuses_bad_block_size_before_the_state_budget(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 24, "receivers": [{"knows": [2], "wants": [1]}]}))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1]] * 24}))
+    argv = ("verify", "--instance", str(inst_path), "--code", str(code_path))
+    code, _, err = run(capsys, *argv)
+    assert code == 4 and "2^24 joint states exceed" in err
+    code, out, err = run(capsys, *argv, "--b", "0")
+    assert_one_error_line(code, err)
+    assert err == "error: block size must be >= 1, got 0\n" and out == ""
 
 
 # the largest prime below gf.MAX_MODULUS: q^600 has more than 4300 decimal digits

@@ -9,10 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from secix import (
     AccessStructure,
-    DecoderWitness,
     FieldMatrix,
     Instance,
-    InvalidWitnessError,
     LinearCode,
     NoSecureCodeError,
     Decoder,
@@ -355,9 +353,7 @@ def padded_key_code(q=2):
 
 
 def test_derandomize_padded_key_code(keyed2):
-    code = padded_key_code()
-    witness = DecoderWitness({(1, 1): ((1, 1), (1,))})
-    det = derandomize(code, keyed2, witness)
+    det = derandomize(padded_key_code(), keyed2)
     assert det.length == 1
     assert det.generator.to_lists() == [[1], [1]]
     assert check_decodability(det, keyed2) == [True]
@@ -366,7 +362,7 @@ def test_derandomize_padded_key_code(keyed2):
 
 def test_derandomize_zero_key_matrix_keeps_length(keyed2):
     code = LinearCode(FieldMatrix(2, [[1], [1]]), FieldMatrix(2, [[0]]))
-    det = derandomize(code, keyed2, DecoderWitness({(1, 1): ((1,), (1,))}))
+    det = derandomize(code, keyed2)
     assert det.length == 1
     assert check_decodability(det, keyed2) == [True]
 
@@ -374,26 +370,13 @@ def test_derandomize_zero_key_matrix_keeps_length(keyed2):
 def test_derandomize_full_rank_key_matrix_invalidates_witness(keyed2):
     # the key saturates both symbols; no decoding vector can dodge it
     code = LinearCode(FieldMatrix(2, [[1, 0], [1, 1]]), FieldMatrix(2, [[1, 0], [0, 1]]))
-    with pytest.raises(InvalidWitnessError, match="nullspace"):
-        derandomize(code, keyed2, DecoderWitness({(1, 1): ((1, 1), (1,))}))
-
-
-def test_derandomize_rejects_wrong_identity(keyed2):
-    code = padded_key_code()
-    bad = DecoderWitness({(1, 1): ((0, 0), (1,))})  # d = 0 recovers nothing
-    with pytest.raises(InvalidWitnessError, match="recover"):
-        derandomize(code, keyed2, bad)
-
-
-def test_derandomize_requires_complete_witness(keyed2):
-    code = padded_key_code()
-    with pytest.raises(InvalidWitnessError, match="missing"):
-        derandomize(code, keyed2, DecoderWitness({}))
+    with pytest.raises(ValueError, match="^receiver 1 cannot decode"):
+        derandomize(code, keyed2)
 
 
 def test_derandomize_requires_randomized_code(keyed2):
     with pytest.raises(ValueError):
-        derandomize(LinearCode(FieldMatrix(2, [[1], [1]])), keyed2, DecoderWitness({}))
+        derandomize(LinearCode(FieldMatrix(2, [[1], [1]])), keyed2)
 
 
 def test_derandomize_dominates_pair_by_pair():
@@ -404,13 +387,7 @@ def test_derandomize_dominates_pair_by_pair():
         FieldMatrix(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]]),
         FieldMatrix(2, [[0, 1, 1]]),
     )
-    witness = DecoderWitness({
-        (1, 1): ((1, 0, 0), (1,)),
-        (2, 2): ((1, 0, 0), (1,)),
-        (3, 3): ((0, 1, 1), (0, 1)),
-        (4, 4): ((0, 1, 1), (0, 1)),
-    })
-    det = derandomize(keyed, inst, witness)
+    det = derandomize(keyed, inst)
     for acc in (AccessStructure.t_level(1), AccessStructure.explicit([[3, 4], [2]])):
         before = check_security(keyed, inst, acc)
         after = check_security(det, inst, acc)
@@ -418,6 +395,47 @@ def test_derandomize_dominates_pair_by_pair():
         for pair in before.checks:
             if pair.uniform:
                 assert by_pair[(pair.access, pair.block)], (pair.access, pair.block)
+
+
+@st.composite
+def keyed_cases(draw):
+    """(keyed code, instance): q in {2, 3, 5}, m <= 4, one or two key
+    rows, length <= 4 and q^(m + key rows) <= 4096 joint states, with
+    receivers that may want what they know."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 4))
+    key_dim = draw(st.integers(1, 2).filter(lambda k: q ** (m + k) <= 4096))
+    length = draw(st.integers(0, 4))
+
+    def matrix(rows):
+        entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
+        return FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(rows, length))
+
+    subsets = st.frozensets(st.integers(1, m))
+    receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=3))
+    return LinearCode(matrix(m), matrix(key_dim)), Instance(q, m, tuple(receivers))
+
+
+@given(keyed_cases())
+@settings(max_examples=150, deadline=None)
+def test_derandomize_matches_the_oracle(case):
+    """derandomize returns a code iff the enumeration says the keyed code
+    decodes for every receiver, and otherwise names the first receiver
+    it does not; the code is ell - rank(Gtilde) long, decodes, and at
+    every t-level keeps uniform each pair the keyed code keeps uniform."""
+    keyed, inst = case
+    decodes = check_decodability(keyed, inst)
+    if not all(decodes):
+        with pytest.raises(ValueError, match=f"^receiver {decodes.index(False) + 1} cannot decode"):
+            derandomize(keyed, inst)
+        return
+    det = derandomize(keyed, inst)
+    assert det.length == keyed.length - keyed.key_generator.rank()
+    assert all(check_decodability(det, inst))
+    for t in range(inst.m):
+        acc = AccessStructure.t_level(t)
+        kept = {(p.access, p.block) for p in check_security(det, inst, acc).checks if p.uniform}
+        assert {(p.access, p.block) for p in check_security(keyed, inst, acc).checks if p.uniform} <= kept
 
 
 # ---- single-access construction -----------------------------------------------------

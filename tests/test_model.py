@@ -146,6 +146,48 @@ def test_max_size_symbolic():
     assert AccessStructure.explicit([[]]).max_size(4) == 0
 
 
+# ---- constructors take integers only ------------------------------------------------
+
+# values int() would silently read as 1 or 2
+NOT_INTEGERS = [1.5, 2.0, "1", True, np.float64(1.0)]
+
+
+def test_receiver_refuses_non_integer_indices():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^receiver knows entry must be an integer"):
+            Receiver({bad}, {2})
+        with pytest.raises(ValueError, match="^receiver wants entry must be an integer"):
+            Receiver({1}, [2, bad])
+    rec = Receiver({np.int64(1)}, [np.uint8(2)])
+    assert rec == Receiver({1}, {2}) and {type(j) for j in rec.knows | rec.wants} == {int}
+
+
+def test_instance_refuses_non_integer_sizes():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^field size q must be an integer"):
+            Instance(bad, 3, ())
+        with pytest.raises(ValueError, match="^message count m must be an integer"):
+            Instance(2, bad, ())
+    inst = Instance(np.int64(2), np.int32(3), ())
+    assert (inst.q, inst.m) == (2, 3) and type(inst.q) is type(inst.m) is int
+
+
+def test_explicit_refuses_non_integer_indices():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^access set entry must be an integer"):
+            AccessStructure.explicit([[1], [bad]])
+    acc = AccessStructure.explicit([np.array([1, 2])])
+    assert acc.sets == (frozenset({1, 2}),) and {type(j) for j in acc.sets[0]} == {int}
+
+
+def test_t_level_refuses_non_integer_level():
+    for bad in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^access level t must be an integer"):
+            AccessStructure.t_level(bad)
+    acc = AccessStructure.t_level(np.int64(1))
+    assert acc == AccessStructure.t_level(1) and type(acc.t) is int
+
+
 # ---- graph view ------------------------------------------------------------------
 
 def test_graph_arcs_for_keyed_instance(keyed2):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
-from .gf import FieldMatrix, radix_digits
+from .gf import FieldMatrix, checked_int, radix_digits
 from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
 from .oracle import (
     DEFAULT_BUDGET,
@@ -131,12 +131,12 @@ def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
     most b messages.
     """
     require_normalized(inst, "analysis")
-    if not 0 <= t <= inst.m - 1:
-        raise ValueError(f"access level must satisfy 0 <= t <= {inst.m - 1}, got {t}")
+    acc = AccessStructure.t_level(t)
+    t = acc.max_size(inst.m)  # refuses t outside [0, m - 1]
     check_block_size(b)
     least = min_side_info(inst)
     if t <= least - b:
-        lower, upper = length_bounds(inst, AccessStructure.t_level(t))
+        lower, upper = length_bounds(inst, acc)
         return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
     idx, rec = min(enumerate(inst.receivers, start=1), key=lambda pair: len(pair[1].knows))
     j = min(rec.wants - rec.knows)
@@ -235,7 +235,7 @@ def search_linear(
     (access set, block) pairs each candidate is checked on.
     """
     require_normalized(inst, "analysis")
-    if length < 0:
+    if checked_int(length, "code length") < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
     check_block_size(b)
     q, m = inst.q, inst.m

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, codes, model, oracle
+from . import analysis, codes, gf, model, oracle
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,7 +39,7 @@ def _load_instance(args):
         inst, file_acc = model.load_instance(args.instance)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read instance: {exc}")
-    violations = [v for v in model.validate(inst) if "expungeable" not in v]
+    violations = model.validate(inst)
     if violations:
         raise ValueError("invalid instance: " + "; ".join(violations))
     return inst, file_acc
@@ -57,7 +57,7 @@ def _resolve_access(args, file_acc, m):
             raise ValueError(f"--access is not valid JSON: {exc}")
         if not isinstance(sets, list):
             raise ValueError("--access must be a JSON list of index lists, e.g. '[[3,4]]'")
-        return model.AccessStructure.explicit([model.checked_ints(a, "--access set") for a in sets])
+        return model.AccessStructure.explicit([gf.checked_ints(a, "--access set") for a in sets])
     if file_acc is not None:
         return file_acc
     # no adversary anywhere: fall back to the classical no-constraint case

@@ -31,8 +31,17 @@ import itertools
 
 import numpy as np
 
-from .gf import MAX_MESSAGES, FieldMatrix, radix_digits, smallest_prime_at_least, vandermonde
-from .model import Instance, Receiver, checked_int, checked_ints, read_json, require_normalized, write_json
+from .gf import (
+    MAX_MESSAGES,
+    FieldMatrix,
+    checked_int,
+    checked_ints,
+    checked_modulus,
+    radix_digits,
+    smallest_prime_at_least,
+    vandermonde,
+)
+from .model import Instance, Receiver, read_json, require_normalized, write_json
 from .oracle import DEFAULT_BUDGET, check_code_matches, refuse
 
 __all__ = [
@@ -67,18 +76,6 @@ class NoSecureCodeError(Exception):
             f"no secure code: receiver {receiver} knows only messages inside "
             f"access set {sorted(self.access)} but wants one outside it"
         )
-
-
-def _field_symbols(values, q: int, what: str) -> list:
-    """`values` as a list of ints when each is an integer in [0, q), never
-    reduced mod q; ValueError naming the first position, from 1, otherwise."""
-    values = list(values)
-    for i, v in enumerate(values, start=1):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{what} {i} is {v!r}, not an integer")
-        if not 0 <= v < q:
-            raise ValueError(f"{what} {i} is {v}, outside GF({q})")
-    return [int(v) for v in values]
 
 
 class LinearCode:
@@ -126,13 +123,13 @@ class LinearCode:
     def encode(self, x, y=None) -> tuple:
         """Codeword for message vector x (and key vector y when keyed),
         each symbol an integer in [0, q)."""
-        x = _field_symbols(x, self.q, "message symbol")
+        x = checked_ints(x, "message vector", self.q)
         if len(x) != self.m:
             raise ValueError(f"message vector has length {len(x)}, expected {self.m}")
         if self.is_randomized:
             if y is None:
                 raise ValueError("randomized code needs a key vector")
-            y = _field_symbols(y, self.q, "key symbol")
+            y = checked_ints(y, "key vector", self.q)
             if len(y) != self.key_dim:
                 raise ValueError(f"key vector has length {len(y)}, expected {self.key_dim}")
             x += y
@@ -162,12 +159,12 @@ class TableCode:
     kind = "table"
 
     def __init__(self, q: int, m: int, length: int, key_count: int, table: dict):
-        if key_count < 1:
+        self.q = checked_int(q, "field size q")
+        self.m = checked_int(m, "message count m")
+        self.length = checked_int(length, "code length")
+        self.key_count = checked_int(key_count, "key count")
+        if self.key_count < 1:
             raise ValueError("key alphabet must have at least one value")
-        self.q = int(q)
-        self.m = int(m)
-        self.length = int(length)
-        self.key_count = int(key_count)
         self.table = dict(table)
         expected = self.q ** self.m * self.key_count
         if len(self.table) != expected:
@@ -177,7 +174,7 @@ class TableCode:
                 if (x, key) not in self.table:
                     raise ValueError(f"table missing entry for x={x}, key={key}")
         for value in self.table.values():
-            if len(value) != self.length or any(not 0 <= v < self.q for v in value):
+            if len(checked_ints(value, "table value", self.q)) != self.length:
                 raise ValueError(f"table value {value} is not a length-{self.length} word over GF({self.q})")
 
     @property
@@ -185,7 +182,8 @@ class TableCode:
         return self.key_count > 1
 
     def encode(self, x, y=0) -> tuple:
-        return tuple(self.table[(tuple(int(v) for v in x), int(y))])
+        x = tuple(checked_ints(x, "message vector", self.q))
+        return tuple(self.table[(x, checked_int(y, "key"))])
 
     def __repr__(self):
         return f"TableCode(q={self.q}, m={self.m}, length={self.length}, keys={self.key_count})"
@@ -213,7 +211,7 @@ class Decoder:
         check_code_matches(code, inst)
         if code.is_randomized:
             raise ValueError("decode applies to deterministic linear codes")
-        if not 1 <= receiver <= inst.n:
+        if not 1 <= checked_int(receiver, "receiver index") <= inst.n:
             raise ValueError(f"receiver index {receiver} out of range [1, {inst.n}]")
         rec = inst.receivers[receiver - 1]
         known = sorted(rec.knows)
@@ -271,8 +269,8 @@ def decode(code: LinearCode, inst: Instance, receiver: int, codeword, side):
     decode many codewords for the same receiver.
     """
     decoder = Decoder(code, inst, receiver)
-    codeword = _field_symbols(codeword, code.q, "codeword symbol")
-    side = _field_symbols(side, code.q, "side information symbol")
+    codeword = checked_ints(codeword, "codeword", code.q)
+    side = checked_ints(side, "side information", code.q)
     if len(codeword) != code.length:
         raise ValueError(f"codeword has length {len(codeword)}, expected {code.length}")
     if len(side) != decoder.side_count:
@@ -333,7 +331,7 @@ def single_access_code(inst: Instance, access) -> LinearCode:
     could decode whatever that receiver decodes.
     """
     require_normalized(inst, "single-access construction")
-    access = frozenset(int(v) for v in access)
+    access = frozenset(checked_ints(access, "access set"))
     for j in access:
         if not 1 <= j <= inst.m:
             raise ValueError(f"access index {j} out of range [1, {inst.m}]")
@@ -420,24 +418,16 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 def _field_matrix(q: int, rows, what: str) -> FieldMatrix:
     """The FieldMatrix of `rows` (the matrix `what` of a code file) when
     it is a list of equally long rows of integers in [0, q); ValueError
-    naming the row otherwise.  No entry is reduced mod q."""
+    naming the row otherwise.  No entry is reduced mod q.  q must already
+    be a valid modulus, so every entry that passes fits in int64."""
     if not isinstance(rows, list):
         raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
+    checked = []
     for i, row in enumerate(rows, start=1):
-        checked_ints(row, f"{what} row {i}")
+        checked.append(checked_ints(row, f"{what} row {i}", q))
         if len(row) != len(rows[0]):
             raise ValueError(f"{what} row {i} has length {len(row)}, row 1 has length {len(rows[0])}")
-    try:
-        data = np.array(rows, dtype=np.int64)
-    except OverflowError:  # entries past int64, outside every GF(q)
-        data = np.array(rows, dtype=object)
-    matrix = FieldMatrix(q, data)  # checks q, and reduces a copy of data
-    # reducing mod q changes exactly the entries outside [0, q)
-    outside = matrix.data != data
-    if np.count_nonzero(outside):
-        i, j = np.argwhere(outside)[0]
-        raise ValueError(f"{what} row {i + 1} entry {rows[i][j]} is outside GF({q})")
-    return matrix
+    return FieldMatrix(q, np.array(checked, dtype=np.int64))
 
 
 def parse_code(obj) -> LinearCode:
@@ -456,7 +446,7 @@ def parse_code(obj) -> LinearCode:
     kind = obj["kind"]
     if kind not in ("linear_det", "linear_rand"):
         raise ValueError(f"unknown code kind {kind!r}")
-    q = checked_int(obj["q"], "q")
+    q = checked_modulus(checked_int(obj["q"], "q"))
     generator = _field_matrix(q, obj["G"], "G")
     key_generator = None
     if kind == "linear_rand":

@@ -12,6 +12,7 @@ the moduli and dimensions are capped so that no int64 product can wrap.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "smallest_prime_at_least",
     "vandermonde",
 ]
+# `checked_int`, `checked_ints` and `checked_modulus` stay unlisted, though
+# every module calls them: perfbench's tracer wraps what is listed as a span.
 
 # Largest message count m, and largest m + key_dim and length of a code:
 # it bounds the dense m x m arrays that constructions and decode build.
@@ -54,15 +57,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def checked_int(value, what: str) -> int:
+    """value as an int when it is a Python or numpy integer; ValueError
+    for a bool, a float, a string or any other value.
+
+    The package's one test of whether a value from a file, a flag or a
+    library caller is an integer; `checked_ints` applies it to a list.
+    """
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def checked_ints(values, what: str, q: int | None = None) -> list:
+    """A new list of `checked_int` of each of values; ValueError for a
+    string, a dict or a scalar.  With q given, each value must also lie
+    in [0, q): it is refused, never reduced mod q.  Types are checked
+    before ranges, so the first value that is not an integer is named
+    even when an earlier one lies outside GF(q)."""
+    try:
+        if isinstance(values, (str, bytes, dict)):
+            raise TypeError
+        values = list(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
+    for v in values:
+        if type(v) is not int:
+            values = [checked_int(v, f"{what} entry") for v in values]
+            break
+    if q is not None:
+        for v in values:
+            if not 0 <= v < q:
+                raise ValueError(f"{what} entry {v} is outside GF({q})")
+    return values
+
+
 def smallest_prime_at_least(n: int) -> int:
-    candidate = max(2, int(n))
+    candidate = max(2, checked_int(n, "lower bound n"))
     while not is_prime(candidate):
         candidate += 1
     return candidate
 
 
-def _checked_modulus(q) -> int:
-    q = int(q)
+def checked_modulus(q) -> int:
+    """q as an int when it is a prime no larger than MAX_MODULUS;
+    ValueError otherwise."""
+    q = checked_int(q, "field modulus")
     if q > MAX_MODULUS:
         raise ValueError(f"field modulus {q} exceeds {MAX_MODULUS}, the largest with exact int64 arithmetic")
     if not is_prime(q):
@@ -83,22 +126,25 @@ def radix_digits(values, q: int, width: int):
 class FieldMatrix:
     """Immutable dense matrix over GF(q).
 
-    q must be a prime no larger than MAX_MODULUS.  Entries are stored as
-    a read-only int64 array, reduced mod q at construction.  Operations
-    between matrices require equal moduli and raise ValueError otherwise.
+    q must be a prime no larger than MAX_MODULUS.  Entries must be
+    integers: a bool, float or string entry raises ValueError.  They are
+    stored as a read-only int64 array, reduced mod q at construction.
+    Operations between matrices require equal moduli and raise
+    ValueError otherwise.
     """
 
     __slots__ = ("q", "data")
 
     def __init__(self, q: int, data):
-        self.q = _checked_modulus(q)
-        try:
-            arr = np.array(data, dtype=np.int64)
-        except OverflowError:  # entries beyond 64 bits: reduce them exactly first
-            arr = (np.array(data, dtype=object) % self.q).astype(np.int64)
+        self.q = q = checked_modulus(q)
+        arr = data if type(data) is np.ndarray else np.array(data, dtype=object)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        arr %= self.q
+        if arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.itemsize < 8:
+            arr = np.remainder(arr, q, dtype=np.int64)
+        else:  # lists, and arrays of bools, floats, strings or ints past 63 bits
+            entries = checked_ints(arr.ravel().tolist(), "matrix")
+            arr = np.array([v % q for v in entries], dtype=np.int64).reshape(arr.shape)
         arr.setflags(write=False)
         self.data = arr
 
@@ -114,7 +160,7 @@ class FieldMatrix:
 
     @classmethod
     def column(cls, q: int, values) -> "FieldMatrix":
-        return cls(q, np.array(list(values), dtype=np.int64).reshape(-1, 1))
+        return cls(q, [[v] for v in values])
 
     # ---- shape accessors ----------------------------------------------
 
@@ -242,7 +288,7 @@ def vandermonde(rows: int, cols: int, q: int) -> FieldMatrix:
     the matrix usable as the transposed generator of an MDS code; this
     needs q >= rows.
     """
-    q = _checked_modulus(q)
+    q = checked_modulus(q)
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if cols > rows:

@@ -15,11 +15,10 @@ import graphlib
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, MAX_MODULUS, is_prime
+from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, MAX_MODULUS, checked_int, checked_ints, is_prime
 
 __all__ = [
     "Receiver",
@@ -38,30 +37,6 @@ __all__ = [
 ]
 
 
-def _index(value, what: str) -> int:
-    """value as an int when it is an integer, a numpy integer included;
-    ValueError for a bool, a float, a string or any other value."""
-    if type(value) is not bool:
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def _indices(values, what: str) -> frozenset:
-    """The frozenset of `_index` of each of values; ValueError naming the
-    first value that is not an integer.  One pass with no Python call
-    per value when all are integers."""
-    values = tuple(values)
-    if bool not in map(type, values):
-        try:
-            return frozenset(map(operator.index, values))
-        except TypeError:
-            pass
-    return frozenset(_index(v, f"{what} entry") for v in values)
-
-
 @dataclass(frozen=True)
 class Receiver:
     """One receiver: the messages it knows and the messages it wants."""
@@ -70,8 +45,8 @@ class Receiver:
     wants: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "knows", _indices(self.knows, "receiver knows"))
-        object.__setattr__(self, "wants", _indices(self.wants, "receiver wants"))
+        object.__setattr__(self, "knows", frozenset(checked_ints(self.knows, "receiver knows")))
+        object.__setattr__(self, "wants", frozenset(checked_ints(self.wants, "receiver wants")))
 
     def missing_wants(self) -> frozenset:
         """Wanted messages not already known."""
@@ -87,8 +62,8 @@ class Instance:
     receivers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _index(self.q, "field size q"))
-        object.__setattr__(self, "m", _index(self.m, "message count m"))
+        object.__setattr__(self, "q", checked_int(self.q, "field size q"))
+        object.__setattr__(self, "m", checked_int(self.m, "message count m"))
         object.__setattr__(self, "receivers", tuple(self.receivers))
 
     @property
@@ -103,10 +78,13 @@ class Instance:
 
 
 def validate(inst: Instance) -> list:
-    """Check all structural invariants; return a list of violations.
+    """Check the field, the message count and every index; return a
+    list of violations.
 
-    An empty list means the instance is well formed and normalized.
-    Each violation names the receiver or index at fault.
+    An empty list means the instance is well formed.  Each violation
+    names the receiver or index at fault.  A receiver that wants nothing
+    it lacks is well formed: `normalize` drops it, and
+    `require_normalized` refuses an instance that still has one.
     """
     violations = []
     if not 1 <= inst.m <= MAX_MESSAGES:
@@ -122,10 +100,6 @@ def validate(inst: Instance) -> list:
             for j in sorted(indices):
                 if not 1 <= j <= inst.m:
                     violations.append(f"receiver {i}: {label} index {j} out of range [1, {inst.m}]")
-        if r.wants and not r.missing_wants():
-            violations.append(f"receiver {i}: wants is a subset of knows (expungeable)")
-        if not r.wants:
-            violations.append(f"receiver {i}: wants nothing (expungeable)")
     return violations
 
 
@@ -209,7 +183,7 @@ class AccessStructure:
 
     @classmethod
     def t_level(cls, t: int) -> "AccessStructure":
-        t = _index(t, "access level t")
+        t = checked_int(t, "access level t")
         if t < 0:
             raise ValueError(f"access level must be >= 0, got {t}")
         return cls(cls.KIND_T_LEVEL, t=t)
@@ -219,7 +193,7 @@ class AccessStructure:
         deduped = []
         seen = set()
         for a in sets:
-            fa = _indices(a, "access set")
+            fa = frozenset(checked_ints(a, "access set"))
             if fa not in seen:
                 seen.add(fa)
                 deduped.append(fa)
@@ -259,12 +233,6 @@ class AccessStructure:
             return self.t
         return max((len(a) for a in self.sets), default=0)
 
-    def is_classical(self, m: int) -> bool:
-        """True for exactly {[m]}: an eavesdropper who already has everything."""
-        if self.kind != self.KIND_EXPLICIT:
-            return False
-        return self.sets == (frozenset(range(1, m + 1)),)
-
     def to_dict(self) -> dict:
         if self.kind == self.KIND_T_LEVEL:
             return {"type": "t_level", "t": self.t}
@@ -278,12 +246,12 @@ class AccessStructure:
         if kind == "t_level":
             if "t" not in obj:
                 raise ValueError("t_level adversary needs a 't' field")
-            return cls.t_level(checked_int(obj["t"], "access level t"))
+            return cls.t_level(obj["t"])
         if kind == "explicit":
             sets = obj.get("sets")
             if not isinstance(sets, list):
                 raise ValueError("explicit adversary needs a 'sets' list")
-            return cls.explicit([checked_ints(a, "access set") for a in sets])
+            return cls.explicit(sets)
         raise ValueError(f"unknown adversary type {kind!r}")
 
     def __repr__(self):
@@ -417,26 +385,6 @@ def write_json(path, obj) -> None:
         fh.write(json_text(obj) + "\n")
 
 
-def checked_int(value, what: str) -> int:
-    """value when it is an int; ValueError for bools, floats, strings, ...
-
-    JSON readers use this so that no file value is silently coerced.
-    """
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def checked_ints(values, what: str) -> list:
-    """values when it is a list of ints; ValueError otherwise."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    for v in values:
-        if type(v) is not int:
-            checked_int(v, f"{what} entry")
-    return values
-
-
 def parse_instance(obj):
     """Build (Instance, AccessStructure | None) from a parsed JSON object.
 
@@ -460,7 +408,7 @@ def parse_instance(obj):
             raise ValueError(f"receiver {pos} must be an object with 'knows' and 'wants'")
         knows = checked_ints(r["knows"], f"receiver {pos} knows")
         wants = checked_ints(r["wants"], f"receiver {pos} wants")
-        receivers.append(Receiver(frozenset(knows), frozenset(wants)))
+        receivers.append(Receiver(knows, wants))
     inst = Instance(checked_int(obj["q"], "q"), checked_int(obj["m"], "m"), tuple(receivers))
     acc = AccessStructure.from_dict(obj["adversary"]) if "adversary" in obj else None
     return inst, acc

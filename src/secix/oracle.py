@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import checked_int
 from .model import AccessStructure, Instance
 
 __all__ = [
@@ -149,9 +150,9 @@ def check_code_matches(code, inst: Instance) -> None:
 
 
 def check_block_size(b: int) -> None:
-    """ValueError unless the block size b is at least 1.  Callers run it
+    """ValueError unless the block size b is an integer of at least 1.  Callers run it
     before any budget refusal, so a bad b is a usage error first."""
-    if b < 1:
+    if checked_int(b, "block size") < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
 
 

@@ -80,17 +80,17 @@ def test_encode_matches_python_int_reference(q, data):
     # a symbol one field size off is refused, not reduced mod q
     j = data.draw(st.integers(0, m - 1))
     shifted = x[:j] + [x[j] + data.draw(st.sampled_from([-q, q]))] + x[j + 1:]
-    with pytest.raises(ValueError, match=rf"message symbol {j + 1} is -?\d+, outside GF\({q}\)"):
+    with pytest.raises(ValueError, match=rf"^message vector entry {shifted[j]} is outside GF\({q}\)$"):
         code.encode(shifted, y if key_dim else None)
 
 
 @pytest.mark.parametrize("x, y, problem", [
-    ((1, 5, 0), (1,), "message symbol 2 is 5, outside GF(5)"),
-    ((1, 0, -1), (1,), "message symbol 3 is -1, outside GF(5)"),
-    ((1.0, 0, 0), (1,), "message symbol 1 is 1.0, not an integer"),
-    ((0, True, 0), (1,), "message symbol 2 is True, not an integer"),
-    ((0, 0, 0), ("1",), "key symbol 1 is '1', not an integer"),
-    ((0, 0, 0), (7,), "key symbol 1 is 7, outside GF(5)"),
+    ((1, 5, 0), (1,), "message vector entry 5 is outside GF(5)"),
+    ((1, 0, -1), (1,), "message vector entry -1 is outside GF(5)"),
+    ((1.0, 0, 0), (1,), "message vector entry must be an integer, got 1.0"),
+    ((0, True, 0), (1,), "message vector entry must be an integer, got True"),
+    ((0, 0, 0), ("1",), "key vector entry must be an integer, got '1'"),
+    ((0, 0, 0), (7,), "key vector entry 7 is outside GF(5)"),
 ], ids=["high", "negative", "float", "bool", "string-key", "high-key"])
 def test_encode_refuses_symbols_outside_the_field(x, y, problem):
     code = LinearCode(FieldMatrix(5, [[1, 0], [1, 1], [0, 1]]), FieldMatrix(5, [[1, 1]]))
@@ -109,7 +109,10 @@ def test_encode_exact_at_the_size_and_modulus_caps():
     x, y = [q - 1] * (MAX_MESSAGES - 1), [q - 1]
     assert code.encode(x, y) == encode_reference(code, x, y)
     with pytest.raises(ValueError, match="at most"):
-        LinearCode(FieldMatrix(2, np.zeros((MAX_MESSAGES, 1))), FieldMatrix(2, np.zeros((1, 1))))
+        LinearCode(
+            FieldMatrix(2, np.zeros((MAX_MESSAGES, 1), dtype=np.int64)),
+            FieldMatrix(2, np.zeros((1, 1), dtype=np.int64)),
+        )
 
 
 def test_randomized_encode_and_key_enumeration():
@@ -310,11 +313,11 @@ def test_decode_rejects_randomized_and_bad_dimensions():
 
 
 @pytest.mark.parametrize("word, side, problem", [
-    ((2, 0), (0,), "codeword symbol 1 is 2, outside GF(2)"),
-    ((0, -1), (0,), "codeword symbol 2 is -1, outside GF(2)"),
-    ((0, 0.5), (0,), "codeword symbol 2 is 0.5, not an integer"),
-    ((0, 0), (3,), "side information symbol 1 is 3, outside GF(2)"),
-    ((0, 0), (None,), "side information symbol 1 is None, not an integer"),
+    ((2, 0), (0,), "codeword entry 2 is outside GF(2)"),
+    ((0, -1), (0,), "codeword entry -1 is outside GF(2)"),
+    ((0, 0.5), (0,), "codeword entry must be an integer, got 0.5"),
+    ((0, 0), (3,), "side information entry 3 is outside GF(2)"),
+    ((0, 0), (None,), "side information entry must be an integer, got None"),
 ], ids=["high", "negative", "float", "high-side", "none-side"])
 def test_decode_refuses_symbols_outside_the_field(word, side, problem):
     inst = Instance(2, 2, (Receiver({2}, {1}),))

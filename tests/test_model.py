@@ -1,4 +1,5 @@
-"""Instance validation, normalization, access structures, and the graph view."""
+"""Instance validation, normalization, access structures, the graph view,
+and the integer check at every entry point."""
 
 import itertools
 import json
@@ -13,15 +14,23 @@ import secix.model
 from secix.gf import MAX_MESSAGES
 from secix import (
     AccessStructure,
+    FieldMatrix,
     Instance,
+    LinearCode,
     Receiver,
+    TableCode,
     build_graph,
+    decide_t_level,
+    decode,
     every_message_wanted,
     instance_to_dict,
     load_instance,
     normalize,
     parse_instance,
     save_instance,
+    search_linear,
+    single_access_code,
+    smallest_prime_at_least,
     strip_unwanted,
     validate,
 )
@@ -35,9 +44,11 @@ def test_validate_accepts_crossed_instance(crossed2):
 
 
 def test_validate_flags_expungeable_receiver():
-    inst = Instance(2, 2, (Receiver({1}, {1}),))
-    messages = validate(inst)
-    assert any("receiver 1" in v and "subset of knows" in v for v in messages)
+    # a receiver that wants nothing it lacks is well formed: normalize
+    # drops it, and require_normalized refuses an instance that keeps it
+    inst = Instance(2, 2, (Receiver({1}, {1}), Receiver(set(), set()), Receiver({2}, {1})))
+    assert validate(inst) == []
+    assert normalize(inst).receivers == (Receiver({2}, {1}),)
 
 
 def test_validate_flags_out_of_range_index():
@@ -134,58 +145,62 @@ def test_explicit_out_of_range_index():
         AccessStructure.explicit([[5]]).expand(4)
 
 
-def test_classical_detection():
-    assert AccessStructure.classical(3).is_classical(3)
-    assert not AccessStructure.explicit([[1, 2]]).is_classical(3)
-    assert not AccessStructure.t_level(2).is_classical(3)
-
-
 def test_max_size_symbolic():
     assert AccessStructure.t_level(2).max_size(4) == 2
     assert AccessStructure.explicit([[3, 4], [1]]).max_size(4) == 2
     assert AccessStructure.explicit([[]]).max_size(4) == 0
 
 
-# ---- constructors take integers only ------------------------------------------------
+# ---- every entry point takes integers only ---------------------------------------
 
 # values int() would silently read as 1 or 2
 NOT_INTEGERS = [1.5, 2.0, "1", True, np.float64(1.0)]
 
+SUM = LinearCode(FieldMatrix(2, [[1], [1]]))  # c = x1 + x2
+ONE = Instance(2, 2, (Receiver({2}, {1}),))
 
-def test_receiver_refuses_non_integer_indices():
+
+def parity_table(value=0):
+    return {((0,), 0): (value,), ((1,), 0): (1,)}
+
+
+# (what the refusal names, the call with v in the checked place, a valid v)
+ENTRY_POINTS = {
+    "Receiver-knows": ("receiver knows entry", lambda v: Receiver({v}, {2}), 1),
+    "Receiver-wants": ("receiver wants entry", lambda v: Receiver({1}, [2, v]), 2),
+    "Instance-q": ("field size q", lambda v: Instance(v, 3, ()), 2),
+    "Instance-m": ("message count m", lambda v: Instance(2, v, ()), 3),
+    "explicit": ("access set entry", lambda v: AccessStructure.explicit([np.array([1]), [v]]), 2),
+    "t_level": ("access level t", AccessStructure.t_level, 1),
+    "FieldMatrix-modulus": ("field modulus", lambda v: FieldMatrix(v, [[1]]), 2),
+    "FieldMatrix-entry": ("matrix entry", lambda v: FieldMatrix(2, [[0, v]]), 1),
+    "TableCode-q": ("field size q", lambda v: TableCode(v, 1, 1, 1, parity_table()), 2),
+    "TableCode-m": ("message count m", lambda v: TableCode(2, v, 1, 1, parity_table()), 1),
+    "TableCode-length": ("code length", lambda v: TableCode(2, 1, v, 1, parity_table()), 1),
+    "TableCode-keys": ("key count", lambda v: TableCode(2, 1, 1, v, parity_table()), 1),
+    "TableCode-value": ("table value entry", lambda v: TableCode(2, 1, 1, 1, parity_table(v)), 1),
+    "TableCode-encode": ("message vector entry", lambda v: TableCode(2, 1, 1, 1, parity_table()).encode([v]), 1),
+    "TableCode-key": ("key", lambda v: TableCode(2, 1, 1, 1, parity_table()).encode([1], v), 0),
+    "single_access_code": ("access set entry", lambda v: single_access_code(ONE, [v]), 1),
+    "smallest_prime_at_least": ("lower bound n", smallest_prime_at_least, 2),
+    "LinearCode-encode": ("message vector entry", lambda v: SUM.encode([0, v]), 1),
+    "decode-codeword": ("codeword entry", lambda v: decode(SUM, ONE, 1, [v], [0]), 1),
+    "decode-side": ("side information entry", lambda v: decode(SUM, ONE, 1, [0], [v]), 1),
+    "decode-receiver": ("receiver index", lambda v: decode(SUM, ONE, v, [0], [0]), 1),
+    "decide_t_level-b": ("block size", lambda v: decide_t_level(ONE, 0, b=v), 1),
+    "search_linear-length": ("code length", lambda v: search_linear(ONE, AccessStructure.t_level(0), v), 1),
+}
+
+
+@pytest.mark.parametrize("what, call, good", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_refuse_non_integers(what, call, good):
     for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError, match="^receiver knows entry must be an integer"):
-            Receiver({bad}, {2})
-        with pytest.raises(ValueError, match="^receiver wants entry must be an integer"):
-            Receiver({1}, [2, bad])
-    rec = Receiver({np.int64(1)}, [np.uint8(2)])
-    assert rec == Receiver({1}, {2}) and {type(j) for j in rec.knows | rec.wants} == {int}
-
-
-def test_instance_refuses_non_integer_sizes():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError, match="^field size q must be an integer"):
-            Instance(bad, 3, ())
-        with pytest.raises(ValueError, match="^message count m must be an integer"):
-            Instance(2, bad, ())
-    inst = Instance(np.int64(2), np.int32(3), ())
-    assert (inst.q, inst.m) == (2, 3) and type(inst.q) is type(inst.m) is int
-
-
-def test_explicit_refuses_non_integer_indices():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError, match="^access set entry must be an integer"):
-            AccessStructure.explicit([[1], [bad]])
-    acc = AccessStructure.explicit([np.array([1, 2])])
-    assert acc.sets == (frozenset({1, 2}),) and {type(j) for j in acc.sets[0]} == {int}
-
-
-def test_t_level_refuses_non_integer_level():
-    for bad in NOT_INTEGERS:
-        with pytest.raises(ValueError, match="^access level t must be an integer"):
-            AccessStructure.t_level(bad)
-    acc = AccessStructure.t_level(np.int64(1))
-    assert acc == AccessStructure.t_level(1) and type(acc.t) is int
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{what} must be an integer, got {bad!r}"
+    # numpy integers are integers: read as the same plain int
+    for make in (np.int64, np.int32, np.uint8):
+        assert repr(call(make(good))) == repr(call(good))
 
 
 # ---- graph view ------------------------------------------------------------------

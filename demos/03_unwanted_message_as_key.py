@@ -11,17 +11,17 @@ from secix import (
     AccessStructure,
     Instance,
     Receiver,
-    build_graph,
     check_security,
     decide,
     strip_unwanted,
+    to_dot,
 )
 
 instance = Instance(2, 2, (Receiver({2}, {1}),))
 nothing_held = AccessStructure.explicit([[]])
 
 print("bipartite graph (DOT):")
-print(build_graph(instance, nothing_held).to_dot())
+print(to_dot(instance, nothing_held))
 
 verdict = decide(instance, nothing_held)
 print(f"with the unwanted message kept: {verdict.answer}")

@@ -10,17 +10,17 @@ block security of arbitrary codes by exact exhaustive counting.
 from .gf import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
 from .model import (
     AccessStructure,
-    BipartiteGraph,
     Instance,
     Receiver,
-    build_graph,
     every_message_wanted,
     instance_to_dict,
+    is_acyclic,
     load_instance,
     normalize,
     parse_instance,
     save_instance,
     strip_unwanted,
+    to_dot,
     validate,
 )
 from .codes import (

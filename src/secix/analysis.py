@@ -20,7 +20,7 @@ import numpy as np
 
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
 from .gf import FieldMatrix, checked_int, radix_digits
-from .model import AccessStructure, Instance, build_graph, every_message_wanted, require_normalized
+from .model import AccessStructure, Instance, every_message_wanted, is_acyclic, require_normalized
 from .oracle import (
     DEFAULT_BUDGET,
     block_pairs,
@@ -166,7 +166,7 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
     # the acyclic certificate needs an access set that leaves a message out
     full = frozenset(inst.messages())
     exposed = any(a != full for a in expanded)
-    if exposed and every_message_wanted(inst) and build_graph(inst, acc).is_acyclic():
+    if exposed and every_message_wanted(inst) and is_acyclic(inst):
         return ExistenceVerdict(ANSWER_NO, certificate=AcyclicCertificate(), lower=lower, upper=upper)
 
     for a in expanded:

@@ -291,7 +291,7 @@ def cmd_decode(args) -> int:
 def cmd_graph(args) -> int:
     inst, file_acc = _load_instance(args)
     acc = _resolve_access(args, file_acc, inst.m)
-    dot = model.build_graph(inst, acc).to_dot()
+    dot = model.to_dot(inst, acc)
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

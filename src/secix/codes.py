@@ -183,7 +183,12 @@ class TableCode:
 
     def encode(self, x, y=0) -> tuple:
         x = tuple(checked_ints(x, "message vector", self.q))
-        return tuple(self.table[(x, checked_int(y, "key"))])
+        if len(x) != self.m:
+            raise ValueError(f"message vector has length {len(x)}, expected {self.m}")
+        y = checked_int(y, "key")
+        if not 0 <= y < self.key_count:
+            raise ValueError(f"key {y} is outside [0, {self.key_count})")
+        return tuple(self.table[(x, y)])
 
     def __repr__(self):
         return f"TableCode(q={self.q}, m={self.m}, length={self.length}, keys={self.key_count})"
@@ -417,11 +422,14 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
 
 def _field_matrix(q: int, rows, what: str) -> FieldMatrix:
     """The FieldMatrix of `rows` (the matrix `what` of a code file) when
-    it is a list of equally long rows of integers in [0, q); ValueError
-    naming the row otherwise.  No entry is reduced mod q.  q must already
-    be a valid modulus, so every entry that passes fits in int64."""
+    it is a non-empty list of equally long rows of integers in [0, q);
+    ValueError naming the matrix or the row otherwise.  No entry is
+    reduced mod q.  q must already be a valid modulus, so every entry
+    that passes fits in int64."""
     if not isinstance(rows, list):
         raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
+    if not rows:
+        raise ValueError(f"{what} must have at least one row")
     checked = []
     for i, row in enumerate(rows, start=1):
         checked.append(checked_ints(row, f"{what} row {i}", q))

@@ -11,6 +11,7 @@ the moduli and dimensions are capped so that no int64 product can wrap.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -41,8 +42,10 @@ MAX_ACCESS_SETS = 2 ** 16
 MAX_MODULUS = math.isqrt((2 ** 63 - 1) // (MAX_MESSAGES + 1)) + 1
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (moduli here are desk-scale)."""
+    """Trial-division primality test, memoized: every FieldMatrix asks it
+    about its q, and one scan of the largest modulus takes about 0.5 ms."""
     if n < 2:
         return False
     if n in (2, 3):

@@ -18,18 +18,18 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, MAX_MODULUS, checked_int, checked_ints, is_prime
+from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, checked_int, checked_ints, checked_modulus
 
 __all__ = [
     "Receiver",
     "Instance",
     "AccessStructure",
-    "BipartiteGraph",
     "validate",
     "normalize",
     "every_message_wanted",
     "strip_unwanted",
-    "build_graph",
+    "is_acyclic",
+    "to_dot",
     "parse_instance",
     "instance_to_dict",
     "load_instance",
@@ -89,10 +89,10 @@ def validate(inst: Instance) -> list:
     violations = []
     if not 1 <= inst.m <= MAX_MESSAGES:
         violations.append(f"message count must be in [1, {MAX_MESSAGES}], got {inst.m}")
-    if inst.q > MAX_MODULUS:
-        violations.append(f"field size must be at most {MAX_MODULUS} for exact int64 arithmetic, got {inst.q}")
-    elif not is_prime(inst.q):
-        violations.append(f"field size must be prime, got {inst.q}")
+    try:
+        checked_modulus(inst.q)
+    except ValueError as exc:
+        violations.append(str(exc))
     if inst.n < 1:
         violations.append("instance has no receivers")
     for i, r in enumerate(inst.receivers, start=1):
@@ -260,67 +260,47 @@ class AccessStructure:
         return f"AccessStructure.explicit({[sorted(a) for a in self.sets]})"
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Directed bipartite view: receivers and eavesdroppers on one side,
-    messages on the other.
+def is_acyclic(inst: Instance) -> bool:
+    """True iff the receiver/message graph has no directed cycle.
 
-    Arcs: r_i -> j when receiver i knows message j; j -> r_i when it
-    wants j; v_k -> j for every j in the k-th access set.  Vertex
-    labels are "r1"..., "v1"..., and bare message numbers.
+    Its arcs run from each receiver to the messages it knows and from
+    each message to the receivers that want it.  Eavesdropper vertices
+    have no incoming arcs, so they cannot lie on a cycle and are left
+    out.  Messages are nodes j and receivers nodes -i.
     """
-
-    receiver_count: int
-    message_count: int
-    access_sets: tuple
-    arcs: tuple
-
-    def vertices(self) -> list:
-        names = [str(j) for j in range(1, self.message_count + 1)]
-        names += [f"r{i}" for i in range(1, self.receiver_count + 1)]
-        names += [f"v{k}" for k in range(1, len(self.access_sets) + 1)]
-        return names
-
-    def is_acyclic(self) -> bool:
-        """True iff the receiver/message subgraph has no directed cycle.
-
-        Eavesdropper vertices have no incoming arcs, so leaving them out
-        cannot hide a cycle.
-        """
-        order = graphlib.TopologicalSorter()
-        for u, v in self.arcs:
-            if not u.startswith("v"):
-                order.add(v, u)
-        try:
-            order.prepare()
-        except graphlib.CycleError:
-            return False
-        return True
-
-    def to_dot(self) -> str:
-        """DOT text: receivers prefixed r, eavesdroppers v, messages bare."""
-        lines = ["digraph secure_index_instance {"]
-        for name in self.vertices():
-            lines.append(f"  {name};")
-        for u, v in self.arcs:
-            lines.append(f"  {u} -> {v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-def build_graph(inst: Instance, acc: AccessStructure) -> BipartiteGraph:
-    """Directed bipartite graph of an instance plus its access structure."""
-    access_sets = tuple(acc.expand(inst.m))
-    arcs = []
+    order = graphlib.TopologicalSorter()
     for i, r in enumerate(inst.receivers, start=1):
-        for j in sorted(r.knows):
-            arcs.append((f"r{i}", str(j)))
-        for j in sorted(r.wants):
-            arcs.append((str(j), f"r{i}"))
+        order.add(-i, *r.wants)
+        for j in r.knows:
+            order.add(j, -i)
+    try:
+        order.prepare()
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+def to_dot(inst: Instance, acc: AccessStructure) -> str:
+    """DOT text of the directed bipartite graph of an instance and its
+    access structure.
+
+    Vertices: messages by number, receivers r1..., and one eavesdropper
+    v1... per access set.  Arcs: r_i -> j when receiver i knows message
+    j; j -> r_i when it wants j; v_k -> j for every j in the k-th access
+    set.
+    """
+    access_sets = acc.expand(inst.m)
+    lines = ["digraph secure_index_instance {"]
+    lines += [f"  {j};" for j in inst.messages()]
+    lines += [f"  r{i};" for i in range(1, inst.n + 1)]
+    lines += [f"  v{k};" for k in range(1, len(access_sets) + 1)]
+    for i, r in enumerate(inst.receivers, start=1):
+        lines += [f"  r{i} -> {j};" for j in sorted(r.knows)]
+        lines += [f"  {j} -> r{i};" for j in sorted(r.wants)]
     for k, a in enumerate(access_sets, start=1):
-        for j in sorted(a):
-            arcs.append((f"v{k}", str(j)))
-    return BipartiteGraph(inst.n, inst.m, access_sets, tuple(arcs))
+        lines += [f"  v{k} -> {j};" for j in sorted(a)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ---- JSON files ------------------------------------------------------------

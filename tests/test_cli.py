@@ -348,6 +348,15 @@ def test_verify_rejects_non_integer_generator(tmp_path, capsys, keyed2, matrices
     assert named + " " in err
 
 
+def test_verify_names_an_empty_code_matrix(tmp_path, capsys, keyed2):
+    inst_path = write_instance(tmp_path, keyed2, AccessStructure.explicit([[]]))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": []}))
+    code, out, err = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path))
+    assert_one_error_line(code, err)
+    assert (out, err) == ("", "error: cannot read code: G must have at least one row\n")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("q", 2.5), ("knows", [[2]]), ("knows", None), ("sets", [3])],
@@ -650,6 +659,39 @@ def test_graph_dot_output(tmp_path, capsys, keyed2):
     code, _, _ = run(capsys, "graph", "--instance", inst_path, "--dot", str(dot_path))
     assert code == 0
     assert "digraph" in dot_path.read_text()
+
+
+def dot_text(vertices, arcs):
+    return "".join(["digraph secure_index_instance {\n", *(f"  {v};\n" for v in vertices),
+                    *(f"  {u} -> {v};\n" for u, v in arcs), "}\n"])
+
+
+KEYED2_ARCS = [("r1", 2), (1, "r1")]
+CROSSED2_ARCS = [("r1", 2), (1, "r1"), ("r2", 1), (2, "r2"), ("r3", 2), ("r3", 4), (3, "r3"),
+                 ("r4", 2), ("r4", 3), (4, "r4")]
+GRAPH_CASES = {
+    "keyed-explicit": (unwanted_key_instance(2), "--access", "[[]]",
+                       dot_text([1, 2, "r1", "v1"], KEYED2_ARCS)),
+    "keyed-t-level": (unwanted_key_instance(2), "--t-level", "1",
+                      dot_text([1, 2, "r1", "v1", "v2"], KEYED2_ARCS + [("v1", 1), ("v2", 2)])),
+    "crossed-explicit": (crossed_pairs_instance(2), "--access", "[[3, 4], [1]]",
+                         dot_text([1, 2, 3, 4, "r1", "r2", "r3", "r4", "v1", "v2"],
+                                  CROSSED2_ARCS + [("v1", 3), ("v1", 4), ("v2", 1)])),
+    "crossed-t-level": (crossed_pairs_instance(2), "--t-level", "1",
+                        dot_text([1, 2, 3, 4, "r1", "r2", "r3", "r4", "v1", "v2", "v3", "v4"],
+                                 CROSSED2_ARCS + [("v1", 1), ("v2", 2), ("v3", 3), ("v4", 4)])),
+}
+
+
+@pytest.mark.parametrize("inst, flag, value, expected", GRAPH_CASES.values(), ids=GRAPH_CASES.keys())
+def test_graph_prints_exact_dot(tmp_path, capsys, inst, flag, value, expected):
+    inst_path = write_instance(tmp_path, inst)
+    code, out, err = run(capsys, "graph", "--instance", inst_path, flag, value)
+    assert (code, out, err) == (0, expected, "")
+    dot_path = tmp_path / "g.dot"
+    code, out, _ = run(capsys, "graph", "--instance", inst_path, flag, value, "--dot", str(dot_path))
+    assert (code, out) == (0, "")
+    assert dot_path.read_bytes() == expected.encode()
 
 
 def test_search_finds_and_misses(tmp_path, capsys, keyed2):

@@ -139,6 +139,12 @@ def test_table_code_lookup_and_validation():
     bad_value[((0, 0), 0)] = (7,)
     with pytest.raises(ValueError):
         TableCode(2, 2, 1, 1, bad_value)
+    # a wrong length or a key outside the alphabet is named, as LinearCode.encode does
+    keyed = TableCode(2, 1, 1, 2, {((x,), y): ((x + y) % 2,) for x in range(2) for y in range(2)})
+    with pytest.raises(ValueError, match=r"^message vector has length 2, expected 1$"):
+        keyed.encode((0, 0), 1)
+    with pytest.raises(ValueError, match=r"^key 5 is outside \[0, 2\)$"):
+        keyed.encode((0,), 5)
 
 
 def test_linear_code_shape_validation():
@@ -562,3 +568,7 @@ def test_parse_code_errors():
         parse_code({"kind": "linear_rand", "q": 2, "G": [[1]]})
     with pytest.raises(ValueError):
         parse_code({"kind": "linear_det", "q": 2, "G": [[1]], "Gtilde": [[1]]})
+    with pytest.raises(ValueError, match=r"^G must have at least one row$"):
+        parse_code({"kind": "linear_det", "q": 2, "G": []})
+    with pytest.raises(ValueError, match=r"^Gtilde must have at least one row$"):
+        parse_code({"kind": "linear_rand", "q": 2, "G": [[1]], "Gtilde": []})

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secix import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
+from secix import (
+    Decoder,
+    FieldMatrix,
+    Instance,
+    LinearCode,
+    Receiver,
+    derandomize,
+    is_prime,
+    smallest_prime_at_least,
+    vandermonde,
+)
 from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from conftest import WIDEST_Q
 
@@ -153,6 +163,24 @@ def test_modulus_above_int64_bound_rejected():
     assert MAX_MESSAGES * (MAX_MODULUS - 1) ** 2 + MAX_MODULUS - 1 < 2 ** 63
     row = FieldMatrix(WIDEST_Q, [[WIDEST_Q - 1] * MAX_MESSAGES])
     assert (row @ row.transpose()).to_lists() == [[MAX_MESSAGES * (WIDEST_Q - 1) ** 2 % WIDEST_Q]]
+
+
+def test_each_field_is_scanned_once():
+    # every FieldMatrix asks is_prime about its q; a trial-division scan of
+    # WIDEST_Q takes about half a millisecond, so it runs once per process
+    is_prime.cache_clear()
+    q = WIDEST_Q
+    g = FieldMatrix(q, [[1, 1], [1, 0]])
+    g.rref()
+    g.nullspace()
+    g @ g.transpose()
+    inst = Instance(q, 2, (Receiver({2}, {1}),))
+    assert Decoder(LinearCode(g), inst, 1).decodable
+    # c = (x1 + x2, x1 + y): the key-free part x1 + x2 serves the receiver
+    keyed = LinearCode(g, FieldMatrix(q, [[0, 1]]))
+    assert derandomize(keyed, inst).generator.to_lists() == [[1], [1]]
+    info = is_prime.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 5
 
 
 def test_entries_beyond_64_bits_are_reduced_exactly():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import secix.model
-from secix.gf import MAX_MESSAGES
+from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from secix import (
     AccessStructure,
     FieldMatrix,
@@ -19,11 +19,11 @@ from secix import (
     LinearCode,
     Receiver,
     TableCode,
-    build_graph,
     decide_t_level,
     decode,
     every_message_wanted,
     instance_to_dict,
+    is_acyclic,
     load_instance,
     normalize,
     parse_instance,
@@ -32,6 +32,7 @@ from secix import (
     single_access_code,
     smallest_prime_at_least,
     strip_unwanted,
+    to_dot,
     validate,
 )
 from conftest import random_instance, unwanted_key_instance
@@ -59,6 +60,8 @@ def test_validate_flags_out_of_range_index():
 def test_validate_flags_composite_field():
     inst = Instance(4, 1, (Receiver(set(), {1}),))
     assert any("prime" in v for v in validate(inst))
+    # the field is judged by gf.checked_modulus, in its words
+    assert validate(inst) == ["field modulus must be prime, got 4"]
 
 
 def test_validate_flags_sizes_beyond_the_caps():
@@ -67,7 +70,9 @@ def test_validate_flags_sizes_beyond_the_caps():
     assert any("message count" in v for v in validate(too_many))
     # prime, but too wide for exact int64 products; refused without a primality scan
     wide = Instance(4294967311, 2, (Receiver({2}, {1}),))
-    assert any("at most" in v for v in validate(wide))
+    assert validate(wide) == [
+        f"field modulus 4294967311 exceeds {MAX_MODULUS}, the largest with exact int64 arithmetic"
+    ]
 
 
 def test_normalize_drops_satisfied_receiver():
@@ -205,56 +210,69 @@ def test_entry_points_refuse_non_integers(what, call, good):
 
 # ---- graph view ------------------------------------------------------------------
 
+def dot_vertices(dot):
+    return [line.strip().rstrip(";") for line in dot.splitlines()[1:-1] if " -> " not in line]
+
+
+def dot_arcs(dot):
+    """(tail, head) of every arc line of DOT text."""
+    return [tuple(line.strip().rstrip(";").split(" -> ")) for line in dot.splitlines() if " -> " in line]
+
+
 def test_graph_arcs_for_keyed_instance(keyed2):
-    g = build_graph(keyed2, AccessStructure.explicit([[]]))
-    assert ("1", "r1") in g.arcs
-    assert ("r1", "2") in g.arcs
-    assert len(g.access_sets) == 1
-    assert not any(u == "v1" for u, _ in g.arcs)  # empty access set: no out-arcs
+    dot = to_dot(keyed2, AccessStructure.explicit([[]]))
+    arcs = dot_arcs(dot)
+    assert ("1", "r1") in arcs
+    assert ("r1", "2") in arcs
+    assert [v for v in dot_vertices(dot) if v.startswith("v")] == ["v1"]
+    assert not any(u == "v1" for u, _ in arcs)  # empty access set: no out-arcs
 
 
 def test_graph_arcs_for_crossed_instance(crossed2):
-    g = build_graph(crossed2, AccessStructure.explicit([[3, 4]]))
-    assert ("r3", "2") in g.arcs and ("r3", "4") in g.arcs
-    assert ("3", "r3") in g.arcs
-    assert ("v1", "3") in g.arcs and ("v1", "4") in g.arcs
+    arcs = dot_arcs(to_dot(crossed2, AccessStructure.explicit([[3, 4]])))
+    assert ("r3", "2") in arcs and ("r3", "4") in arcs
+    assert ("3", "r3") in arcs
+    assert ("v1", "3") in arcs and ("v1", "4") in arcs
 
 
 def test_graph_arc_counts(crossed2):
     acc = AccessStructure.t_level(1)
-    g = build_graph(crossed2, acc)
+    arcs = dot_arcs(to_dot(crossed2, acc))
     know_total = sum(len(r.knows) for r in crossed2.receivers)
     want_total = sum(len(r.wants) for r in crossed2.receivers)
     access_total = sum(len(a) for a in acc.expand(crossed2.m))
-    r_to_m = sum(1 for u, v in g.arcs if u.startswith("r"))
-    m_to_r = sum(1 for u, v in g.arcs if v.startswith("r"))
-    v_to_m = sum(1 for u, v in g.arcs if u.startswith("v"))
+    r_to_m = sum(1 for u, v in arcs if u.startswith("r"))
+    m_to_r = sum(1 for u, v in arcs if v.startswith("r"))
+    v_to_m = sum(1 for u, v in arcs if u.startswith("v"))
     assert (r_to_m, m_to_r, v_to_m) == (know_total, want_total, access_total)
 
 
 def test_acyclic_examples(keyed2, crossed2):
-    assert build_graph(keyed2, AccessStructure.explicit([[]])).is_acyclic()
+    assert is_acyclic(keyed2)
     two_cycle = Instance(2, 2, (Receiver({2}, {1}), Receiver({1}, {2})))
-    assert not build_graph(two_cycle, AccessStructure.explicit([[]])).is_acyclic()
-    assert not build_graph(crossed2, AccessStructure.explicit([[3]])).is_acyclic()
+    assert not is_acyclic(two_cycle)
+    assert not is_acyclic(crossed2)
     lonely = Instance(2, 1, (Receiver(set(), {1}),))
-    lonely_graph = build_graph(lonely, AccessStructure.explicit([[]]))
-    assert lonely_graph.is_acyclic()
-    assert not any(u == "r1" for u, _ in lonely_graph.arcs)  # knows nothing
+    assert is_acyclic(lonely)
+    assert not any(u == "r1" for u, _ in dot_arcs(to_dot(lonely, AccessStructure.explicit([[]]))))  # knows nothing
 
 
 def test_acyclic_matches_networkx_on_random_instances():
     rng = random.Random(20240)
+    answers = []
     for _ in range(60):
         m = rng.randint(1, 4)
-        q = 2
-        inst = random_instance(rng, max(m, 2), q)
-        g = build_graph(inst, AccessStructure.t_level(rng.randint(0, inst.m - 1)))
+        inst = random_instance(rng, max(m, 2), 2)
+        # built from knows/wants alone: arc r -> j when r knows j, j -> r when r wants j
         dg = nx.DiGraph()
-        dg.add_nodes_from([str(j) for j in range(1, inst.m + 1)])
-        dg.add_nodes_from([f"r{i}" for i in range(1, inst.n + 1)])
-        dg.add_edges_from((u, v) for u, v in g.arcs if not u.startswith("v"))
-        assert g.is_acyclic() == nx.is_directed_acyclic_graph(dg)
+        dg.add_nodes_from(("message", j) for j in inst.messages())
+        for i, r in enumerate(inst.receivers, start=1):
+            dg.add_node(("receiver", i))
+            dg.add_edges_from((("receiver", i), ("message", j)) for j in r.knows)
+            dg.add_edges_from((("message", j), ("receiver", i)) for j in r.wants)
+        answers.append(nx.is_directed_acyclic_graph(dg))
+        assert is_acyclic(inst) == answers[-1]
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_every_message_wanted(keyed2, crossed2):
@@ -275,11 +293,11 @@ def test_strip_unwanted_without_access(crossed2):
 
 
 def test_dot_export(keyed2):
-    dot = build_graph(keyed2, AccessStructure.explicit([[]])).to_dot()
+    dot = to_dot(keyed2, AccessStructure.explicit([[]]))
     assert dot.startswith("digraph")
-    assert "1 -> r1;" in dot
-    assert "r1 -> 2;" in dot
-    assert "v1;" in dot
+    assert ("1", "r1") in dot_arcs(dot)
+    assert ("r1", "2") in dot_arcs(dot)
+    assert "v1" in dot_vertices(dot)
 
 
 # ---- JSON ------------------------------------------------------------------------

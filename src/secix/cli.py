@@ -398,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         try:
+            # construct, verify and search take a budget; 0 refuses any work
+            if getattr(args, "budget", 0) < 0:
+                raise ValueError(f"budget must be >= 0, got {args.budget}")
             # looked up per call, so a rebound cmd_* (a tracer, a test) is used
             return globals()["cmd_" + args.command](args)
         finally:

@@ -4,7 +4,9 @@ plus the constructions used by the existence analysis.
 Linear-code arithmetic goes through `gf` and numpy only: encoding is one
 vector-matrix product mod q, decoding is one row reduction per receiver
 and then two products per batch of codewords, and the security level
-weighs the column span in fixed-size numpy batches.
+ranks fixed-size stacks of row subsets of a span basis with
+`gf.stack_rank`, or weighs the column span in fixed-size numpy batches
+when it has fewer vectors than there are subsets to rank.
 
 The code constructions here:
 
@@ -28,6 +30,7 @@ The code constructions here:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .gf import (
     checked_modulus,
     radix_digits,
     smallest_prime_at_least,
+    stack_rank,
     vandermonde,
 )
 from .model import Instance, Receiver, read_json, require_normalized, write_json
@@ -63,6 +67,10 @@ __all__ = [
 # Span vectors weighed per numpy batch in security_level; larger batches
 # buy little speed and raise peak memory.
 _SPAN_BATCH = 2 ** 10
+# Stack entries ranked per `stack_rank` call in security_level: 512 KiB of
+# int64.  One subset always fits, with at most MAX_MESSAGES rows and a rank
+# below 63 (the span has fewer than 2^63 vectors).
+_SUBSET_STACK = 2 ** 16
 
 
 class NoSecureCodeError(Exception):
@@ -381,13 +389,21 @@ def single_access_code(inst: Instance, access) -> LinearCode:
 def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Largest access level the code provably withstands.
 
-    Enumerates the column span of the generator exactly and returns
-    (minimum Hamming weight) - 2: an eavesdropper needs that many plus
-    one messages before any span vector lets it peel off a symbol.  -1
-    means some single message is readable outright.  Works for any
-    generator; for a Vandermonde generator the value is m - ell - 1.
-    A span of more than `budget` vectors, or of 2^63 or more, raises
-    BudgetExceededError.
+    That is (minimum Hamming weight of the column span of G) - 2: an
+    eavesdropper needs that many plus one messages before any span
+    vector lets it peel off a symbol.  -1 means some single message is
+    readable outright.  Works for any generator; for a Vandermonde
+    generator the value is m - ell - 1.
+
+    A span vector vanishes on a set of messages iff the rows of G there
+    have rank below rank G.  So the level is m - s - 1 for the least s
+    at which every s rows of a span basis have full rank, and s starts
+    at rank G.  The subsets are ranked in fixed-size stacks, and a size
+    stops at its first rank-deficient subset.  When the subsets to rank
+    would outnumber the q^rank span vectors, the span is enumerated
+    instead, in fixed-size batches.  A span of more than `budget`
+    vectors, or of 2^63 or more, raises BudgetExceededError, whichever
+    route would answer.
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
@@ -408,6 +424,9 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     span = code.q ** rank
     refuse(span, f"{code.q}^{rank} vectors of the column span", budget)
     rows = basis.data[:rank]
+    size = _least_full_rank_size(rows, code.q, span)
+    if size is not None:
+        return code.m - size - 1
     min_weight = code.m
     # span vector i has the base-q digits of i as coefficients; 0 is skipped
     for start in range(1, span, _SPAN_BATCH):
@@ -416,6 +435,31 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
         if min_weight == 1:
             break
     return max(min_weight - 2, -1)
+
+
+def _least_full_rank_size(rows, q: int, most: int):
+    """Least s such that every s columns of the full-rank rank x m array
+    `rows` have rank `rank`, or None when reaching it would mean ranking
+    more than `most` subsets in all.  Sizes are tried from rank upwards;
+    a size is left at its first rank-deficient subset."""
+    rank, m = rows.shape
+    listed = 0
+    for size in range(rank, m):
+        listed += math.comb(m, size)
+        if listed > most:
+            return None
+        subsets = itertools.combinations(range(m), size)
+        per_stack = max(1, _SUBSET_STACK // (rank * size))
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_stack))
+            flat = np.fromiter(chunk, dtype=np.intp)
+            if not flat.size:
+                return size  # every subset of this size has full rank
+            # stack entry j is the rank x size matrix of subset j's columns
+            stack = rows[:, flat.reshape(-1, size)].swapaxes(0, 1)
+            if (stack_rank(q, stack) < rank).any():
+                break
+    return m  # all m columns: the basis itself
 
 
 # ---- JSON code files -------------------------------------------------------

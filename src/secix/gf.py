@@ -25,6 +25,7 @@ __all__ = [
     "is_prime",
     "radix_digits",
     "smallest_prime_at_least",
+    "stack_rank",
     "vandermonde",
 ]
 # `checked_int`, `checked_ints` and `checked_modulus` stay unlisted, though
@@ -281,6 +282,43 @@ class FieldMatrix:
         basis[free, range(len(free))] = 1
         basis[list(pivots)] = -reduced.data[: len(pivots)][:, free] % self.q
         return FieldMatrix(self.q, basis)
+
+
+def stack_rank(q: int, stack) -> np.ndarray:
+    """Rank over GF(q) of every matrix in an S x r x d integer stack, as
+    an int64 array of length S.
+
+    One fraction-free elimination runs on the whole stack, one row at a
+    time, so the Python loop is r steps long whatever S is (a caller
+    with r > d saves steps by passing the transposes).  Each matrix takes
+    the first nonzero column of its working row as pivot, and every row
+    below becomes below * pivot - factor * row mod q, which clears that
+    column without an inverse.  A row that is zero when its turn comes
+    lies in the span of the rows above it, so the rank is the number of
+    nonzero working rows.  Entries are reduced mod q first, so every
+    product stays below q^2 < 2^63; q must be a valid modulus
+    (`checked_modulus`), which this function does not check again.
+    """
+    work = np.remainder(stack, q, dtype=np.int64)
+    count, nrows, ncols = work.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    if not ncols:
+        return ranks  # no column to pivot on
+    every = np.arange(count)
+    for i in range(nrows):
+        row = work[:, i]
+        col = (row != 0).argmax(axis=1)
+        pivot = row[every, col]
+        found = pivot != 0
+        ranks += found
+        if i + 1 == nrows:
+            break
+        # a zero row keeps the rows below as they are: pivot 1, factor * 0
+        pivot[~found] = 1
+        below = work[:, i + 1 :]
+        factor = below[every, :, col]
+        below[...] = (below * pivot[:, None, None] - factor[:, :, None] * row[:, None, :]) % q
+    return ranks
 
 
 def vandermonde(rows: int, cols: int, q: int) -> FieldMatrix:

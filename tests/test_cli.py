@@ -163,7 +163,7 @@ def test_construct_writes_code_and_reports_length(tmp_path, capsys, crossed2):
     assert summary["length"] == 3
     assert summary["min_side_info"] == 1
     assert summary["field_substituted_from"] == 2  # m=4 needs GF(5)
-    stored = json.loads(open(code_path).read())
+    stored = json.loads((tmp_path / "code.json").read_text())
     assert stored["kind"] == "linear_det" and len(stored["G"]) == 4
 
 
@@ -789,6 +789,24 @@ def test_construct_refuses_wide_span_without_full_reduction(tmp_path, capsys):
     assert "budget" in err and f"{BIG_Q}^699 vectors" in err and "Traceback" not in err
     assert out == ""
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("command", [
+    ("construct",),
+    ("verify", "--code", "CODE"),
+    ("search", "--length", "1"),
+])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, crossed2, command):
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.explicit([[3]]))
+    code_path = tmp_path / "c.json"
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1], [1], [1], [1]]}))
+    argv = [str(code_path) if a == "CODE" else a for a in command]
+    code, out, err = run(capsys, *argv, "--instance", inst_path, "--budget", "-1")
+    assert_one_error_line(code, err)
+    assert err == "error: budget must be >= 0, got -1\n" and out == ""
+    # a budget of 0 is legal: it refuses the first count, with exit 4
+    code, out, err = run(capsys, *argv, "--instance", inst_path, "--budget", "0")
+    assert code == 4 and "exceed the budget of 0" in err and out == ""
 
 
 # ---- one parser for every call -------------------------------------------------------------

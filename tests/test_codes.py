@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from secix import (
 from secix.gf import MAX_MESSAGES
 from secix.oracle import BudgetExceededError
 import reference_decode
+import reference_weight
 from conftest import (
     WIDEST_Q,
     complementary_instance,
@@ -544,6 +547,99 @@ def test_security_level_vandermonde_grid():
         for length in range(1, m):
             code = LinearCode(vandermonde(m, length, q))
             assert security_level(code) == m - length - 1, (m, length, q)
+
+
+def subsets_first(q, m, rank):
+    """Whether security_level ranks subsets before any span vector: the
+    C(m, rank) subsets of the first size are at most the q^rank vectors."""
+    return math.comb(m, rank) <= q ** rank
+
+
+@st.composite
+def generators(draw):
+    """(q, m x ell generator) over q in {2, 3, 5, 7, 251}, with at most
+    2^16 coefficient vectors for the reference and entries biased to 0 so
+    that low levels and rank-deficient generators are common."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    m = draw(st.integers(1, 8))
+    length = draw(st.integers(0, 4).filter(lambda ell: q ** ell <= 2 ** 16))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=length, max_size=length), min_size=m, max_size=m))
+    return q, rows
+
+
+@given(generators())
+@settings(max_examples=150, deadline=None)
+def test_security_level_matches_brute_force_weight(case):
+    q, rows = case
+    assert security_level(LinearCode(FieldMatrix(q, rows))) == reference_weight.security_level(q, rows)
+
+
+def test_security_level_grid_covers_both_routes():
+    """Every level -1 .. m - 2 and ranks 0 .. 4, from generators on both
+    sides of the count rule, against the brute-force weight."""
+    cases = []
+    # one column of weight w: level w - 2, at q = 7 (6 subsets <= 7
+    # vectors) and at q = 2 (6 subsets > 2 vectors)
+    for q in (2, 7):
+        for w in range(0, 7):
+            cases.append((q, [[1] if i < w else [0] for i in range(6)]))
+    # rank 2 with two rank-1 row pairs: sizes 2 and 3 are ranked, level 2
+    cases.append((251, [[1, 0], [1, 0], [1, 1], [1, 1], [0, 1], [0, 1]]))
+    # a repeated column, so rank 2 from length 3
+    cases.append((5, [[1, 2, 1], [0, 1, 0], [3, 0, 3], [1, 1, 1], [4, 2, 4], [0, 0, 0]]))
+    # ranks 3 and 4: MDS codes with subsets first, random ones without
+    rng = np.random.default_rng(3)
+    cases.append((7, vandermonde(7, 3, 7).to_lists()))
+    cases.append((11, vandermonde(8, 4, 11).to_lists()))
+    cases.append((2, rng.integers(0, 2, size=(8, 3)).tolist()))
+    cases.append((2, rng.integers(0, 2, size=(8, 4)).tolist()))
+    seen_levels, seen_ranks, routes = set(), set(), set()
+    for q, rows in cases:
+        code = LinearCode(FieldMatrix(q, rows))
+        level = security_level(code)
+        assert level == reference_weight.security_level(q, rows), (q, rows)
+        rank = code.generator.rank()
+        seen_ranks.add(rank)
+        if rank:
+            routes.add(subsets_first(q, code.m, rank))
+        if code.m == 6:
+            seen_levels.add(level)
+    assert seen_levels == set(range(-1, 5))
+    assert seen_ranks == {0, 1, 2, 3, 4}
+    assert routes == {True, False}
+
+
+def test_security_level_budget_counts_span_vectors():
+    # C(10, 3) = 120 subsets would fit a budget of 1000, but the 11^3 span
+    # vectors do not, and the budget counts span vectors
+    code = LinearCode(vandermonde(10, 3, 11))
+    assert subsets_first(11, 10, 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        security_level(code, budget=1000)
+    assert str(exc.value) == (
+        "11^3 vectors of the column span exceed the budget of 1000; raise the budget to force the enumeration"
+    )
+    assert security_level(code, budget=11 ** 3) == 6
+
+
+def test_security_level_subset_stacks_stay_small():
+    # 42,504 subsets of 5 of 24 rows: about 8.5 MB as one int64 stack
+    code = LinearCode(vandermonde(24, 5, 29))
+    assert subsets_first(29, 24, 5)
+    tracemalloc.start()
+    try:
+        assert security_level(code, budget=29 ** 5) == 18
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_security_level_refuses_keyed_codes():
+    keyed = LinearCode(FieldMatrix(3, [[1], [1]]), FieldMatrix(3, [[1]]))
+    with pytest.raises(ValueError, match="deterministic linear codes"):
+        security_level(keyed)
 
 
 # ---- JSON ----------------------------------------------------------------------------

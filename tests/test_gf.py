@@ -23,7 +23,7 @@ from secix import (
     smallest_prime_at_least,
     vandermonde,
 )
-from secix.gf import MAX_MESSAGES, MAX_MODULUS
+from secix.gf import MAX_MESSAGES, MAX_MODULUS, stack_rank
 from conftest import WIDEST_Q
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -209,6 +209,65 @@ def test_rank_matches_span_oracle_on_random_matrices():
             data = rng.integers(0, q, size=shape)
             mat = FieldMatrix(q, data)
             assert mat.rank() == rank_by_span(q, data.tolist())
+
+
+# ---- batched rank ------------------------------------------------------------
+
+STACK_MODULI = [2, 3, 5, 251, WIDEST_Q]
+
+
+@st.composite
+def rank_stacks(draw):
+    """(q, S x r x d int64 stack) whose matrices hold zero rows, repeated
+    rows, combinations of earlier rows and all-zero matrices, with entries
+    in [0, q) biased towards 0, 1 and q - 1."""
+    q = draw(st.sampled_from(STACK_MODULI))
+    count, r, d = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    stack = np.zeros((count, r, d), dtype=np.int64)
+    for mat in stack:
+        if draw(st.booleans()) and draw(st.booleans()):
+            continue  # an all-zero matrix
+        for i in range(r):
+            kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combine"]))
+            if kind == "fresh" or i == 0:
+                mat[i] = draw(st.lists(entry, min_size=d, max_size=d))
+            elif kind == "repeat":
+                mat[i] = mat[draw(st.integers(0, i - 1))]
+            elif kind == "combine":
+                a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+                ca, cb = draw(entry), draw(entry)
+                mat[i] = [(ca * int(x) + cb * int(y)) % q for x, y in zip(mat[a], mat[b])]
+    return q, stack
+
+
+@given(rank_stacks())
+@settings(max_examples=150, deadline=None)
+def test_stack_rank_matches_rref(case):
+    q, stack = case
+    assert stack_rank(q, stack).tolist() == [FieldMatrix(q, mat).rank() for mat in stack]
+
+
+def test_stack_rank_edge_shapes():
+    assert stack_rank(5, np.zeros((0, 3, 4), dtype=np.int64)).shape == (0,)
+    assert stack_rank(5, np.ones((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
+    assert stack_rank(5, np.ones((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    assert stack_rank(5, np.zeros((1, 3, 3), dtype=np.int64)).tolist() == [0]
+    # r > d: three rows in two columns; repeated rows; entries reduced mod q
+    tall = [[[1, 0], [0, 1], [1, 1]], [[2, 4], [1, 2], [3, 6]], [[5, 10], [-5, 0], [0, 5]]]
+    assert stack_rank(5, np.array(tall)).tolist() == [2, 1, 0]
+    # the first column is zero in the working row, so it is no pivot
+    assert stack_rank(3, np.array([[[0, 1, 2], [0, 2, 1], [1, 0, 0]]])).tolist() == [2]
+
+
+def test_stack_rank_widest_field_stays_exact():
+    # rows (a, b) and (c, d) near q, dependent iff ad = bc mod q: the
+    # fraction-free products reach about q^2 without wrapping int64
+    q = WIDEST_Q
+    a, b, c = q - 1, q - 2, q - 3
+    d = c * b * pow(a, q - 2, q) % q
+    stack = np.array([[[a, b], [c, d]], [[a, b], [c, (d + 1) % q]]])
+    assert stack_rank(q, stack).tolist() == [1, 2]
 
 
 # A system A x = b is solved by one rref of [A | b], as decode does: a

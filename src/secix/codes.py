@@ -36,6 +36,7 @@ import numpy as np
 
 from .gf import (
     MAX_MESSAGES,
+    STACK_ENTRIES,
     FieldMatrix,
     checked_int,
     checked_ints,
@@ -67,10 +68,6 @@ __all__ = [
 # Span vectors weighed per numpy batch in security_level; larger batches
 # buy little speed and raise peak memory.
 _SPAN_BATCH = 2 ** 10
-# Stack entries ranked per `stack_rank` call in security_level: 512 KiB of
-# int64.  One subset always fits, with at most MAX_MESSAGES rows and a rank
-# below 63 (the span has fewer than 2^63 vectors).
-_SUBSET_STACK = 2 ** 16
 
 
 class NoSecureCodeError(Exception):
@@ -449,7 +446,7 @@ def _least_full_rank_size(rows, q: int, most: int):
         if listed > most:
             return None
         subsets = itertools.combinations(range(m), size)
-        per_stack = max(1, _SUBSET_STACK // (rank * size))
+        per_stack = max(1, STACK_ENTRIES // (rank * size))
         while True:
             chunk = itertools.chain.from_iterable(itertools.islice(subsets, per_stack))
             flat = np.fromiter(chunk, dtype=np.intp)

@@ -22,6 +22,7 @@ __all__ = [
     "MAX_ACCESS_SETS",
     "MAX_MESSAGES",
     "MAX_MODULUS",
+    "STACK_ENTRIES",
     "is_prime",
     "radix_digits",
     "smallest_prime_at_least",
@@ -282,6 +283,12 @@ class FieldMatrix:
         basis[free, range(len(free))] = 1
         basis[list(pivots)] = -reduced.data[: len(pivots)][:, free] % self.q
         return FieldMatrix(self.q, basis)
+
+
+# Most entries per `stack_rank` call in the package's batched callers
+# (`codes.security_level`, `oracle.check_security`): 512 KiB of int64.  A
+# caller always ranks at least one matrix per call, whatever its size.
+STACK_ENTRIES = 2 ** 16
 
 
 def stack_rank(q: int, stack) -> np.ndarray:

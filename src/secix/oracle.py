@@ -1,44 +1,47 @@
-"""Ground-truth verification by exact exhaustive counting.
+"""Exact decodability and security verdicts.
 
 Messages are independent and uniform over GF(q); keys, when a code has
 them, are uniform over their alphabet and independent of the messages.
-The joint space is therefore uniform over q^m * |keys| states, and both
-decodability and security reduce to integer counting over that space:
+A receiver decodes iff its wanted values are a function of (codeword,
+side information); an eavesdropper holding the messages in A learns
+nothing about a block B of other messages iff, for every (codeword,
+values of A) of positive probability, the B-values are exactly uniform.
 
-* a receiver can decode iff its wanted values are a function of
-  (codeword, side information) -- no two states may agree on those and
-  disagree on a wanted value;
-* an eavesdropper holding the messages in A learns nothing about a
-  block B of other messages iff, for every (codeword, values of A) of
-  positive probability, the conditional distribution of the B-values is
-  exactly uniform.
+`check_security` answers every receiver and every (A, B) pair in one
+call, and `check_decodability` is that call with no pairs.  Each check
+is a digit list, view then target: a receiver and one wanted message it
+does not know (view: its side information; it decodes iff it decodes
+each such message), or an (A, B) pair (view: X_A, target: X_B).  There
+is one verdict path per kind of code.
 
-One verification pass builds one state table and checks every
-receiver and every (A, B) pair on it: `check_security` returns the pair
-verdicts together with the per-receiver decodability verdicts, and
-`check_decodability` runs the same pass with no pairs.  The table holds
+*Linear codes: rank identities.*  With M = [G; Gtilde], a check hidden
+behind its view sees the rows of M outside the view, key rows included.
+Its target gains I = rank M_hidden - rank M_{hidden minus target}
+symbols: a receiver decodes iff each of its lists gains 1, a pair is
+uniform iff it gains 0, and H(X_B | C, X_A) = (b - I) log2 q.  Every
+distinct row subset is ranked once, by `gf.stack_rank` in stacks of at
+most `gf.STACK_ENTRIES` entries, with the rows outside a subset masked
+to zero so that every matrix in a stack has one shape.
+
+*Table codes: counting over the joint space.*  One state table holds
 the digits of every state, in the order of the nested enumeration (x
 in lexicographic order, key index fastest), as one contiguous row per
-message (then per key symbol of a linear code) and a zero row, built
-by one broadcast per row of the full base-q grid; and an integer id per
-distinct codeword, below the number of states: a linear code is
-encoded by one matrix product over all states, a table code by one
-lookup per state.  The ids have one row per candidate code, so
+message and a zero row, built by one broadcast per row of the base-q
+grid; and an integer id per distinct codeword, below the number of
+states.  The ids have one row per candidate code, so
 `secure_generators` screens a whole stack of deterministic generators
-over one shared digit table while the checks pass a single row.
+(encoded by one matrix product) over one shared digit table while the
+table-code checks pass a single row.
 
-Every check is a row of one int64 key matrix.  A row is a digit list,
-view then target, for one candidate code: a receiver and one wanted
-message it does not know (view: its side information; it decodes iff
-it decodes each such message), or an (A, B) pair (view: X_A, target:
-X_B).  A row's key per state is the codeword id followed by the listed
-digits in base q (Horner steps over the digit table), so key //
-q^|target| is the view.  The receiver rows are sorted first, then the
-pair rows, each in chunks of at most _SORT_KEYS keys, so no chunk holds
-both kinds.  One `np.sort(axis=-1)` sorts the rows of a chunk, and one
-run-length pass over the flattened chunk reads all its verdicts, with
-its kind's width q^|target| and parts; each row start opens a run and
-a view, so neither spans two rows:
+Every counted check is a row of one int64 key matrix: per state, the
+codeword id followed by the listed digits in base q (Horner steps over
+the digit table), so key // q^|target| is the view.  The receiver rows
+are sorted first, then the pair rows, each in chunks of at most
+_SORT_KEYS keys, so no chunk holds both kinds.  One `np.sort(axis=-1)`
+sorts the rows of a chunk, and one run-length pass over the flattened
+chunk reads all its verdicts, with its kind's width q^|target| and
+parts; each row start opens a run and a view, so neither spans two
+rows:
 
 * a receiver row (width q, parts 1) passes iff every view is one run,
   i.e. equal views never carry different targets;
@@ -46,9 +49,11 @@ a view, so neither spans two rows:
   of its view's states, i.e. every view splits into q^b runs of equal
   length.
 
-Verdicts come from these integer count comparisons alone, so they are
-exact; the entropies attached to reports are decimal renderings of the
-same run lengths for humans, never inputs to a verdict.
+Verdicts come from integer ranks or integer count comparisons alone,
+so they are exact; the entropies attached to reports are decimal
+renderings for humans, never inputs to a verdict.  The budget gates
+are the same for both paths and run first: the state count and the
+states x pairs count are refused before any pair is listed.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import checked_int
+from .gf import STACK_ENTRIES, checked_int, stack_rank
 from .model import AccessStructure, Instance
 
 __all__ = [
@@ -130,9 +135,9 @@ def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> No
 
 def check_pair_budget(states: int, shown: str, m: int, acc: AccessStructure, b: int, budget: int) -> None:
     """Refuse `states` joint states (`shown` as printed) times the (access
-    set, block) pairs of `block_pairs` past the budget: every pair sorts
-    every state.  The pairs are counted with math.comb, before any access
-    set is listed."""
+    set, block) pairs of `block_pairs` past the budget: the enumeration
+    sorts every state per pair, and linear codes pass the same gate.  The
+    pairs are counted with math.comb, before any access set is listed."""
     if acc.kind == acc.KIND_T_LEVEL:
         pairs = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
     else:
@@ -221,18 +226,12 @@ def _digit_table(q: int, width: int, repeat: int = 1):
 
 def _state_table(code):
     """(digit table, codeword ids as one candidate row) over every joint
-    state.  Rows 0 .. m-1 of the digit table are the messages; a linear
-    code's key symbols are the least significant digits of the state
-    index and follow in rows m .. m+key_dim-1, before the zero row."""
-    q, m = code.q, code.m
-    if code.kind == "linear":
-        digits = _digit_table(q, m + code.key_dim)
-        words = digits[:-1].T @ code.matrix % q
-    else:
-        keys = code.key_count
-        digits = _digit_table(q, m, keys)
-        states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
-        words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(digits.shape[1], code.length)
+    state of a table code: rows 0 .. m-1 of the digit table are the
+    messages, the key index runs fastest within each message vector."""
+    q, m, keys = code.q, code.m, code.key_count
+    digits = _digit_table(q, m, keys)
+    states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
+    words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(digits.shape[1], code.length)
     return digits, _codeword_ids(words[None], q)
 
 
@@ -329,10 +328,10 @@ def _pair_rows(pairs: list):
 
 
 def _verify(code, inst: Instance, pairs: list, b: int):
-    """Per-receiver decodability and the PairChecks of `pairs`, all read
-    from one state table: the receiver rows, then the pair rows, are
-    sorted in chunks of up to _SORT_KEYS keys, and one _runs pass gives
-    the verdicts of every row of a chunk."""
+    """Per-receiver decodability and the PairChecks of `pairs` for a
+    table code, all read from one state table: the receiver rows, then
+    the pair rows, are sorted in chunks of up to _SORT_KEYS keys, and
+    one _runs pass gives the verdicts of every row of a chunk."""
     q = code.q
     rows, owner = _receiver_rows(inst)
     labels, pair_rows = _pair_rows(pairs)
@@ -361,12 +360,68 @@ def _verify(code, inst: Instance, pairs: list, b: int):
     return decodes, checks
 
 
+def _subset_ranks(code, removed: list):
+    """Per set of `removed` (message indices, 0-based), the rank over
+    GF(q) of M = code.matrix without those rows; key rows are never
+    removed.  Rows are masked to zero rather than dropped, so every
+    matrix has one shape: M, or M^T when M has more rows than columns,
+    which keeps `stack_rank`'s loop at min(m + k, length) steps.  Stacks
+    hold at most STACK_ENTRIES entries."""
+    matrix, q = code.matrix, code.q
+    rows, cols = matrix.shape
+    per_stack = max(1, STACK_ENTRIES // max(1, rows * cols))
+    ranks = np.empty(len(removed), dtype=np.int64)
+    for start in range(0, len(removed), per_stack):
+        chunk = removed[start:start + per_stack]
+        keep = np.ones((len(chunk), rows), dtype=np.int64)
+        keep[np.repeat(np.arange(len(chunk)), [len(r) for r in chunk]),
+             list(itertools.chain.from_iterable(chunk))] = 0
+        if rows > cols:
+            stack = matrix.T[None] * keep[:, None, :]
+        else:
+            stack = matrix[None] * keep[:, :, None]
+        ranks[start:start + len(chunk)] = stack_rank(q, stack)
+    return ranks
+
+
+def _ranked(code, inst: Instance, pairs: list, b: int):
+    """Per-receiver decodability and the PairChecks of `pairs` for a
+    linear code, from ranks of row subsets of M = [G; Gtilde].
+
+    A digit list (view, then target) gains rank M_hidden - rank
+    M_{hidden minus target} symbols, where hidden is every row outside
+    the view, key rows included.  A receiver decodes iff each of its
+    lists gains 1; a pair leaks I = its gain symbols of X_B, so it is
+    uniform iff I = 0, and H(X_B | C, X_A) = (b - I) log2 q.  Each
+    distinct set of removed rows (a view, or a view and its target) is
+    ranked once."""
+    rows, owner = _receiver_rows(inst)
+    labels, pair_rows = _pair_rows(pairs)
+    slots, index = {}, []
+    for lists, width in ((rows, 1), (pair_rows, b)):
+        for row in lists:
+            index.append(slots.setdefault(frozenset(row[:-width]), len(slots)))
+            index.append(slots.setdefault(frozenset(row), len(slots)))
+    decodes = [True] * len(inst.receivers)
+    if not index:
+        return decodes, []
+    ranks = _subset_ranks(code, list(slots))[index]
+    gains = (ranks[0::2] - ranks[1::2]).tolist()
+    for i, gain in zip(owner, gains):
+        decodes[i] = decodes[i] and gain == 1
+    bits = math.log2(code.q)
+    checks = [PairCheck(access, block, leak == 0, b * bits, (b - leak) * bits)
+              for (access, block), leak in zip(labels, gains[len(rows):])]
+    return decodes, checks
+
+
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
     """Per-receiver verdicts: True iff the receiver's wanted values are a
     function of the codeword and its side information.
 
     Randomized codes must decode for every key value, since receivers
-    never see the key; the joint enumeration enforces exactly that.
+    never see the key; the key rows of [G; Gtilde], which are never in a
+    view, and the joint enumeration of a table code enforce exactly that.
     This is `check_security` with no access set, so with no pair checks.
     """
     return list(check_security(code, inst, AccessStructure.explicit([]), budget=budget).decodable)
@@ -458,16 +513,18 @@ def check_security(
     budget: int = DEFAULT_BUDGET,
 ) -> SecurityReport:
     """Exact block-security verdict for every (A, B) pair, and the
-    per-receiver decodability verdicts of `check_decodability`, from one
-    state table.
+    per-receiver decodability verdicts of `check_decodability`.
 
     For each access set A (except the full message set, against which
     no block exists and nothing can leak) and each size-b subset B of
-    the remaining messages, tests conditional uniformity of the B
-    values given every (codeword, A values) of positive probability.
-    Every pair sorts all joint states, so states x pairs past the budget
-    is refused before the pairs are listed; receiver rows are not
-    counted.
+    the remaining messages, tests whether the B values are uniform
+    given every (codeword, A values) of positive probability.  A linear
+    code (keyed or not) is answered from ranks of row subsets of [G;
+    Gtilde], with H(X_B | C, X_A) = (b - I) log2 q for a leak of I
+    symbols; a table code from one state table.  Either way the gates
+    run first and in this order: the block size, the message count, the
+    joint states, and states x pairs, which is refused before the pairs
+    are listed (receiver rows are not counted).
     """
     check_block_size(b)
     check_code_matches(code, inst)
@@ -477,5 +534,6 @@ def check_security(
         shown = f"{code.q}^{code.m} x {code.key_count}"
     check_state_budget(code.q, code.m, code.key_count, shown, budget)
     check_pair_budget(state_count(code), shown, inst.m, acc, b, budget)
-    decodes, checks = _verify(code, inst, block_pairs(inst, acc, b), b)
+    verdicts = _ranked if code.kind == "linear" else _verify
+    decodes, checks = verdicts(code, inst, block_pairs(inst, acc, b), b)
     return SecurityReport(tuple(checks), b, tuple(decodes))

@@ -1,5 +1,6 @@
 """Shared instance and code builders for the test suite."""
 
+import itertools
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from secix import (
     Instance,
     LinearCode,
     Receiver,
+    TableCode,
     check_decodability,
     is_prime,
 )
@@ -44,6 +46,16 @@ def disjoint_sum_code(q: int) -> LinearCode:
 def overlapping_sum_code(q: int) -> LinearCode:
     """[x1+x2, x2+x3+x4]"""
     return LinearCode(FieldMatrix(q, [[1, 0], [1, 1], [0, 1], [0, 1]]))
+
+
+def table_copy(code: LinearCode) -> TableCode:
+    """The same code as an explicit table, key vectors numbered in
+    lexicographic order: `check_security` enumerates its joint states
+    where it ranks the linear code's rows."""
+    keys = list(itertools.product(range(code.q), repeat=code.key_dim))
+    table = {(x, i): code.encode(x, y or None)
+             for x in itertools.product(range(code.q), repeat=code.m) for i, y in enumerate(keys)}
+    return TableCode(code.q, code.m, code.length, code.key_count, table)
 
 
 def unwanted_key_instance(q: int = 2) -> Instance:

@@ -29,6 +29,7 @@ from secix.cli import main
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
+    table_copy,
     unwanted_key_instance,
 )
 
@@ -124,6 +125,19 @@ def test_analyze_block_size_needs_t_level(tmp_path, capsys, crossed2):
     assert "t-level" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct"])
+@pytest.mark.parametrize("b", ["0", "-3"])
+@pytest.mark.parametrize("source", ["file", "--access"])
+def test_bad_block_size_is_named_for_any_adversary(tmp_path, capsys, crossed2, command, b, source):
+    # the block size is checked before the adversary kind, as t-level runs
+    # and search do, so an explicit adversary does not blame b > 1
+    path = write_instance(tmp_path, crossed2, AccessStructure.explicit([[3, 4]]))
+    flags = ["--access", "[[3]]"] if source == "--access" else []
+    code, out, err = run(capsys, command, "--instance", path, *flags, "--b", b)
+    assert_one_error_line(code, err)
+    assert err == f"error: block size must be >= 1, got {b}\n" and out == ""
+
+
 # receiver 1 knows nothing: the graph is acyclic and every message is wanted
 OPEN_INSTANCE = {"q": 2, "m": 2, "receivers": [{"knows": [], "wants": [1]}, {"knows": [1], "wants": [2]}]}
 
@@ -213,14 +227,8 @@ def test_verify_secure_code_exits_zero(tmp_path, capsys, crossed2):
     assert code == 0
 
 
-def test_verify_is_one_pass(tmp_path, capsys, monkeypatch, crossed2):
-    # decodability and security come from one check_security call and one
-    # state table; perfbench/selfcheck.py injects its failing job there
-    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
-    code_path = tmp_path / "c1.json"
-    code_path.write_text(json.dumps(
-        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
-    ))
+def counted_calls(monkeypatch, module, names):
+    """The names of module's functions among `names`, in call order."""
     calls = []
 
     def counted(name, fn):
@@ -229,13 +237,45 @@ def test_verify_is_one_pass(tmp_path, capsys, monkeypatch, crossed2):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("check_security", "check_decodability", "_state_table"):
-        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_verify_is_one_pass(tmp_path, capsys, monkeypatch, crossed2):
+    # decodability and security come from one check_security call and one
+    # state table; perfbench/selfcheck.py injects its failing job there.
+    # A table code is enumerated, so the code file is served as one.
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "c1.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    ))
+    load = cli._load_code
+    monkeypatch.setattr(cli, "_load_code", lambda args: table_copy(load(args)))
+    calls = counted_calls(monkeypatch, oracle, ("check_security", "check_decodability", "_state_table"))
     code, out, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
     assert code == 2
     assert calls == ["check_security", "_state_table"]
     report = json.loads(out)
     assert list(report)[-1] == "decodable" and report["decodable"] == [True] * 4
+
+
+def test_verify_ranks_a_linear_code_in_one_stack(tmp_path, capsys, monkeypatch, crossed2):
+    # a linear code builds no state table: its 4 receiver and 12 pair
+    # checks are ranks of at most 32 row subsets, one stack_rank call
+    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+    code_path = tmp_path / "c1.json"
+    code_path.write_text(json.dumps(
+        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+    ))
+    calls = counted_calls(monkeypatch, oracle,
+                          ("check_security", "check_decodability", "_state_table", "stack_rank"))
+    code, out, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
+    assert code == 2
+    assert calls == ["check_security", "stack_rank"]
+    report = json.loads(out)
+    assert report["decodable"] == [True] * 4 and len(report["pairs"]) == 12 and not report["secure"]
 
 
 def test_verify_accepts_receiver_wanting_only_what_it_knows(tmp_path, capsys):

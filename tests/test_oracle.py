@@ -43,6 +43,7 @@ from conftest import (
     overlapping_sum_code,
     random_decodable_code,
     random_instance,
+    table_copy,
     unwanted_key_instance,
 )
 
@@ -368,8 +369,7 @@ def keyed_codes(q):
     """A keyed linear code, and a table code with q keys: both send
     [x1 + x2, x3 + x4 + y, x4 + y] for a uniform key y."""
     linear = LinearCode(FieldMatrix(q, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]]), FieldMatrix(q, [[0, 1, 1]]))
-    table = {(x, y): linear.encode(x, (y,)) for x in itertools.product(range(q), repeat=4) for y in range(q)}
-    return [linear, TableCode(q, 4, 3, q, table)]
+    return [linear, table_copy(linear)]
 
 
 def test_one_pass_keyed_codes():
@@ -421,7 +421,8 @@ def test_no_sort_mixes_row_kinds(monkeypatch, check, lists):
         monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * 2 ** 4)
     for b in (1, 2):
         if check == "check_security":
-            check_security(LinearCode(FieldMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]])), inst, acc, b)
+            # a linear code is ranked, not sorted: its table copy is sorted
+            check_security(table_copy(LinearCode(FieldMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]]))), inst, acc, b)
         else:
             assert secure_generators(2, stack, inst, block_pairs(inst, acc, b)).any()
     assert {True} in kinds and {False} in kinds
@@ -444,13 +445,34 @@ def test_two_to_the_fourteen_states_stay_small():
     assert peak < 16 * 2 ** 20
 
 
+def test_rank_stacks_stay_small():
+    # m = 14, t = 3: 4004 pairs over 2^14 states, past the default budget.
+    # The x1 + ... + x14 code, sent 48 times, hides every single message
+    # from 3 others; its 1365 row subsets of the 14 x 48 M would make one
+    # stack of 7.3 MiB, ranked in stacks of gf.STACK_ENTRIES entries instead
+    inst = complementary_instance(2, 14)
+    code = LinearCode(FieldMatrix(2, [[1] * 48] * 14))
+    tracemalloc.start()
+    try:
+        report = check_security(code, inst, AccessStructure.t_level(3), budget=2 ** 26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 4004 and report.secure
+    assert report.decodable == (True,) * 14
+    assert {p.conditional_entropy_bits for p in report.checks} == {1.0}
+    assert peak < 6 * 2 ** 20
+
+
 def test_codewords_longer_than_64_bits():
     # 70 binary symbols do not fit one int64 key; only the first three carry
     # information, so a key that dropped its high bits would merge codewords
-    code = LinearCode(FieldMatrix(2, [[int(c == j) for c in range(70)] for j in range(3)]))
+    # (the table copy is enumerated, the linear code ranked)
+    linear = LinearCode(FieldMatrix(2, [[int(c == j) for c in range(70)] for j in range(3)]))
     inst = complementary_instance(2, 3)
-    assert check_decodability(code, inst) == [True] * 3
-    assert not check_security(code, inst, AccessStructure.t_level(0)).secure
+    for code in (linear, table_copy(linear)):
+        assert check_decodability(code, inst) == [True] * 3
+        assert not check_security(code, inst, AccessStructure.t_level(0)).secure
 
 
 def test_table_code_matches_linear_equivalent():
@@ -611,9 +633,10 @@ MAX_M = {2: 5, 3: 5, 5: 3}
 
 
 @st.composite
-def oracle_cases(draw):
-    """(code, instance, access structure, b): keyed and unkeyed linear and
-    table codes, instances whose receivers may want what they know."""
+def linear_cases(draw):
+    """(linear code, instance, access structure, b): keyed and unkeyed
+    codes of length 0-3 over GF(2), GF(3) or GF(5), instances whose
+    receivers may want what they know, t-level and explicit adversaries."""
     q = draw(st.sampled_from(sorted(MAX_M)))
     m = draw(st.integers(1, MAX_M[q]))
     length = draw(st.integers(0, 3))
@@ -624,33 +647,41 @@ def oracle_cases(draw):
 
     key_dim = draw(st.integers(0, 2).filter(lambda k: q ** (m + k) <= 243))
     linear = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
-    kind = draw(st.sampled_from(["linear", "copy", "random", "threshold"]))
-    if kind == "linear":
-        code = linear
-    else:
-        rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        # threshold symbols such as majority(x1, x2, x3) make views in which
-        # every block value occurs, but not equally often
-        cuts = [rng.randint(1, m * (q - 1)) for _ in range(length)]
-        table = {}
-        for x in itertools.product(range(q), repeat=m):
-            for key, y in enumerate(itertools.product(range(q), repeat=key_dim)):
-                if kind == "copy":
-                    word = linear.encode(x, y or None)
-                elif kind == "random":
-                    word = tuple(rng.randrange(q) for _ in range(length))
-                else:
-                    word = tuple(int(sum(x) + key >= cut) for cut in cuts)
-                table[(x, key)] = word
-        code = TableCode(q, m, length, linear.key_count, table)
-
     subsets = st.frozensets(st.integers(1, m))
     receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=3))
     if draw(st.booleans()):
         acc = AccessStructure.t_level(draw(st.integers(0, m - 1)))
     else:
         acc = AccessStructure.explicit(draw(st.lists(subsets, min_size=1, max_size=3)))
-    return code, Instance(q, m, tuple(receivers)), acc, draw(st.sampled_from([1, 2]))
+    return linear, Instance(q, m, tuple(receivers)), acc, draw(st.sampled_from([1, 2]))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A `linear_cases` case whose code may be swapped for a table code:
+    its copy, a random table, or threshold symbols."""
+    linear, inst, acc, b = draw(linear_cases())
+    kind = draw(st.sampled_from(["linear", "copy", "random", "threshold"]))
+    if kind == "linear":
+        code = linear
+    elif kind == "copy":
+        code = table_copy(linear)
+    else:
+        q, m, length = linear.q, linear.m, linear.length
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        # threshold symbols such as majority(x1, x2, x3) make views in which
+        # every block value occurs, but not equally often
+        cuts = [rng.randint(1, m * (q - 1)) for _ in range(length)]
+        table = {}
+        for x in itertools.product(range(q), repeat=m):
+            for key in range(linear.key_count):
+                if kind == "random":
+                    word = tuple(rng.randrange(q) for _ in range(length))
+                else:
+                    word = tuple(int(sum(x) + key >= cut) for cut in cuts)
+                table[(x, key)] = word
+        code = TableCode(q, m, length, linear.key_count, table)
+    return code, inst, acc, b
 
 
 @given(oracle_cases())
@@ -671,3 +702,32 @@ def test_vectorized_oracle_matches_reference(case):
     for pair, row in zip(report.checks, expected):
         assert pair.block_entropy_bits == b * math.log2(code.q)
         assert abs(pair.conditional_entropy_bits - row[3]) <= 1e-9
+
+
+# ---- differential test: rank path against enumeration -----------------------------
+
+@given(linear_cases())
+@settings(max_examples=150, deadline=None)
+def test_rank_path_matches_enumeration(case):
+    # a linear code is ranked, its table copy enumerated: equal verdicts,
+    # and the ranked entropy is exactly (b - I) log2 q for the enumerated
+    # leak I
+    code, inst, acc, b = case
+    table = table_copy(code)
+    try:
+        expected = check_security(table, inst, acc, b=b)
+    except InfeasibleBlockError:
+        with pytest.raises(InfeasibleBlockError):
+            check_security(code, inst, acc, b=b)
+        return
+    report = check_security(code, inst, acc, b=b)
+    assert report.decodable == expected.decodable
+    assert check_decodability(code, inst) == check_decodability(table, inst) == list(expected.decodable)
+    bits = math.log2(code.q)
+    for pair, row in zip(report.checks, expected.checks, strict=True):
+        assert (pair.access, pair.block, pair.uniform) == (row.access, row.block, row.uniform)
+        assert pair.block_entropy_bits == row.block_entropy_bits == b * bits
+        assert abs(pair.conditional_entropy_bits - row.conditional_entropy_bits) <= 1e-9
+        leak = round(b - row.conditional_entropy_bits / bits)
+        assert pair.uniform == (leak == 0)
+        assert pair.conditional_entropy_bits == (b - leak) * bits

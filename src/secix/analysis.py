@@ -49,9 +49,12 @@ ANSWER_YES = "yes"
 ANSWER_NO = "no"
 ANSWER_UNKNOWN = "unknown"
 
-# Joint states screened per search chunk: larger chunks buy little speed
-# and raise peak memory.
-_SEARCH_BATCH = 2 ** 11
+# Generator entries in the first search chunk, and in the largest: each
+# chunk is twice as large as the one before.  A winner early in the
+# lexicographic order ends the search after a small chunk, and a long
+# scan pays the per-chunk cost fewer times, in bounded memory.
+_SEARCH_BATCH = 2 ** 10
+_SEARCH_BATCH_MOST = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
     require_normalized(inst, "analysis")
     acc = AccessStructure.t_level(t)
     t = acc.max_size(inst.m)  # refuses t outside [0, m - 1]
-    check_block_size(b)
+    b = check_block_size(b)
     least = min_side_info(inst)
     if t <= least - b:
         lower, upper = length_bounds(inst, acc)
@@ -228,16 +231,19 @@ def search_linear(
     confirm their optimality at tiny scale and settle instances the
     structural decision leaves unknown.
 
-    Generators are screened in chunks of consecutive candidates, about
-    _SEARCH_BATCH joint states per chunk, each chunk in one call of
-    `secure_generators`.  `budget` bounds the q^(m*length) candidates,
-    the q^m states of each candidate, and those states times the
-    (access set, block) pairs each candidate is checked on.
+    Generators are screened by rank identities in chunks of consecutive
+    candidates, each chunk in one call of `secure_generators`: the first
+    holds about _SEARCH_BATCH generator entries, and each later one twice
+    as many as the one before, up to _SEARCH_BATCH_MOST.  `budget` bounds
+    the q^(m*length) candidates, then, as `check_security` would for each
+    candidate, its q^m states and those states times the (access set,
+    block) pairs.
     """
     require_normalized(inst, "analysis")
-    if checked_int(length, "code length") < 0:
+    length = checked_int(length, "code length")
+    if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")
-    check_block_size(b)
+    b = check_block_size(b)
     q, m = inst.q, inst.m
     width = m * length
     candidates = q ** width
@@ -245,12 +251,15 @@ def search_linear(
     check_state_budget(q, m, 1, f"{q}^{m}", budget)
     check_pair_budget(q ** m, f"{q}^{m}", m, acc, b, budget)
     pairs = block_pairs(inst, acc, b)
-    chunk = max(1, _SEARCH_BATCH // q ** m)
-    # base-q digits of consecutive indices run in itertools.product order
-    for start in range(0, candidates, chunk):
+    chunk = max(1, _SEARCH_BATCH // max(1, width))
+    most = max(1, _SEARCH_BATCH_MOST // max(1, width))
+    start = 0
+    while start < candidates:
         stop = min(start + chunk, candidates)
+        # base-q digits of consecutive indices run in itertools.product order
         generators = radix_digits(np.arange(start, stop), q, width).reshape(stop - start, m, length)
-        hits = np.flatnonzero(secure_generators(q, generators, inst, pairs, budget))
+        hits = np.flatnonzero(secure_generators(q, generators, inst, pairs))
         if hits.size:
             return LinearCode(FieldMatrix(q, generators[hits[0]]))
+        start, chunk = stop, min(2 * chunk, most)
     return None

@@ -128,10 +128,10 @@ def _print_code(code, args, summary: dict, lines=()) -> None:
 
 
 def _decide(inst, acc, args):
-    oracle.check_block_size(args.b)  # a bad b is named as such, whatever the adversary
+    b = oracle.check_block_size(args.b)  # a bad b is named as such, whatever the adversary
     if acc.kind == model.AccessStructure.KIND_T_LEVEL:
-        return analysis.decide_t_level(inst, acc.t, b=args.b)
-    if args.b != 1:
+        return analysis.decide_t_level(inst, acc.t, b=b)
+    if b != 1:
         raise ValueError("block sizes b > 1 are supported for t-level adversaries only")
     return analysis.decide(inst, acc)
 

@@ -302,11 +302,13 @@ def stack_rank(q: int, stack) -> np.ndarray:
     below becomes below * pivot - factor * row mod q, which clears that
     column without an inverse.  A row that is zero when its turn comes
     lies in the span of the rows above it, so the rank is the number of
-    nonzero working rows.  Entries are reduced mod q first, so every
-    product stays below q^2 < 2^63; q must be a valid modulus
-    (`checked_modulus`), which this function does not check again.
+    nonzero working rows.  Entries are reduced mod q first, into a
+    C-ordered copy whatever the layout of `stack` (a transposed view
+    would slow every step), so every product stays below q^2 < 2^63; q
+    must be a valid modulus (`checked_modulus`), which this function
+    does not check again.
     """
-    work = np.remainder(stack, q, dtype=np.int64)
+    work = np.remainder(stack, q, dtype=np.int64, order="C")
     count, nrows, ncols = work.shape
     ranks = np.zeros(count, dtype=np.int64)
     if not ncols:

@@ -20,18 +20,21 @@ Its target gains I = rank M_hidden - rank M_{hidden minus target}
 symbols: a receiver decodes iff each of its lists gains 1, a pair is
 uniform iff it gains 0, and H(X_B | C, X_A) = (b - I) log2 q.  Every
 distinct row subset is ranked once, by `gf.stack_rank` in stacks of at
-most `gf.STACK_ENTRIES` entries, with the rows outside a subset masked
-to zero so that every matrix in a stack has one shape.
+most `gf.STACK_ENTRIES` entries in which every matrix has one shape:
+a subset's kept rows gathered and padded with a zero row when that
+shortens the elimination or the stack holds many candidates, its
+removed rows masked to zero otherwise.
+One routine ranks a stack of matrices: `check_security` passes one
+code's M, and `secure_generators`, which screens the generator search,
+a stack of candidate generators.
 
-*Table codes: counting over the joint space.*  One state table holds
-the digits of every state, in the order of the nested enumeration (x
-in lexicographic order, key index fastest), as one contiguous row per
-message and a zero row, built by one broadcast per row of the base-q
-grid; and an integer id per distinct codeword, below the number of
-states.  The ids have one row per candidate code, so
-`secure_generators` screens a whole stack of deterministic generators
-(encoded by one matrix product) over one shared digit table while the
-table-code checks pass a single row.
+*Table codes: counting over the joint space.*  The reference for
+`TableCode`, and the second oracle that the tests hold the ranks to.
+One state table holds the digits of every state, in the order of the
+nested enumeration (x in lexicographic order, key index fastest), as
+one contiguous row per message and a zero row, built by one broadcast
+per row of the base-q grid; and an integer id per distinct codeword,
+below the number of states.
 
 Every counted check is a row of one int64 key matrix: per state, the
 codeword id followed by the listed digits in base q (Horner steps over
@@ -51,9 +54,11 @@ rows:
 
 Verdicts come from integer ranks or integer count comparisons alone,
 so they are exact; the entropies attached to reports are decimal
-renderings for humans, never inputs to a verdict.  The budget gates
-are the same for both paths and run first: the state count and the
-states x pairs count are refused before any pair is listed.
+renderings for humans, never inputs to a verdict.  The budget gates of
+`check_security` are the same for both paths and run first: the state
+count and the states x pairs count are refused before any pair is
+listed.  `analysis.search_linear` runs its gates before it calls
+`secure_generators`, which has none of its own.
 """
 
 from __future__ import annotations
@@ -93,10 +98,10 @@ DEFAULT_BUDGET = 2 ** 22
 # a view and its target cover disjoint messages.
 _KEY_LIMIT = 2 ** 63
 
-# Keys per np.sort: the rows of one check are sorted in chunks of at
-# most this many (row, state) keys, and of at least one digit list.
-# Larger chunks save calls; smaller ones let the generator search drop
-# failed candidates sooner and keep the arrays of one chunk small.
+# Keys per np.sort: a table code's digit lists are sorted in chunks of
+# at most this many (list, state) keys, and of at least one list.
+# Larger chunks save calls; smaller ones keep the arrays of one chunk
+# small.
 _SORT_KEYS = 2 ** 13
 
 
@@ -154,11 +159,14 @@ def check_code_matches(code, inst: Instance) -> None:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
 
 
-def check_block_size(b: int) -> None:
-    """ValueError unless the block size b is an integer of at least 1.  Callers run it
-    before any budget refusal, so a bad b is a usage error first."""
-    if checked_int(b, "block size") < 1:
+def check_block_size(b: int) -> int:
+    """b as an int when it is an integer of at least 1; ValueError
+    otherwise.  Callers run it before any budget refusal, so a bad b is
+    a usage error first, and go on with the int it returns."""
+    b = checked_int(b, "block size")
+    if b < 1:
         raise ValueError(f"block size must be >= 1, got {b}")
+    return b
 
 
 def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
@@ -182,35 +190,6 @@ def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
     return pairs
 
 
-def _dense(keys):
-    """Re-number each row's keys as 0, 1, ... in sorted order; returns
-    (ids, bound on the ids of every row)."""
-    order = np.argsort(keys, axis=-1)
-    ordered = np.take_along_axis(keys, order, -1)
-    new = np.zeros(keys.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new[:, 1:])
-    ranks = np.cumsum(new, axis=-1)
-    ids = np.empty_like(keys)
-    np.put_along_axis(ids, order, ranks, -1)
-    return ids, int(ranks[:, -1].max()) + 1
-
-
-def _codeword_ids(words, q: int):
-    """Per row of a candidates x states x length stack of codeword
-    symbols, equal codewords get equal ids below the number of states.
-    Ids are re-ranked before they could leave int64, which long
-    codewords need."""
-    ids, bound = np.zeros(words.shape[:2], dtype=np.int64), 1
-    for j in range(words.shape[2]):
-        if bound * q >= _KEY_LIMIT:
-            ids, bound = _dense(ids)
-        ids = ids * q + words[..., j]
-        bound *= q
-    if bound > words.shape[1]:
-        ids = _dense(ids)[0]
-    return ids
-
-
 def _digit_table(q: int, width: int, repeat: int = 1):
     """The base-q digits of 0, 1, ..., q^width - 1, each value `repeat`
     times in a row, as one contiguous width+1 x states table: row j holds
@@ -225,20 +204,21 @@ def _digit_table(q: int, width: int, repeat: int = 1):
 
 
 def _state_table(code):
-    """(digit table, codeword ids as one candidate row) over every joint
-    state of a table code: rows 0 .. m-1 of the digit table are the
-    messages, the key index runs fastest within each message vector."""
+    """(digit table, codeword ids) over every joint state of a table code:
+    rows 0 .. m-1 of the digit table are the messages, the key index runs
+    fastest within each message vector, and equal codewords get equal ids
+    below the number of states, however long the codewords are."""
     q, m, keys = code.q, code.m, code.key_count
     digits = _digit_table(q, m, keys)
     states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
     words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(digits.shape[1], code.length)
-    return digits, _codeword_ids(words[None], q)
+    return digits, np.unique(words, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _keys(ids, digits, rows, q: int):
-    """The key matrix with a row per digit list in `rows` and candidate
-    (a row of the candidates x states `ids`), list-major: per state, the
-    codeword id followed by the listed message digits, in base q.
+    """The key matrix with a row per digit list in `rows`: per state, the
+    codeword id (from `ids`) followed by the listed message digits, in
+    base q.
 
     `digits` is a _digit_table of the states, read by Horner steps over
     its rows; shorter lists are right-aligned after zero digits from its
@@ -254,7 +234,8 @@ def _keys(ids, digits, rows, q: int):
     for col in cols[1:]:
         term *= q
         term += digits[col]
-    return (ids * q ** steps + term[:, None, :]).reshape(-1, ids.shape[1])
+    term += ids * q ** steps
+    return term
 
 
 def _runs(keys, width: int, parts: int):
@@ -291,15 +272,9 @@ def _runs(keys, width: int, parts: int):
     return ok, runs, lengths, view_sizes
 
 
-def _rows_per_sort(ids) -> int:
-    """Digit lists per sort for these candidates x states ids, so that
-    one sort holds at most _SORT_KEYS keys (and at least one list)."""
-    return max(1, _SORT_KEYS // ids.size)
-
-
 def _check_rows(ids, digits, rows, width: int, parts: int, q: int):
     """_runs of one sorted key matrix with a row per digit list (view,
-    then target) and candidate (a row of `ids`), list-major."""
+    then target)."""
     keys = _keys(ids, digits, rows, q)
     keys.sort(axis=-1)
     return _runs(keys, width, parts)
@@ -340,12 +315,12 @@ def _verify(code, inst: Instance, pairs: list, b: int):
     if not rows and not labels:
         return decodes, checks
     digits, ids = _state_table(code)
-    step = _rows_per_sort(ids)
+    step = max(1, _SORT_KEYS // ids.size)
     for start in range(0, len(rows), step):
         ok = _check_rows(ids, digits, rows[start:start + step], q, 1, q)[0]
         for i, row_ok in zip(owner[start:start + step], ok.tolist()):
             decodes[i] = decodes[i] and row_ok
-    total = ids.shape[1]
+    total = ids.size
     block_entropy, values = b * math.log2(q), q ** b
     for start in range(0, len(labels), step):
         chunk = labels[start:start + step]
@@ -360,53 +335,78 @@ def _verify(code, inst: Instance, pairs: list, b: int):
     return decodes, checks
 
 
-def _subset_ranks(code, removed: list):
-    """Per set of `removed` (message indices, 0-based), the rank over
-    GF(q) of M = code.matrix without those rows; key rows are never
-    removed.  Rows are masked to zero rather than dropped, so every
-    matrix has one shape: M, or M^T when M has more rows than columns,
-    which keeps `stack_rank`'s loop at min(m + k, length) steps.  Stacks
-    hold at most STACK_ENTRIES entries."""
-    matrix, q = code.matrix, code.q
-    rows, cols = matrix.shape
-    per_stack = max(1, STACK_ENTRIES // max(1, rows * cols))
-    ranks = np.empty(len(removed), dtype=np.int64)
-    for start in range(0, len(removed), per_stack):
-        chunk = removed[start:start + per_stack]
-        keep = np.ones((len(chunk), rows), dtype=np.int64)
-        keep[np.repeat(np.arange(len(chunk)), [len(r) for r in chunk]),
-             list(itertools.chain.from_iterable(chunk))] = 0
-        if rows > cols:
-            stack = matrix.T[None] * keep[:, None, :]
-        else:
-            stack = matrix[None] * keep[:, :, None]
-        ranks[start:start + len(chunk)] = stack_rank(q, stack)
-    return ranks
+def _subset_ranks(q: int, matrices, removed: list):
+    """Per matrix M of a candidates x rows x cols stack over GF(q), and
+    per set of `removed` row indices, the rank of M without those rows,
+    as a candidates x sets array.
+
+    Every matrix of a stack has one shape: each set's kept rows gathered
+    and padded with an appended zero row to the most rows a set keeps,
+    or all rows with the removed ones masked to zero; either is ranked
+    as its transpose when it has more rows than columns, which keeps
+    `stack_rank`'s loop at min(rows, cols) steps.  The gather costs a
+    few calls more than the mask, which only a shorter loop, or a stack
+    of many candidates, repays.  Stacks run over the (candidate, set)
+    pairs, candidate-major, and hold at most STACK_ENTRIES entries."""
+    count, rows, cols = matrices.shape
+    sizes = [len(r) for r in removed]
+    keep = np.ones((len(removed), rows), dtype=np.int64)
+    keep[np.repeat(np.arange(len(removed)), sizes), list(itertools.chain.from_iterable(removed))] = 0
+    width = rows - min(sizes, default=rows)
+    gather = width < rows and (width < cols or count > 1)
+    if gather:
+        # a removed row reads the zero row, and sorting puts the kept rows first
+        kept = np.where(keep, np.arange(rows), rows)
+        kept.sort(axis=1)
+        kept = kept[:, :width]
+        matrices = np.concatenate((matrices, np.zeros((count, 1, cols), dtype=np.int64)), axis=1)
+    else:
+        width = rows
+    # a stack holds every set of several candidates, or some sets of one
+    per_stack = max(1, STACK_ENTRIES // max(1, width * cols))
+    sets = max(1, min(len(removed), per_stack))
+    per_candidate = max(1, per_stack // sets)
+    ranks = np.empty(count * len(removed), dtype=np.int64)
+    done = 0
+    for first in range(0, count, per_candidate):
+        some = matrices[first:first + per_candidate]
+        for start in range(0, len(removed), sets):
+            if gather:
+                stack = np.take(some, kept[start:start + sets], axis=1)
+            else:
+                stack = some[:, None] * keep[start:start + sets, :, None]
+            stack = stack.reshape(len(stack) * stack.shape[1], width, cols)
+            ranks[done:done + len(stack)] = stack_rank(q, stack.transpose(0, 2, 1) if width > cols else stack)
+            done += len(stack)
+    return ranks.reshape(count, len(removed))
+
+
+def _gains(q: int, matrices, *groups):
+    """Per matrix M of a candidates x rows x cols stack over GF(q), and
+    per digit list (view, then target) of `groups`, each a (lists,
+    target length) pair, the symbols its target gains: rank M_hidden -
+    rank M_{hidden minus target}, where hidden is every row outside the
+    view.  Each distinct set of removed rows (a view, or a view and its
+    target) is ranked once."""
+    slots, index = {}, []
+    for lists, width in groups:
+        for row in lists:
+            index.append(slots.setdefault(frozenset(row[:-width]), len(slots)))
+            index.append(slots.setdefault(frozenset(row), len(slots)))
+    ranks = _subset_ranks(q, matrices, list(slots))[:, index]
+    return ranks[:, 0::2] - ranks[:, 1::2]
 
 
 def _ranked(code, inst: Instance, pairs: list, b: int):
     """Per-receiver decodability and the PairChecks of `pairs` for a
-    linear code, from ranks of row subsets of M = [G; Gtilde].
-
-    A digit list (view, then target) gains rank M_hidden - rank
-    M_{hidden minus target} symbols, where hidden is every row outside
-    the view, key rows included.  A receiver decodes iff each of its
-    lists gains 1; a pair leaks I = its gain symbols of X_B, so it is
-    uniform iff I = 0, and H(X_B | C, X_A) = (b - I) log2 q.  Each
-    distinct set of removed rows (a view, or a view and its target) is
-    ranked once."""
+    linear code, from the _gains of M = [G; Gtilde], key rows included
+    in every hidden set.  A receiver decodes iff each of its lists gains
+    1; a pair leaks I = its gain symbols of X_B, so it is uniform iff
+    I = 0, and H(X_B | C, X_A) = (b - I) log2 q."""
     rows, owner = _receiver_rows(inst)
     labels, pair_rows = _pair_rows(pairs)
-    slots, index = {}, []
-    for lists, width in ((rows, 1), (pair_rows, b)):
-        for row in lists:
-            index.append(slots.setdefault(frozenset(row[:-width]), len(slots)))
-            index.append(slots.setdefault(frozenset(row), len(slots)))
+    gains = _gains(code.q, code.matrix[None], (rows, 1), (pair_rows, b))[0].tolist()
     decodes = [True] * len(inst.receivers)
-    if not index:
-        return decodes, []
-    ranks = _subset_ranks(code, list(slots))[index]
-    gains = (ranks[0::2] - ranks[1::2]).tolist()
     for i, gain in zip(owner, gains):
         decodes[i] = decodes[i] and gain == 1
     bits = math.log2(code.q)
@@ -427,37 +427,30 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
     return list(check_security(code, inst, AccessStructure.explicit([]), budget=budget).decodable)
 
 
-def secure_generators(q: int, generators, inst: Instance, pairs: list, budget: int = DEFAULT_BUDGET):
+def secure_generators(q: int, generators, inst: Instance, pairs: list):
     """Which of a candidates x m x length stack of generators over GF(q)
     decode for every receiver and leak nothing on any of `pairs` (from
     `block_pairs`); returns one bool per candidate.
 
-    All candidates share one message table and one matrix product.  Each
-    sort holds a row per (receiver, candidate) or (pair, candidate) for
-    as many receivers, then pairs, as _SORT_KEYS allows, and a candidate
-    is dropped after the first sort in which it fails: pairs are checked
-    only on candidates every receiver decodes, and the fewer candidates
-    survive, the more receivers or pairs one sort takes.
+    The rank identities of `check_security`, for every candidate at
+    once: a candidate passes iff each receiver list gains 1 and each
+    pair gains 0.  The receiver lists are ranked first, then the pair
+    lists on the candidates every receiver decodes, in steps of at most
+    STACK_ENTRIES (candidate, list) pairs; a candidate is dropped after
+    the first step in which it fails, and the fewer survive, the more
+    lists one step takes.
     """
-    count, m, _ = generators.shape
-    check_state_budget(q, m, 1, f"{q}^{m}", budget)
-    digits = _digit_table(q, m)
-    ids = _codeword_ids(digits[:-1].T @ generators % q, q)
-    secure = np.zeros(count, dtype=bool)
-    alive = np.arange(count)
     labels, pair_rows = _pair_rows(pairs)
-    # every block has one size b, and a uniform block splits a view into q^b runs
-    values = q ** len(labels[0][1]) if labels else 1
-    for rows, width, parts in ((_receiver_rows(inst)[0], q, 1), (pair_rows, values, values)):
+    b = len(labels[0][1]) if labels else 1  # every block has one size
+    alive = np.arange(len(generators))
+    for lists, width, gain in ((_receiver_rows(inst)[0], 1, 1), (pair_rows, b, 0)):
         start = 0
-        while start < len(rows):
-            stop = start + _rows_per_sort(ids)
-            ok = _check_rows(ids, digits, rows[start:stop], width, parts, q)[0]
-            ok = ok.reshape(-1, len(ids)).all(axis=0)
-            alive, ids = alive[ok], ids[ok]
-            if not alive.size:
-                return secure
+        while start < len(lists) and alive.size:
+            stop = start + max(1, STACK_ENTRIES // alive.size)
+            ok = (_gains(q, generators[alive], (lists[start:stop], width)) == gain).all(axis=1)
+            alive = alive[ok]
             start = stop
+    secure = np.zeros(len(generators), dtype=bool)
     secure[alive] = True
     return secure
 
@@ -526,7 +519,7 @@ def check_security(
     joint states, and states x pairs, which is refused before the pairs
     are listed (receiver rows are not counted).
     """
-    check_block_size(b)
+    b = check_block_size(b)
     check_code_matches(code, inst)
     if code.kind == "linear":
         shown = f"{code.q}^{code.m + code.key_dim}"

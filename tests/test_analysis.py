@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -28,12 +29,13 @@ from secix import (
     strip_unwanted,
 )
 from secix import analysis
-from secix.oracle import BudgetExceededError, InfeasibleBlockError
+from secix.oracle import BudgetExceededError, InfeasibleBlockError, block_pairs, secure_generators
 import reference_search
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
     random_decodable_code,
+    table_copy,
     unwanted_key_instance,
 )
 
@@ -260,11 +262,56 @@ def test_search_matches_per_candidate_reference(case):
     assert found == expected
 
 
+@st.composite
+def screen_cases(draw):
+    """A `search_cases` case and a stack of its generators: 1-6 random
+    ones, and the lex-first secure one when there is one, so that some
+    candidates pass."""
+    inst, acc, length, b = draw(search_cases())
+    q, m = inst.q, inst.m
+    entries = st.lists(st.integers(0, q - 1), min_size=m * length, max_size=m * length)
+    rows = draw(st.lists(entries, min_size=1, max_size=6))
+    found = search_linear(inst, acc, length, b=b)
+    if found is not None:
+        rows.append(found.generator.data.ravel().tolist())
+    return inst, acc, b, np.array(rows, dtype=np.int64).reshape(len(rows), m, length)
+
+
+@given(screen_cases())
+@example((crossed_pairs_instance(2), AccessStructure.explicit([[3]]), 1,
+          np.array([[[0, 0], [0, 0], [0, 0], [0, 0]], [[1, 0], [1, 0], [0, 1], [0, 1]]])))
+@settings(max_examples=100, deadline=None)
+def test_screen_matches_enumeration_of_table_copies(case):
+    # the search screens by ranks; each candidate's table copy is
+    # enumerated state by state, a second oracle independent of ranks
+    inst, acc, b, stack = case
+    screened = secure_generators(inst.q, stack, inst, block_pairs(inst, acc, b)).tolist()
+    expected = []
+    for generator in stack:
+        table = table_copy(LinearCode(FieldMatrix(inst.q, generator)))
+        expected.append(all(check_decodability(table, inst)) and check_security(table, inst, acc, b=b).secure)
+    assert screened == expected
+
+
+@pytest.mark.parametrize("length", [128, 130])
+def test_numpy_length_is_refused_as_its_int(length):
+    # m * length is formed from the checked int, so a numpy length cannot
+    # wrap in its own dtype before the candidate count is refused
+    inst = Instance(2, 2, (Receiver({2}, {1}),))
+    refusals = []
+    for value in (length, np.uint8(length)):
+        with pytest.raises(BudgetExceededError) as info:
+            search_linear(inst, AccessStructure.t_level(0), value)
+        refusals.append(str(info.value))
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith(f"2^{2 * length} candidate generators exceed the budget")
+
+
 def test_search_winner_past_first_chunk(monkeypatch, crossed2):
     acc = AccessStructure.explicit([[3]])
     expected = reference_search.search(crossed2, acc, 2)
     assert expected.generator.to_lists() != [[0, 0]] * 4
-    monkeypatch.setattr(analysis, "_SEARCH_BATCH", 1)  # one candidate per chunk
+    monkeypatch.setattr(analysis, "_SEARCH_BATCH", 1)  # a first chunk of one candidate
     assert search_linear(crossed2, acc, 2) == expected
 
 
@@ -289,13 +336,13 @@ def test_block_size_refused_alike_before_any_budget(crossed2, call):
 
 
 def test_full_search_scan_stays_small():
-    # t = 4 covers a receiver's knowledge, so all 2^15 generators are
-    # screened: many decode, none is secure
+    # t = 4 covers a receiver's knowledge, so all 2^20 generators of
+    # length 4 are screened: many decode, none is secure
     inst = complementary_instance(2, 5)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        assert search_linear(inst, AccessStructure.t_level(4), 3) is None
+        assert search_linear(inst, AccessStructure.t_level(4), 4) is None
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -4,7 +4,8 @@ Model broadcast instances with per-receiver side information and an
 eavesdropper access structure, decide whether codes exist that serve
 every receiver while leaking nothing the eavesdropper lacks, construct
 MDS-based and derandomized linear codes, and verify decodability and
-block security of arbitrary codes by exact exhaustive counting.
+block security exactly: linear codes by ranks over GF(q), explicit
+table codes by exhaustive counting.
 """
 
 from .gf import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde

@@ -25,8 +25,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     block_pairs,
     check_block_size,
-    check_pair_budget,
-    check_state_budget,
+    check_budget,
     refuse,
     secure_generators,
 )
@@ -248,8 +247,7 @@ def search_linear(
     width = m * length
     candidates = q ** width
     refuse(candidates, f"{q}^{width} candidate generators", budget)
-    check_state_budget(q, m, 1, f"{q}^{m}", budget)
-    check_pair_budget(q ** m, f"{q}^{m}", m, acc, b, budget)
+    check_budget(q, m, 1, f"{q}^{m}", acc, b, budget)
     pairs = block_pairs(inst, acc, b)
     chunk = max(1, _SEARCH_BATCH // max(1, width))
     most = max(1, _SEARCH_BATCH_MOST // max(1, width))

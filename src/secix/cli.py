@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
     inst, file_acc = _load_instance(args)
     acc = _resolve_access(args, file_acc, inst.m)
     code = _load_code(args)
-    # one pass: it refuses states x pairs before the state table is built
+    # one call: it refuses states x pairs before any pair is listed
     report = oracle.check_security(code, inst, acc, b=args.b, budget=args.budget)
     decodable = report.decodable
     if args.json:

@@ -22,9 +22,9 @@ The code constructions here:
   code is a function of the original, so security survives too.  A
   receiver that cannot decode the projection cannot decode the keyed
   code either, and is named in the refusal.
-* `single_access_code` -- for a single adversary set A: send the A
-  messages in the clear, and protect the rest with an MDS code over the
-  reduced instance restricted to messages outside A.
+* `single_access_code` -- for a single adversary set A: the A messages
+  in the clear, then one MDS block over the rest, which a receiver
+  needs iff it lacks a wanted message outside A.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .gf import (
     stack_rank,
     vandermonde,
 )
-from .model import Instance, Receiver, read_json, require_normalized, write_json
+from .model import Instance, read_json, require_normalized, write_json
 from .oracle import DEFAULT_BUDGET, check_code_matches, refuse
 
 __all__ = [
@@ -317,28 +317,26 @@ def construct_mds_code(inst: Instance) -> LinearCode:
 
     The generator is a Vandermonde matrix, so any ell rows are linearly
     independent: each receiver eliminates its known symbols from the
-    codeword and solves for the at most ell remaining ones.  When the
-    instance field is too small for m distinct evaluation points, the
-    smallest prime >= m is used instead; the substitution shows up as
-    code.q != inst.q.
+    codeword and solves for the at most ell remaining ones.  When GF(q)
+    has fewer than m evaluation points, `_mds_block` moves to the
+    smallest prime >= m, which shows up as code.q != inst.q.
     """
     require_normalized(inst, "MDS construction")
     min_known = min(len(r.knows) for r in inst.receivers)
-    length = inst.m - min_known
-    q_used = inst.q if inst.q >= inst.m else smallest_prime_at_least(inst.m)
-    return LinearCode(vandermonde(inst.m, length, q_used))
+    return LinearCode(_mds_block(inst.m, inst.m - min_known, inst.q))
 
 
 def single_access_code(inst: Instance, access) -> LinearCode:
-    """Secure code against the single adversary set `access`.
+    """Secure code against the single adversary set `access` = A.
 
-    Sends the accessed messages in the clear (ascending order), followed
-    by an MDS code over the instance reduced to the remaining messages
-    and to the receivers that want and know something outside `access`.
-    Receivers whose wants lie inside `access` read them off directly.
-    Raises NoSecureCodeError when some receiver's knowledge is inside
-    `access` while it wants a message outside -- then the eavesdropper
-    could decode whatever that receiver decodes.
+    Sends the A messages in the clear (ascending order), then one MDS
+    block over the messages outside A.  A receiver needs the block iff
+    it lacks a wanted message outside A; the block has length
+    |outside| - K' for the least |knows - A| = K' among those receivers,
+    and is empty when there are none.  Raises NoSecureCodeError when
+    some receiver's knowledge is inside A while it wants a message
+    outside -- then the eavesdropper could decode whatever that
+    receiver decodes.
     """
     require_normalized(inst, "single-access construction")
     access = frozenset(checked_ints(access, "access set"))
@@ -346,41 +344,28 @@ def single_access_code(inst: Instance, access) -> LinearCode:
         if not 1 <= j <= inst.m:
             raise ValueError(f"access index {j} out of range [1, {inst.m}]")
     outside = [j for j in inst.messages() if j not in access]
-    reduced_receivers = []
+    known_outside = []
     for i, rec in enumerate(inst.receivers, start=1):
-        if rec.knows <= access:
-            if rec.wants - access:
+        if rec.wants - access - rec.knows:
+            if rec.knows <= access:
                 raise NoSecureCodeError(i, access)
-            continue  # wants inside access: served by the clear part
-        if rec.wants - access:
-            reduced_receivers.append(rec)  # needs the protected part too
+            known_outside.append(len(rec.knows - access))
+    if known_outside:
+        block = _mds_block(len(outside), len(outside) - min(known_outside), inst.q)
+    else:
+        block = FieldMatrix.zeros(inst.q, len(outside), 0)
+    clear = np.eye(inst.m, dtype=np.int64)[:, sorted(j - 1 for j in access)]
+    protected = np.zeros((inst.m, block.cols), dtype=np.int64)
+    protected[[j - 1 for j in outside]] = block.data
+    return LinearCode(FieldMatrix(block.q, np.hstack([clear, protected])))
 
-    inner = None
-    q_used = inst.q
-    if reduced_receivers:
-        remap = {old: new for new, old in enumerate(outside, start=1)}
-        reduced = Instance(
-            inst.q,
-            len(outside),
-            tuple(
-                Receiver(
-                    frozenset(remap[j] for j in rec.knows if j in remap),
-                    frozenset(remap[j] for j in rec.wants if j in remap),
-                )
-                for rec in reduced_receivers
-            ),
-        )
-        inner = construct_mds_code(reduced)
-        q_used = inner.q
-    inner_length = 0 if inner is None else inner.length
-    clear = sorted(access)
-    data = np.zeros((inst.m, len(clear) + inner_length), dtype=np.int64)
-    for pos, j in enumerate(clear):
-        data[j - 1, pos] = 1
-    if inner is not None:
-        for new_row, old in enumerate(outside):
-            data[old - 1, len(clear):] = inner.generator.data[new_row, :]
-    return LinearCode(FieldMatrix(q_used, data))
+
+def _mds_block(rows: int, length: int, q: int) -> FieldMatrix:
+    """Vandermonde generator of `rows` messages and `length` symbols, so
+    that any `length` rows are independent.  It needs `rows` distinct
+    evaluation points: when GF(q) has fewer, the smallest prime >= rows
+    is used instead, and the code shows it as code.q != inst.q."""
+    return vandermonde(rows, length, q if q >= rows else smallest_prime_at_least(rows))
 
 
 def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:

@@ -55,10 +55,10 @@ rows:
 Verdicts come from integer ranks or integer count comparisons alone,
 so they are exact; the entropies attached to reports are decimal
 renderings for humans, never inputs to a verdict.  The budget gates of
-`check_security` are the same for both paths and run first: the state
-count and the states x pairs count are refused before any pair is
-listed.  `analysis.search_linear` runs its gates before it calls
-`secure_generators`, which has none of its own.
+`check_security`, one `check_budget` call, are the same for both paths
+and run first: the state count and the states x pairs count are refused
+before any pair is listed.  `analysis.search_linear` makes the same
+call before it calls `secure_generators`, which has no gate of its own.
 """
 
 from __future__ import annotations
@@ -79,10 +79,9 @@ __all__ = [
     "PairCheck",
     "SecurityReport",
     "block_pairs",
+    "check_budget",
     "check_decodability",
-    "check_pair_budget",
     "check_security",
-    "check_state_budget",
     "secure_generators",
     "state_count",
 ]
@@ -131,18 +130,15 @@ def refuse(count: int, shown: str, budget: int, limit: int = _KEY_LIMIT) -> None
     raise BudgetExceededError(f"{shown} {problem}")
 
 
-def check_state_budget(q: int, m: int, keys: int, shown: str, budget: int) -> None:
-    """Refuse to enumerate q^m * keys joint states (`shown` as a power of
-    q) past the budget, or past what 64-bit (view, target) keys, below
-    states * q^m, can index."""
-    refuse(q ** m * keys, f"{shown} joint states", budget, -(-_KEY_LIMIT // q ** max(m, 1)))
-
-
-def check_pair_budget(states: int, shown: str, m: int, acc: AccessStructure, b: int, budget: int) -> None:
-    """Refuse `states` joint states (`shown` as printed) times the (access
-    set, block) pairs of `block_pairs` past the budget: the enumeration
-    sorts every state per pair, and linear codes pass the same gate.  The
-    pairs are counted with math.comb, before any access set is listed."""
+def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b: int, budget: int) -> None:
+    """Refuse q^m * keys joint states (`shown` as a power of q) past the
+    budget, or past what 64-bit (view, target) keys, below states * q^m,
+    can index; then the states times the (access set, block) pairs of
+    `block_pairs` past the budget, as the enumeration sorts every state
+    per pair.  Linear codes pass the same gates.  The pairs are counted
+    with math.comb, before any access set is listed."""
+    states = q ** m * keys
+    refuse(states, f"{shown} joint states", budget, -(-_KEY_LIMIT // q ** max(m, 1)))
     if acc.kind == acc.KIND_T_LEVEL:
         pairs = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
     else:
@@ -525,8 +521,7 @@ def check_security(
         shown = f"{code.q}^{code.m + code.key_dim}"
     else:
         shown = f"{code.q}^{code.m} x {code.key_count}"
-    check_state_budget(code.q, code.m, code.key_count, shown, budget)
-    check_pair_budget(state_count(code), shown, inst.m, acc, b, budget)
+    check_budget(code.q, code.m, code.key_count, shown, acc, b, budget)
     verdicts = _ranked if code.kind == "linear" else _verify
     decodes, checks = verdicts(code, inst, block_pairs(inst, acc, b), b)
     return SecurityReport(tuple(checks), b, tuple(decodes))

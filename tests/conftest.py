@@ -64,6 +64,13 @@ def unwanted_key_instance(q: int = 2) -> Instance:
     return Instance(q, 2, (Receiver({2}, {1}),))
 
 
+def known_want_instance() -> Instance:
+    """q = 5, m = 3: receiver 1 knows x3 and wants x1 and x3, receiver 2
+    knows x1 and x3 and wants x2.  Against the access set {1}, receiver 1
+    reads x1 off the clear part and lacks nothing outside it."""
+    return Instance(5, 3, (Receiver({3}, {1, 3}), Receiver({1, 3}, {2})))
+
+
 def complementary_instance(q: int, m: int) -> Instance:
     """Every receiver knows all messages but one and wants that one."""
     full = set(range(1, m + 1))

@@ -34,6 +34,7 @@ import reference_search
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
+    known_want_instance,
     random_decodable_code,
     table_copy,
     unwanted_key_instance,
@@ -164,6 +165,41 @@ def test_decide_no_access_set_yes_with_mds(crossed2):
         assert verdict.answer == ANSWER_YES
         assert all(check_decodability(verdict.code, case))
     assert decide(inst, AccessStructure.explicit([[]])).certificate == AcyclicCertificate()
+
+
+def test_decide_single_access_with_known_wants():
+    verdict = decide(known_want_instance(), AccessStructure.explicit([[1]]))
+    assert verdict.answer == ANSWER_YES
+    assert verdict.code.generator.to_lists() == [[1, 0], [0, 1], [0, 1]]
+
+
+@st.composite
+def known_want_cases(draw):
+    """(instance, explicit adversary) with q in {2, 3, 5, 7}, m <= 6, one
+    or two access sets, and receivers that may want messages they know,
+    each lacking one it wants."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 6))
+    receivers = []
+    for _ in range(draw(st.integers(1, 4))):
+        knows = draw(st.frozensets(st.integers(1, m), max_size=m - 1))
+        lacking = sorted(set(range(1, m + 1)) - knows)
+        wants = {draw(st.sampled_from(lacking))} | draw(st.frozensets(st.integers(1, m)))
+        known_wants = draw(st.frozensets(st.sampled_from(sorted(knows)))) if knows else set()
+        receivers.append(Receiver(knows, wants | known_wants))
+    sets = draw(st.lists(st.frozensets(st.integers(1, m)), min_size=1, max_size=2))
+    return Instance(q, m, tuple(receivers)), AccessStructure.explicit(sets)
+
+
+@given(known_want_cases())
+@example((known_want_instance(), AccessStructure.explicit([[1]])))
+@settings(max_examples=300, deadline=None)
+def test_decide_yes_codes_verify_when_receivers_want_what_they_know(case):
+    inst, acc = case
+    verdict = decide(inst, acc)
+    if verdict.answer == ANSWER_YES:
+        report = check_security(verdict.code, inst, acc, budget=2 ** 40)
+        assert all(report.decodable) and report.secure
 
 
 # ---- length bounds ---------------------------------------------------------------------

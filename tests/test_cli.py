@@ -29,6 +29,7 @@ from secix.cli import main
 from conftest import (
     complementary_instance,
     crossed_pairs_instance,
+    known_want_instance,
     table_copy,
     unwanted_key_instance,
 )
@@ -116,6 +117,19 @@ def test_analyze_uses_file_adversary(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--instance", path, "--json")
     assert code == 0
     assert json.loads(out)["answer"] == "yes"
+
+
+def test_single_access_with_known_wants_exits_0(tmp_path, capsys):
+    # receiver 1 wants x1, sent in the clear, and x3, which it knows
+    path = write_instance(tmp_path, known_want_instance())
+    code_path = str(tmp_path / "c.json")
+    code, _, err = run(capsys, "analyze", "--instance", path, "--access", "[[1]]")
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "construct", "--instance", path, "--access", "[[1]]", "--code", code_path)
+    assert (code, err) == (0, "")
+    assert load_code(code_path).generator.to_lists() == [[1, 0], [0, 1], [0, 1]]
+    code, out, _ = run(capsys, "verify", "--instance", path, "--code", code_path, "--access", "[[1]]")
+    assert code == 0 and out.endswith("secure: True\n")
 
 
 def test_analyze_block_size_needs_t_level(tmp_path, capsys, crossed2):

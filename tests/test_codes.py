@@ -40,6 +40,7 @@ from conftest import (
     complementary_instance,
     crossed_pairs_instance,
     disjoint_sum_code,
+    known_want_instance,
     unwanted_key_instance,
 )
 
@@ -484,6 +485,35 @@ def test_single_access_mixed_receiver_types():
     code = single_access_code(inst, access)
     assert all(check_decodability(code, inst))
     assert check_security(code, inst, AccessStructure.explicit([access])).secure
+
+
+def test_single_access_block_skips_receivers_served_in_the_clear():
+    # receiver 1 wants x1, sent in the clear, and x3, which it knows: only
+    # receiver 2, knowing x3 outside A, sets the block length 2 - 1
+    inst = known_want_instance()
+    code = single_access_code(inst, {1})
+    assert code.generator == FieldMatrix(5, [[1, 0], [0, 1], [0, 1]])  # [x1 | x2 + x3]
+    report = check_security(code, inst, AccessStructure.explicit([[1]]))
+    assert all(report.decodable) and report.secure
+
+
+def test_single_access_empty_block_keeps_the_field():
+    # nobody lacks a message outside A = {1}: no block, and GF(2) stays,
+    # although GF(2) has fewer than the 2 + 1 points a block would need
+    inst = Instance(2, 3, (Receiver({3}, {1}),))
+    code = single_access_code(inst, {1})
+    assert code.generator == FieldMatrix(2, [[1], [0], [0]])
+
+
+def test_single_access_block_substitutes_the_field():
+    # 3 messages outside A over GF(2): the block moves to GF(3), and so
+    # does the clear column
+    inst = Instance(2, 4, (Receiver({2}, {1, 3}), Receiver({4}, {1})))
+    code = single_access_code(inst, {1})
+    assert code.q == 3
+    assert code.generator.data[:, 0].tolist() == [1, 0, 0, 0]
+    report = check_security(code, inst, AccessStructure.explicit([[1]]))
+    assert all(report.decodable) and report.secure
 
 
 # ---- security level ----------------------------------------------------------------

@@ -211,13 +211,13 @@ FORTY = Instance(2, 40, (Receiver({1}, {2}),))
 # function that asks the gate
 SEVEN_REFUSALS = {
     "states": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY),
-               r"2\^40 joint states exceed", "check_state_budget"),
+               r"2\^40 joint states exceed", "check_budget"),
     "state-keys": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY, budget=2 ** 90),
-                   "joint states are too many", "check_state_budget"),
+                   "joint states are too many", "check_budget"),
     # C(4, 1) access sets x C(3, 1) blocks
     "pairs": (lambda: check_security(disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.t_level(1),
                                      budget=16),
-              r"2\^4 joint states x 12 \(access set, block\) pairs", "check_pair_budget"),
+              r"2\^4 joint states x 12 \(access set, block\) pairs", "check_budget"),
     "candidates": (lambda: search_linear(FORTY, AccessStructure.t_level(20), 1),
                    r"2\^40 candidate", "search_linear"),
     "candidate-index": (lambda: search_linear(FORTY, AccessStructure.t_level(20), 2, budget=2 ** 90),
@@ -425,19 +425,21 @@ def test_no_sort_mixes_row_kinds(monkeypatch, lists):
 
 
 def test_two_to_the_fourteen_states_stay_small():
-    # 2^14 states x 182 (A, B) pairs, sorted in chunks of _SORT_KEYS keys
+    # 2^14 states x 182 (A, B) pairs: the linear code is ranked, and its
+    # table copy enumerated, its keys sorted in chunks of _SORT_KEYS keys
     inst = complementary_instance(2, 14)
-    code = LinearCode(FieldMatrix(2, [[1]] * 14))
-    tracemalloc.start()
-    try:
-        report = check_security(code, inst, AccessStructure.t_level(1))
-        decodable = check_decodability(code, inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(report.checks) == 182 and report.secure
-    assert decodable == [True] * 14
-    assert peak < 16 * 2 ** 20
+    linear = LinearCode(FieldMatrix(2, [[1]] * 14))
+    for code in (linear, table_copy(linear)):
+        tracemalloc.start()
+        try:
+            report = check_security(code, inst, AccessStructure.t_level(1))
+            decodable = check_decodability(code, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.checks) == 182 and report.secure
+        assert decodable == [True] * 14
+        assert peak < 16 * 2 ** 20, code
 
 
 def test_rank_stacks_stay_small():

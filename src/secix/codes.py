@@ -158,15 +158,21 @@ class TableCode:
     """Explicit truth-table code: a total map (message vector, key) -> codeword.
 
     Used for verifying arbitrary (possibly nonlinear) encoders; the
-    table must cover all q^m * key_count inputs.
+    table must cover all q^m * key_count inputs.  q is judged by
+    `checked_modulus`, as an instance's is; m must be at least 1 and the
+    length at least 0.
     """
 
     kind = "table"
 
     def __init__(self, q: int, m: int, length: int, key_count: int, table: dict):
-        self.q = checked_int(q, "field size q")
+        self.q = checked_modulus(checked_int(q, "field size q"))
         self.m = checked_int(m, "message count m")
+        if self.m < 1:
+            raise ValueError(f"message count m must be >= 1, got {self.m}")
         self.length = checked_int(length, "code length")
+        if self.length < 0:
+            raise ValueError(f"code length must be >= 0, got {self.length}")
         self.key_count = checked_int(key_count, "key count")
         if self.key_count < 1:
             raise ValueError("key alphabet must have at least one value")

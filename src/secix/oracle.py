@@ -32,25 +32,20 @@ a stack of candidate generators.
 `TableCode`, and the second oracle that the tests hold the ranks to.
 One state table holds the digits of every state, in the order of the
 nested enumeration (x in lexicographic order, key index fastest), as
-one contiguous row per message and a zero row, built by one broadcast
-per row of the base-q grid; and an integer id per distinct codeword,
-below the number of states.
+one contiguous row per message, built by one broadcast per row of the
+base-q grid; and an integer id per distinct codeword, below the number
+of states.
 
-Every counted check is a row of one int64 key matrix: per state, the
-codeword id followed by the listed digits in base q (Horner steps over
-the digit table), so key // q^|target| is the view.  The receiver rows
-are sorted first, then the pair rows, each in chunks of at most
-_SORT_KEYS keys, so no chunk holds both kinds.  One `np.sort(axis=-1)`
-sorts the rows of a chunk, and one run-length pass over the flattened
-chunk reads all its verdicts, with its kind's width q^|target| and
-parts; each row start opens a run and a view, so neither spans two
-rows:
+Each check is counted on its own: per state, one int64 key packs the
+codeword id and the listed digits in base q (Horner steps over the
+digit table), so key // q^|target| is the view.  One `np.unique` counts
+the states of each class of equal keys, and a second one, over the
+classes' views, gives each class the size of its view:
 
-* a receiver row (width q, parts 1) passes iff every view is one run,
-  i.e. equal views never carry different targets;
-* a pair row (width and parts q^b) is uniform iff every run holds 1/q^b
-  of its view's states, i.e. every view splits into q^b runs of equal
-  length.
+* a receiver list passes iff every class is its whole view, i.e. equal
+  views never carry different targets;
+* a pair is uniform iff every class holds 1/q^b of its view's states,
+  i.e. every view splits into q^b classes of equal size.
 
 Verdicts come from integer ranks or integer count comparisons alone,
 so they are exact; the entropies attached to reports are decimal
@@ -97,12 +92,6 @@ DEFAULT_BUDGET = 2 ** 22
 # a view and its target cover disjoint messages.
 _KEY_LIMIT = 2 ** 63
 
-# Keys per np.sort: a table code's digit lists are sorted in chunks of
-# at most this many (list, state) keys, and of at least one list.
-# Larger chunks save calls; smaller ones keep the arrays of one chunk
-# small.
-_SORT_KEYS = 2 ** 13
-
 
 class BudgetExceededError(RuntimeError):
     """The requested enumeration is larger than the configured budget."""
@@ -134,7 +123,7 @@ def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b:
     """Refuse q^m * keys joint states (`shown` as a power of q) past the
     budget, or past what 64-bit (view, target) keys, below states * q^m,
     can index; then the states times the (access set, block) pairs of
-    `block_pairs` past the budget, as the enumeration sorts every state
+    `block_pairs` past the budget, as the enumeration counts every state
     per pair.  Linear codes pass the same gates.  The pairs are counted
     with math.comb, before any access set is listed."""
     states = q ** m * keys
@@ -188,11 +177,11 @@ def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
 
 def _digit_table(q: int, width: int, repeat: int = 1):
     """The base-q digits of 0, 1, ..., q^width - 1, each value `repeat`
-    times in a row, as one contiguous width+1 x states table: row j holds
-    digit j (most significant first) of every state, the last row is
-    zero.  One broadcast assignment per row: digit j steps through 0 ..
-    q-1 over stretches of q^(width-1-j) * repeat states."""
-    table = np.zeros((width + 1, q ** width * repeat), dtype=np.int64)
+    times in a row, as one contiguous width x states table: row j holds
+    digit j (most significant first) of every state.  One broadcast
+    assignment per row: digit j steps through 0 .. q-1 over stretches of
+    q^(width-1-j) * repeat states."""
+    table = np.empty((width, q ** width * repeat), dtype=np.int64)
     values = np.arange(q)[:, None]
     for j in range(width):
         np.copyto(table[j].reshape(q ** j, q, -1), values)
@@ -211,69 +200,23 @@ def _state_table(code):
     return digits, np.unique(words, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _keys(ids, digits, rows, q: int):
-    """The key matrix with a row per digit list in `rows`: per state, the
-    codeword id (from `ids`) followed by the listed message digits, in
-    base q.
+def _classes(ids, digits, row: list, width: int, q: int):
+    """Per class of states with equal codeword and equal digits of `row`
+    (view, then a target of `width` digits), in key order: its size, and
+    the size of its view.
 
-    `digits` is a _digit_table of the states, read by Horner steps over
-    its rows; shorter lists are right-aligned after zero digits from its
-    last row.  Two states of a row get equal keys iff they have equal
-    codewords and equal listed digits.  No list holds more than m
-    digits, so the state budget keeps every key below states * q^m <
-    2^63.
+    A state's key is its codeword id followed by the listed digits, in
+    base q (Horner steps over the rows of `digits`), so key // q^width is
+    its view.  No list holds more than m digits, so the state budget
+    keeps every key below states * q^m < 2^63.
     """
-    steps = max(map(len, rows))
-    pad = len(digits) - 1
-    cols = np.array([[pad] * (steps - len(r)) + r for r in rows], dtype=np.intp).T
-    term = digits[cols[0]]
-    for col in cols[1:]:
-        term *= q
-        term += digits[col]
-    term += ids * q ** steps
-    return term
-
-
-def _runs(keys, width: int, parts: int):
-    """One run-length pass over row-sorted keys (rows x states).
-
-    A run is a stretch of equal keys, a view a stretch of runs with equal
-    key // width.  Returns per row whether every run holds 1/parts of its
-    view's states; and per run its start in the flattened keys, its
-    length and the size of its view.  With parts = 1 each view is one
-    run: the target is a function of the view.  With parts = width = q^b
-    each view splits into q^b equally long runs: the block is uniform
-    given the view.
-    """
-    rows, states = keys.shape
-    keys = keys.ravel()
-    # every row start opens a run and a view, so neither spans two rows;
-    # the trailing entry closes the last run
-    first = np.zeros(keys.size + 1, dtype=bool)
-    first[::states] = True
-    new_key = first.copy()
-    new_key[1:-1] |= keys[1:] != keys[:-1]
-    edges = new_key.nonzero()[0]
-    runs = edges[:-1]
-    lengths = edges[1:] - runs
-    run_views = keys[runs] // width
-    # per edge: does a view end there; the last edge closes the last view
-    new_view = first[edges]
-    new_view[1:-1] |= run_views[1:] != run_views[:-1]
-    view_edges = new_view.nonzero()[0]
-    ends = edges[view_edges]
-    view_sizes = np.repeat(ends[1:] - ends[:-1], view_edges[1:] - view_edges[:-1])
-    ok = np.ones(rows, dtype=bool)
-    ok[runs[lengths * parts != view_sizes] // states] = False
-    return ok, runs, lengths, view_sizes
-
-
-def _check_rows(ids, digits, rows, width: int, parts: int, q: int):
-    """_runs of one sorted key matrix with a row per digit list (view,
-    then target)."""
-    keys = _keys(ids, digits, rows, q)
-    keys.sort(axis=-1)
-    return _runs(keys, width, parts)
+    keys = ids.copy()
+    for j in row:
+        keys *= q
+        keys += digits[j]
+    keys, runs = np.unique(keys, return_counts=True)
+    _, starts, inverse = np.unique(keys // q ** width, return_index=True, return_inverse=True)
+    return runs, np.add.reduceat(runs, starts)[inverse]
 
 
 def _receiver_rows(inst: Instance):
@@ -300,9 +243,11 @@ def _pair_rows(pairs: list):
 
 def _verify(code, inst: Instance, pairs: list, b: int):
     """Per-receiver decodability and the PairChecks of `pairs` for a
-    table code, all read from one state table: the receiver rows, then
-    the pair rows, are sorted in chunks of up to _SORT_KEYS keys, and
-    one _runs pass gives the verdicts of every row of a chunk."""
+    table code, all read from one state table, with one _classes count
+    per digit list.  A receiver decodes iff every class of each of its
+    lists is its whole view; a pair is uniform iff every class holds
+    1/q^b of its view, and H(X_B | C, X_A) sums each class's share of
+    the states times log2(view / class)."""
     q = code.q
     rows, owner = _receiver_rows(inst)
     labels, pair_rows = _pair_rows(pairs)
@@ -311,23 +256,14 @@ def _verify(code, inst: Instance, pairs: list, b: int):
     if not rows and not labels:
         return decodes, checks
     digits, ids = _state_table(code)
-    step = max(1, _SORT_KEYS // ids.size)
-    for start in range(0, len(rows), step):
-        ok = _check_rows(ids, digits, rows[start:start + step], q, 1, q)[0]
-        for i, row_ok in zip(owner[start:start + step], ok.tolist()):
-            decodes[i] = decodes[i] and row_ok
-    total = ids.size
-    block_entropy, values = b * math.log2(q), q ** b
-    for start in range(0, len(labels), step):
-        chunk = labels[start:start + step]
-        ok, runs, lengths, view_sizes = _check_rows(ids, digits, pair_rows[start:start + step], values, values, q)
-        # H(X_B | C, X_A) is each pair row's dot product over its own runs
-        logs = np.log2(view_sizes) - np.log2(lengths)
-        weights = lengths.astype(np.float64)
-        cuts = np.searchsorted(runs, np.arange(len(chunk) + 1) * total).tolist()
-        for label, row_ok, first, last in zip(chunk, ok.tolist(), cuts, cuts[1:]):
-            conditional = float(weights[first:last].dot(logs[first:last])) / total
-            checks.append(PairCheck(*label, row_ok, block_entropy, conditional))
+    for i, row in zip(owner, rows):
+        runs, views = _classes(ids, digits, row, 1, q)
+        decodes[i] = decodes[i] and bool((runs == views).all())
+    states, values, block_entropy = ids.size, q ** b, b * math.log2(q)
+    for label, row in zip(labels, pair_rows):
+        runs, views = _classes(ids, digits, row, b, q)
+        conditional = float(runs.astype(np.float64).dot(np.log2(views) - np.log2(runs))) / states
+        checks.append(PairCheck(*label, bool((runs * values == views).all()), block_entropy, conditional))
     return decodes, checks
 
 

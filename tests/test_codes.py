@@ -151,6 +151,22 @@ def test_table_code_lookup_and_validation():
         keyed.encode((0,), 5)
 
 
+@pytest.mark.parametrize("q, m, length, text", [
+    (1, 2, 1, "field modulus must be prime, got 1"),
+    (-1, 2, 0, "field modulus must be prime, got -1"),
+    (4, 1, 1, "field modulus must be prime, got 4"),
+    (2, 0, 1, "message count m must be >= 1, got 0"),
+    (2, -1, 1, "message count m must be >= 1, got -1"),
+    (2, 1, -1, "code length must be >= 0, got -1"),
+])
+def test_table_code_refuses_bad_field_count_or_length(q, m, length, text):
+    # each refusal names its field before the table is read; a q = 1 table
+    # would pass check_security as decodable and secure, with 0-bit entropies
+    with pytest.raises(ValueError) as info:
+        TableCode(q, m, length, 1, {})
+    assert str(info.value) == text
+
+
 def test_linear_code_shape_validation():
     with pytest.raises(ValueError):
         LinearCode(FieldMatrix(2, [[1, 0]]), FieldMatrix(2, [[1]]))  # column mismatch

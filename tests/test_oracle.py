@@ -55,13 +55,12 @@ from conftest import (
 def test_digit_table_is_the_radix_grid(q, width):
     total = q ** width
     table = secix.oracle._digit_table(q, width)
-    assert table.shape == (width + 1, total) and table.flags.c_contiguous
-    assert (table[:-1].T == radix_digits(np.arange(total), q, width)).all()
-    assert not table[-1].any()
+    assert table.shape == (width, total) and table.flags.c_contiguous
+    assert (table.T == radix_digits(np.arange(total), q, width)).all()
     # a table code's key index runs fastest, below the message digits
     keyed = secix.oracle._digit_table(q, width, 3)
-    assert (keyed[:-1].T == radix_digits(np.arange(3 * total) // 3, q, width)).all()
-    assert not keyed[-1].any()
+    assert keyed.shape == (width, 3 * total)
+    assert (keyed.T == radix_digits(np.arange(3 * total) // 3, q, width)).all()
 
 
 # ---- decodability ------------------------------------------------------------
@@ -300,23 +299,21 @@ def test_receivers_with_empty_and_two_message_targets():
 
 
 @pytest.mark.parametrize("sort_keys", [1, 3 * 16, 5 * 16])
-def test_sort_chunks_split_rows(monkeypatch, sort_keys):
-    # 16 states: one digit list per sort, then chunks of 3 and of 5 lists
-    # that split the 12 pairs and 4 receivers unevenly
+def test_sort_chunks_split_rows(sort_keys):
+    # every length-2 generator against 7 pairs; 6 of them pass, and
+    # check_decodability and check_security, code by code, pick the same 6.
+    # The 256 generators screened in chunks of 1, 48 or 80 (the last chunk
+    # short) give the same verdicts: a candidate's steps do not depend on
+    # which other candidates share its stack
     inst = crossed_pairs_instance(2)
-    acc = AccessStructure.t_level(1)
-    table = {(x, 0): (x[0] & x[1], x[1] ^ x[3]) for x in itertools.product(range(2), repeat=4)}
-    codes = [overlapping_sum_code(2), TableCode(2, 4, 2, 1, table)]
-    expected = [(check_decodability(c, inst), check_security(c, inst, acc)) for c in codes]
-    # every length-2 generator against 7 pairs; 6 of them pass
     screen_acc = AccessStructure.explicit([[3], []])
     pairs = block_pairs(inst, screen_acc, 1)
     stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
     screened = secure_generators(2, stack, inst, pairs).tolist()
     assert sum(screened) == 6
-    monkeypatch.setattr(secix.oracle, "_SORT_KEYS", sort_keys)
-    assert [(check_decodability(c, inst), check_security(c, inst, acc)) for c in codes] == expected
-    assert secure_generators(2, stack, inst, pairs).tolist() == screened
+    chunked = [ok for k in range(0, len(stack), sort_keys)
+               for ok in secure_generators(2, stack[k:k + sort_keys], inst, pairs).tolist()]
+    assert chunked == screened
     one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
                   for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
     assert one_by_one == screened
@@ -384,49 +381,30 @@ def test_one_pass_keyed_codes():
 
 @pytest.mark.parametrize("lists", [1, 3, 5])
 @pytest.mark.parametrize("b", [1, 2])
-def test_one_pass_chunks_mix_row_kinds(monkeypatch, lists, b):
-    # 4 receiver rows, then the pair rows, in sorts of `lists` digit lists:
-    # one row per sort, and sorts that end inside the receiver rows and
-    # inside the pair rows at every offset; with b = 2 a pair row's width
-    # q^2 differs from a receiver row's q
+def test_one_pass_chunks_mix_row_kinds(lists, b):
+    # 4 receiver lists, then the pair lists, of one state table; with b = 2
+    # a pair's target of q^2 values differs from a receiver's q.  Each list
+    # is counted on its own: the 4 access sets taken `lists` at a time (the
+    # last chunk short, or all 4 at once) give the same verdicts and the
+    # same entropies, to the bit, as the whole t-level report
     inst = crossed_pairs_instance(3)
     acc = AccessStructure.t_level(1)
     majority = {(x, 0): (int(x[0] + x[1] >= 2), (x[2] + x[3]) % 3) for x in itertools.product(range(3), repeat=4)}
     # the total sum and the empty code leave the first pairs, A = [1], uniform
     codes = [overlapping_sum_code(3), disjoint_sum_code(3), TableCode(3, 4, 2, 1, majority),
              LinearCode(FieldMatrix(3, [[1]] * 4)), LinearCode(FieldMatrix.zeros(3, 4, 0))] + keyed_codes(3)
+    sets = acc.expand(inst.m)
     for code in codes:
-        monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * state_count(code))
-        one_pass(code, inst, acc, b)
-
-
-@pytest.mark.parametrize("lists", [None, 3], ids=["check_security-default", "check_security-3-lists"])
-def test_no_sort_mixes_row_kinds(monkeypatch, lists):
-    # every receiver knows 3 of the 4 messages, so its digit lists hold 4
-    # digits and a pair's (t = 1, b <= 2) at most 3: a list's length tells
-    # its kind.  A linear code is ranked, not sorted: its table copy is sorted
-    inst = complementary_instance(2, 4)
-    acc = AccessStructure.t_level(1)
-    code = table_copy(LinearCode(FieldMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]])))
-    kinds = []
-    keys = secix.oracle._keys
-
-    def spy(ids, digits, rows, q):
-        kinds.append({len(r) == 4 for r in rows})
-        return keys(ids, digits, rows, q)
-
-    monkeypatch.setattr(secix.oracle, "_keys", spy)
-    if lists:
-        monkeypatch.setattr(secix.oracle, "_SORT_KEYS", lists * 2 ** 4)
-    for b in (1, 2):
-        check_security(code, inst, acc, b)
-    assert {True} in kinds and {False} in kinds
-    assert all(len(k) == 1 for k in kinds)
+        report = one_pass(code, inst, acc, b)
+        parts = [one_pass(code, inst, AccessStructure.explicit(sets[k:k + lists]), b)
+                 for k in range(0, len(sets), lists)]
+        assert all(part.decodable == report.decodable for part in parts)
+        assert [p for part in parts for p in part.checks] == list(report.checks)
 
 
 def test_two_to_the_fourteen_states_stay_small():
     # 2^14 states x 182 (A, B) pairs: the linear code is ranked, and its
-    # table copy enumerated, its keys sorted in chunks of _SORT_KEYS keys
+    # table copy enumerated, one 2^14-key class count per digit list
     inst = complementary_instance(2, 14)
     linear = LinearCode(FieldMatrix(2, [[1]] * 14))
     for code in (linear, table_copy(linear)):
@@ -538,6 +516,35 @@ def test_unequal_counts_leak_even_when_every_value_occurs():
     report = check_security(code, inst, AccessStructure.explicit([[]]))
     assert [p.uniform for p in report.checks] == [False] * 3
     assert math.isclose(report.checks[0].conditional_entropy_bits, 2 - 0.75 * math.log2(3))
+
+
+def test_table_code_entropies_are_pinned_to_the_bit():
+    # the rendered H(X_B | C, X_A) of a table code is a float sum over its
+    # classes in key order; these are its exact values, so a change of the
+    # summation order fails here (1.15...168 and 1.15...166 below are the
+    # same entropy summed over differently ordered classes)
+    majority = TableCode(2, 3, 1, 1, {(x, 0): (int(sum(x) >= 2),) for x in itertools.product(range(2), repeat=3)})
+    inst = Instance(2, 3, (Receiver({2}, {1}),))
+    for acc, b, expected in [
+        (AccessStructure.explicit([[]]), 1, [0.8112781244591329] * 3),
+        (AccessStructure.t_level(1), 1, [0.6887218755408671] * 6),
+        (AccessStructure.explicit([[]]), 2, [1.5] * 3),
+    ]:
+        report = check_security(majority, inst, acc, b)
+        assert [p.conditional_entropy_bits for p in report.checks] == expected
+    # c = [x1 + x2 + y >= 3, x2 + x3 + y] over GF(3), with a uniform key y
+    table = {(x, y): (int(x[0] + x[1] + y >= 3), (x[1] + x[2] + y) % 3)
+             for x in itertools.product(range(3), repeat=3) for y in range(3)}
+    keyed = TableCode(3, 3, 2, 3, table)
+    inst = Instance(3, 3, (Receiver({2, 3}, {1}), Receiver({1}, {2, 3})))
+    for b, expected in [
+        (1, [1.3151768520121088] * 4 + [1.1525709436579168, 1.1525709436579166]),
+        (2, [2.3899750004807707, 2.3899750004807707, 2.2273690921265783]),
+    ]:
+        report = check_security(keyed, inst, AccessStructure.t_level(1), b)
+        assert [p.conditional_entropy_bits for p in report.checks] == expected
+        assert {p.block_entropy_bits for p in report.checks} == {b * math.log2(3)}
+        assert report.decodable == (False, False) and not report.secure
 
 
 # ---- structural invariants ------------------------------------------------------

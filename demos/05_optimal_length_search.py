@@ -5,10 +5,10 @@ GF(2) and keeps the first one that both decodes everywhere and passes
 the exact security check.  On an instance with a complementary
 minimal receiver the construction's length m - K is provably optimal,
 and the search agrees from the other direction: one width down, the
-entire space contains nothing usable.
+entire space contains nothing usable.  The search scans generators in
+lexicographic order of their row-major entries, so the winner's
+position in that order is its entries read as a base-q number, plus 1.
 """
-
-import time
 
 from secix import (
     AccessStructure,
@@ -28,15 +28,17 @@ lower, upper = length_bounds(instance, nothing_held)
 print(f"analytic bounds on the secure codelength: lower={lower}, upper={upper}")
 
 for width in (upper, upper - 1):
-    t0 = time.perf_counter()
     found = search_linear(instance, nothing_held, width)
-    dt = time.perf_counter() - t0
     space = instance.q ** (instance.m * width)
     if found is None:
-        print(f"width {width}: searched all {space} generators, none works ({dt:.2f} s)")
+        print(f"width {width}: searched all {space} generators, none works")
     else:
-        print(f"width {width}: first working generator ({dt:.2f} s)")
-        for j, row in enumerate(found.generator.to_lists(), start=1):
+        rows = found.generator.to_lists()
+        index = 0
+        for entry in (e for row in rows for e in row):
+            index = index * instance.q + entry
+        print(f"width {width}: first working generator, number {index + 1} of {space} in lexicographic order")
+        for j, row in enumerate(rows, start=1):
             print(f"  message {j}: {row}")
 
 print("\nThe exhaustive result matches the counting argument: a receiver")

@@ -402,7 +402,7 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     while code.q ** (k + 1) <= budget:
         k += 1
     top = min(code.m, code.length)
-    if k < top and FieldMatrix(code.q, transpose.data[: k + 1]).rank() == k + 1:
+    if k < top and stack_rank(code.q, transpose.data[None, : k + 1])[0] == k + 1:
         shown = f"{code.q}^{top}" if k + 1 == top else f"{code.q}^{k + 1} to {code.q}^{top}"
         refuse(code.q ** (k + 1), f"{shown} vectors of the column span", budget)
     basis, pivots = transpose.rref()

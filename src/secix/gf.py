@@ -3,7 +3,9 @@
 This module is the package's one arithmetic path: field elements are
 ints reduced mod q, held in int64 numpy arrays, and every GF(q)
 computation is a numpy product or an elimination over such arrays.
-Row reduction uses leftmost-pivot / first-nonzero-row ordering, so
+Every rank goes through `stack_rank`, one matrix or a whole stack at a
+time; `FieldMatrix.rref` serves where reduced rows are needed.  Row
+reduction uses leftmost-pivot / first-nonzero-row ordering, so
 reduced forms and nullspace bases are deterministic across runs.
 Everything is integer-exact -- no floating point anywhere -- because
 the moduli and dimensions are capped so that no int64 product can wrap.
@@ -134,8 +136,7 @@ class FieldMatrix:
     q must be a prime no larger than MAX_MODULUS.  Entries must be
     integers: a bool, float or string entry raises ValueError.  They are
     stored as a read-only int64 array, reduced mod q at construction.
-    Operations between matrices require equal moduli and raise
-    ValueError otherwise.
+    A product of matrices over different fields raises ValueError.
     """
 
     __slots__ = ("q", "data")
@@ -159,14 +160,6 @@ class FieldMatrix:
     def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
         return cls(q, np.zeros((rows, cols), dtype=np.int64))
 
-    @classmethod
-    def identity(cls, q: int, n: int) -> "FieldMatrix":
-        return cls(q, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def column(cls, q: int, values) -> "FieldMatrix":
-        return cls(q, [[v] for v in values])
-
     # ---- shape accessors ----------------------------------------------
 
     @property
@@ -177,16 +170,9 @@ class FieldMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def to_lists(self):
         """Row-major nested lists of plain ints (for JSON)."""
         return [[int(v) for v in row] for row in self.data]
-
-    def column_values(self, j: int):
-        return tuple(int(v) for v in self.data[:, j])
 
     # ---- comparisons ---------------------------------------------------
 
@@ -198,43 +184,22 @@ class FieldMatrix:
             and np.array_equal(other.data, self.data)
         )
 
-    def __hash__(self):
-        return hash((self.q, self.data.shape, self.data.tobytes()))
-
     def __repr__(self):
         return f"FieldMatrix(q={self.q}, {self.to_lists()})"
 
-    def _same_field(self, other: "FieldMatrix", opname: str) -> None:
-        if not isinstance(other, FieldMatrix):
-            raise TypeError(f"{opname} expects a FieldMatrix, got {type(other).__name__}")
-        if other.q != self.q:
-            raise ValueError(f"{opname} over mismatched fields GF({self.q}) vs GF({other.q})")
-
     # ---- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        self._same_field(other, "addition")
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return FieldMatrix(self.q, (self.data + other.data) % self.q)
-
-    def __sub__(self, other):
-        self._same_field(other, "subtraction")
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return FieldMatrix(self.q, (self.data - other.data) % self.q)
-
     def __matmul__(self, other):
-        self._same_field(other, "matrix product")
+        if not isinstance(other, FieldMatrix):
+            raise TypeError(f"matrix product expects a FieldMatrix, got {type(other).__name__}")
+        if other.q != self.q:
+            raise ValueError(f"matrix product over mismatched fields GF({self.q}) vs GF({other.q})")
         if self.cols != other.rows:
-            raise ValueError(f"inner dimensions differ: {self.shape} @ {other.shape}")
+            raise ValueError(f"inner dimensions differ: {self.data.shape} @ {other.data.shape}")
         return FieldMatrix(self.q, (self.data @ other.data) % self.q)
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.q, self.data.T)
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
     # ---- elimination -----------------------------------------------------
 
@@ -267,9 +232,6 @@ class FieldMatrix:
             pivots.append(c)
             r += 1
         return FieldMatrix(q, work), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def nullspace(self) -> "FieldMatrix":
         """Basis of {v : self @ v = 0}, returned as matrix columns.

@@ -78,7 +78,6 @@ __all__ = [
     "check_decodability",
     "check_security",
     "secure_generators",
-    "state_count",
 ]
 # `refuse`, `check_code_matches` and `check_block_size` stay unlisted, though codes
 # and analysis call them: perfbench's tracer wraps what is listed and counts a
@@ -99,10 +98,6 @@ class BudgetExceededError(RuntimeError):
 
 class InfeasibleBlockError(ValueError):
     """Block size exceeds the number of messages outside some access set."""
-
-
-def state_count(code) -> int:
-    return code.q ** code.m * code.key_count
 
 
 def refuse(count: int, shown: str, budget: int, limit: int = _KEY_LIMIT) -> None:

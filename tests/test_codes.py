@@ -31,7 +31,7 @@ from secix import (
     single_access_code,
     vandermonde,
 )
-from secix.gf import MAX_MESSAGES
+from secix.gf import MAX_MESSAGES, stack_rank
 from secix.oracle import BudgetExceededError
 import reference_decode
 import reference_weight
@@ -196,9 +196,8 @@ def test_mds_field_substitution_when_q_too_small():
     assert code.q == 5
     assert code.length == 3
     # any 3 rows of the generator stay independent
-    for subset in itertools.combinations(range(4), 3):
-        sub = FieldMatrix(5, code.generator.data[list(subset), :])
-        assert sub.rank() == 3
+    subsets = list(itertools.combinations(range(4), 3))
+    assert stack_rank(5, code.generator.data[subsets]).tolist() == [3] * len(subsets)
 
 
 def test_mds_requires_normalized_instance():
@@ -459,7 +458,7 @@ def test_derandomize_matches_the_oracle(case):
             derandomize(keyed, inst)
         return
     det = derandomize(keyed, inst)
-    assert det.length == keyed.length - keyed.key_generator.rank()
+    assert det.length == keyed.length - stack_rank(keyed.q, keyed.key_generator.data[None])[0]
     assert all(check_decodability(det, inst))
     for t in range(inst.m):
         acc = AccessStructure.t_level(t)
@@ -476,7 +475,7 @@ def test_single_access_empty_set_is_mds(keyed2):
 
 def test_single_access_full_set_sends_everything(crossed2):
     code = single_access_code(crossed2, {1, 2, 3, 4})
-    assert code.generator == FieldMatrix.identity(2, 4)
+    assert code.generator == FieldMatrix(2, np.eye(4, dtype=np.int64))
 
 
 def test_single_access_raises_on_compromised_receiver():
@@ -541,7 +540,7 @@ def test_security_level_sum_code():
 
 
 def test_security_level_identity_leaks():
-    code = LinearCode(FieldMatrix.identity(2, 3))
+    code = LinearCode(FieldMatrix(2, np.eye(3, dtype=np.int64)))
     assert security_level(code) == -1
 
 
@@ -568,7 +567,7 @@ def test_security_level_is_largest_secure_t_level(case):
     """For b = 1, security_level = min span weight - 2 is the largest t
     whose t-level check passes, or -1 when even t = 0 leaks."""
     code, inst = case
-    assume(not code.generator.is_zero())
+    assume(code.generator.data.any())
     secure = [
         t for t in range(code.m)
         if check_security(code, inst, AccessStructure.t_level(t), b=1).secure
@@ -581,8 +580,20 @@ def test_security_level_budget():
     with pytest.raises(BudgetExceededError):
         security_level(code, budget=10)
     # a span too large to print as a decimal int still gets a readable refusal
-    wide = LinearCode(FieldMatrix.identity(WIDEST_Q, 560))
+    wide = LinearCode(FieldMatrix(WIDEST_Q, np.eye(560, dtype=np.int64)))
     with pytest.raises(BudgetExceededError, match=rf"{WIDEST_Q}\^560 vectors"):
+        security_level(wide)
+
+
+def test_security_level_refuses_wide_span_without_full_reduction(monkeypatch):
+    # one row of G^T already spans more than the budget: the refusal comes
+    # from the first k + 1 rows, before G^T is reduced
+    def unreachable(self):
+        raise AssertionError("the generator was fully reduced before the refusal")
+
+    monkeypatch.setattr(FieldMatrix, "rref", unreachable)
+    wide = LinearCode(FieldMatrix(WIDEST_Q, np.eye(560, dtype=np.int64)))
+    with pytest.raises(BudgetExceededError, match=rf"{WIDEST_Q}\^1 to {WIDEST_Q}\^560 vectors"):
         security_level(wide)
 
 
@@ -645,7 +656,7 @@ def test_security_level_grid_covers_both_routes():
         code = LinearCode(FieldMatrix(q, rows))
         level = security_level(code)
         assert level == reference_weight.security_level(q, rows), (q, rows)
-        rank = code.generator.rank()
+        rank = stack_rank(q, code.generator.data[None])[0]
         seen_ranks.add(rank)
         if rank:
             routes.add(subsets_first(q, code.m, rank))

@@ -395,17 +395,16 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
-    transpose = code.generator.transpose()
-    # q^k <= budget < q^(k+1): k + 1 independent rows of G^T already refuse
-    # the span, without the full reduction, and its rank is at most top
+    # q^k <= budget < q^(k+1): k + 1 independent columns of G already
+    # refuse the span, without the full reduction, and its rank is at most top
     k = 0
     while code.q ** (k + 1) <= budget:
         k += 1
     top = min(code.m, code.length)
-    if k < top and stack_rank(code.q, transpose.data[None, : k + 1])[0] == k + 1:
+    if k < top and stack_rank(code.q, code.generator.data[None, :, : k + 1])[0] == k + 1:
         shown = f"{code.q}^{top}" if k + 1 == top else f"{code.q}^{k + 1} to {code.q}^{top}"
         refuse(code.q ** (k + 1), f"{shown} vectors of the column span", budget)
-    basis, pivots = transpose.rref()
+    basis, pivots = code.generator.transpose().rref()
     rank = len(pivots)
     if rank == 0:
         return -1  # trivial span: the code sends nothing
@@ -443,9 +442,8 @@ def _least_full_rank_size(rows, q: int, most: int):
             flat = np.fromiter(chunk, dtype=np.intp)
             if not flat.size:
                 return size  # every subset of this size has full rank
-            # stack entry j is the rank x size matrix of subset j's columns
-            stack = rows[:, flat.reshape(-1, size)].swapaxes(0, 1)
-            if (stack_rank(q, stack) < rank).any():
+            # stack entry j holds subset j's columns as its size rows
+            if (stack_rank(q, rows.T[flat.reshape(-1, size)]) < rank).any():
                 break
     return m  # all m columns: the basis itself
 

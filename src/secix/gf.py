@@ -258,18 +258,21 @@ def stack_rank(q: int, stack) -> np.ndarray:
     an int64 array of length S.
 
     One fraction-free elimination runs on the whole stack, one row at a
-    time, so the Python loop is r steps long whatever S is (a caller
-    with r > d saves steps by passing the transposes).  Each matrix takes
-    the first nonzero column of its working row as pivot, and every row
-    below becomes below * pivot - factor * row mod q, which clears that
-    column without an inverse.  A row that is zero when its turn comes
-    lies in the span of the rows above it, so the rank is the number of
-    nonzero working rows.  Entries are reduced mod q first, into a
-    C-ordered copy whatever the layout of `stack` (a transposed view
-    would slow every step), so every product stays below q^2 < 2^63; q
-    must be a valid modulus (`checked_modulus`), which this function
-    does not check again.
+    time, so the Python loop is min(r, d) steps long whatever S is: a
+    stack with r > d is ranked as its transposes, which have the same
+    ranks.  Each matrix takes the first nonzero column of its working row
+    as pivot, and every row below becomes below * pivot - factor * row
+    mod q, which clears that column without an inverse.  A row that is
+    zero when its turn comes lies in the span of the rows above it, so
+    the rank is the number of nonzero working rows.  Entries are reduced
+    mod q first, into a C-ordered copy whatever the layout of `stack` (a
+    transposed view would slow every step), so every product stays below
+    q^2 < 2^63; `stack` itself is left as it is.  q must be a valid
+    modulus (`checked_modulus`), which this function does not check
+    again.
     """
+    if stack.shape[1] > stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
     work = np.remainder(stack, q, dtype=np.int64, order="C")
     count, nrows, ncols = work.shape
     ranks = np.zeros(count, dtype=np.int64)

@@ -285,15 +285,20 @@ def to_dot(inst: Instance, acc: AccessStructure) -> str:
     access structure.
 
     Vertices: messages by number, receivers r1..., and one eavesdropper
-    v1... per access set.  Arcs: r_i -> j when receiver i knows message
-    j; j -> r_i when it wants j; v_k -> j for every j in the k-th access
-    set.
+    v1... per explicit access set.  Arcs: r_i -> j when receiver i knows
+    message j; j -> r_i when it wants j; v_k -> j for every j in the k-th
+    access set.  A t-level adversary, which may hold any t messages, is
+    one vertex v1 labelled with its t and has no arcs.
     """
-    access_sets = acc.expand(inst.m)
     lines = ["digraph secure_index_instance {"]
     lines += [f"  {j};" for j in inst.messages()]
     lines += [f"  r{i};" for i in range(1, inst.n + 1)]
-    lines += [f"  v{k};" for k in range(1, len(access_sets) + 1)]
+    if acc.kind == AccessStructure.KIND_T_LEVEL:
+        lines.append(f'  v1 [label="t = {acc.max_size(inst.m)}"];')
+        access_sets = []
+    else:
+        access_sets = acc.expand(inst.m)
+        lines += [f"  v{k};" for k in range(1, len(access_sets) + 1)]
     for i, r in enumerate(inst.receivers, start=1):
         lines += [f"  r{i} -> {j};" for j in sorted(r.knows)]
         lines += [f"  {j} -> r{i};" for j in sorted(r.wants)]

@@ -11,30 +11,29 @@ values of A) of positive probability, the B-values are exactly uniform.
 call, and `check_decodability` is that call with no pairs.  Each check
 is a digit list, view then target: a receiver and one wanted message it
 does not know (view: its side information; it decodes iff it decodes
-each such message), or an (A, B) pair (view: X_A, target: X_B).  There
-is one verdict path per kind of code.
+each such message), or an (A, B) pair (view: X_A, target: X_B).
+`check_security` lists them and builds the report from per-list
+verdicts, and there is one verdict path per kind of code.
 
 *Linear codes: rank identities.*  With M = [G; Gtilde], a check hidden
 behind its view sees the rows of M outside the view, key rows included.
 Its target gains I = rank M_hidden - rank M_{hidden minus target}
 symbols: a receiver decodes iff each of its lists gains 1, a pair is
 uniform iff it gains 0, and H(X_B | C, X_A) = (b - I) log2 q.  Every
-distinct row subset is ranked once, by `gf.stack_rank` in stacks of at
-most `gf.STACK_ENTRIES` entries in which every matrix has one shape:
-a subset's kept rows gathered and padded with a zero row when that
-shortens the elimination or the stack holds many candidates, its
-removed rows masked to zero otherwise.
-One routine ranks a stack of matrices: `check_security` passes one
-code's M, and `secure_generators`, which screens the generator search,
-a stack of candidate generators.
+distinct row subset is ranked once, by `gf.stack_rank`, in capped
+stacks in which every matrix has one shape (`_subset_ranks`).  One
+routine ranks a stack of matrices: `check_security` passes one code's
+M, and `secure_generators`, which screens the generator search, a stack
+of candidate generators, once for the receiver lists and once for the
+pair lists.
 
 *Table codes: counting over the joint space.*  The reference for
 `TableCode`, and the second oracle that the tests hold the ranks to.
 One state table holds the digits of every state, in the order of the
 nested enumeration (x in lexicographic order, key index fastest), as
-one contiguous row per message, built by one broadcast per row of the
-base-q grid; and an integer id per distinct codeword, below the number
-of states.
+one contiguous row per message: the radix grid of `gf.radix_digits`,
+each state repeated once per key; and an integer id per distinct
+codeword, below the number of states.
 
 Each check is counted on its own: per state, one int64 key packs the
 codeword id and the listed digits in base q (Horner steps over the
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import STACK_ENTRIES, checked_int, stack_rank
+from .gf import STACK_ENTRIES, checked_int, radix_digits, stack_rank
 from .model import AccessStructure, Instance
 
 __all__ = [
@@ -170,26 +169,13 @@ def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
     return pairs
 
 
-def _digit_table(q: int, width: int, repeat: int = 1):
-    """The base-q digits of 0, 1, ..., q^width - 1, each value `repeat`
-    times in a row, as one contiguous width x states table: row j holds
-    digit j (most significant first) of every state.  One broadcast
-    assignment per row: digit j steps through 0 .. q-1 over stretches of
-    q^(width-1-j) * repeat states."""
-    table = np.empty((width, q ** width * repeat), dtype=np.int64)
-    values = np.arange(q)[:, None]
-    for j in range(width):
-        np.copyto(table[j].reshape(q ** j, q, -1), values)
-    return table
-
-
 def _state_table(code):
     """(digit table, codeword ids) over every joint state of a table code:
     rows 0 .. m-1 of the digit table are the messages, the key index runs
     fastest within each message vector, and equal codewords get equal ids
     below the number of states, however long the codewords are."""
     q, m, keys = code.q, code.m, code.key_count
-    digits = _digit_table(q, m, keys)
+    digits = np.repeat(radix_digits(np.arange(q ** m), q, m).T, keys, axis=1)
     states = itertools.product(itertools.product(range(q), repeat=m), range(keys))
     words = np.array([code.table[s] for s in states], dtype=np.int64).reshape(digits.shape[1], code.length)
     return digits, np.unique(words, axis=0, return_inverse=True)[1].reshape(-1)
@@ -236,30 +222,26 @@ def _pair_rows(pairs: list):
     return labels, [[j - 1 for j in access + block] for access, block in labels]
 
 
-def _verify(code, inst: Instance, pairs: list, b: int):
-    """Per-receiver decodability and the PairChecks of `pairs` for a
-    table code, all read from one state table, with one _classes count
-    per digit list.  A receiver decodes iff every class of each of its
-    lists is its whole view; a pair is uniform iff every class holds
-    1/q^b of its view, and H(X_B | C, X_A) sums each class's share of
-    the states times log2(view / class)."""
+def _counted(code, rows: list, pair_rows: list, b: int):
+    """The per-list verdicts of a table code, all read from one state
+    table, with one _classes count per digit list: per receiver list,
+    whether every class is its whole view; per pair list, whether every
+    class holds 1/q^b of its view, and H(X_B | C, X_A), each class's
+    share of the states times log2(view / class), summed."""
+    if not rows and not pair_rows:
+        return [], [], []
     q = code.q
-    rows, owner = _receiver_rows(inst)
-    labels, pair_rows = _pair_rows(pairs)
-    decodes = [True] * len(inst.receivers)
-    checks = []
-    if not rows and not labels:
-        return decodes, checks
     digits, ids = _state_table(code)
-    for i, row in zip(owner, rows):
+    decodes, uniform, conditional = [], [], []
+    for row in rows:
         runs, views = _classes(ids, digits, row, 1, q)
-        decodes[i] = decodes[i] and bool((runs == views).all())
-    states, values, block_entropy = ids.size, q ** b, b * math.log2(q)
-    for label, row in zip(labels, pair_rows):
+        decodes.append(bool((runs == views).all()))
+    states, values = ids.size, q ** b
+    for row in pair_rows:
         runs, views = _classes(ids, digits, row, b, q)
-        conditional = float(runs.astype(np.float64).dot(np.log2(views) - np.log2(runs))) / states
-        checks.append(PairCheck(*label, bool((runs * values == views).all()), block_entropy, conditional))
-    return decodes, checks
+        uniform.append(bool((runs * values == views).all()))
+        conditional.append(float(runs.astype(np.float64).dot(np.log2(views) - np.log2(runs))) / states)
+    return decodes, uniform, conditional
 
 
 def _subset_ranks(q: int, matrices, removed: list):
@@ -269,12 +251,11 @@ def _subset_ranks(q: int, matrices, removed: list):
 
     Every matrix of a stack has one shape: each set's kept rows gathered
     and padded with an appended zero row to the most rows a set keeps,
-    or all rows with the removed ones masked to zero; either is ranked
-    as its transpose when it has more rows than columns, which keeps
-    `stack_rank`'s loop at min(rows, cols) steps.  The gather costs a
-    few calls more than the mask, which only a shorter loop, or a stack
-    of many candidates, repays.  Stacks run over the (candidate, set)
-    pairs, candidate-major, and hold at most STACK_ENTRIES entries."""
+    or all rows with the removed ones masked to zero.  `stack_rank`'s
+    loop runs min(rows, cols) steps, and the gather costs a few calls
+    more than the mask, which only a shorter loop, or a stack of many
+    candidates, repays.  Stacks run over the (candidate, set) pairs,
+    candidate-major, and hold at most STACK_ENTRIES entries."""
     count, rows, cols = matrices.shape
     sizes = [len(r) for r in removed]
     keep = np.ones((len(removed), rows), dtype=np.int64)
@@ -303,7 +284,7 @@ def _subset_ranks(q: int, matrices, removed: list):
             else:
                 stack = some[:, None] * keep[start:start + sets, :, None]
             stack = stack.reshape(len(stack) * stack.shape[1], width, cols)
-            ranks[done:done + len(stack)] = stack_rank(q, stack.transpose(0, 2, 1) if width > cols else stack)
+            ranks[done:done + len(stack)] = stack_rank(q, stack)
             done += len(stack)
     return ranks.reshape(count, len(removed))
 
@@ -324,22 +305,15 @@ def _gains(q: int, matrices, *groups):
     return ranks[:, 0::2] - ranks[:, 1::2]
 
 
-def _ranked(code, inst: Instance, pairs: list, b: int):
-    """Per-receiver decodability and the PairChecks of `pairs` for a
-    linear code, from the _gains of M = [G; Gtilde], key rows included
-    in every hidden set.  A receiver decodes iff each of its lists gains
-    1; a pair leaks I = its gain symbols of X_B, so it is uniform iff
-    I = 0, and H(X_B | C, X_A) = (b - I) log2 q."""
-    rows, owner = _receiver_rows(inst)
-    labels, pair_rows = _pair_rows(pairs)
+def _ranked(code, rows: list, pair_rows: list, b: int):
+    """The per-list verdicts of a linear code, from the _gains of M =
+    [G; Gtilde], key rows included in every hidden set: per receiver
+    list, whether it gains 1; per pair list, which leaks I = its gain
+    symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q."""
     gains = _gains(code.q, code.matrix[None], (rows, 1), (pair_rows, b))[0].tolist()
-    decodes = [True] * len(inst.receivers)
-    for i, gain in zip(owner, gains):
-        decodes[i] = decodes[i] and gain == 1
-    bits = math.log2(code.q)
-    checks = [PairCheck(access, block, leak == 0, b * bits, (b - leak) * bits)
-              for (access, block), leak in zip(labels, gains[len(rows):])]
-    return decodes, checks
+    leaks, bits = gains[len(rows):], math.log2(code.q)
+    return ([gain == 1 for gain in gains[:len(rows)]], [leak == 0 for leak in leaks],
+            [(b - leak) * bits for leak in leaks])
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -361,22 +335,16 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list):
 
     The rank identities of `check_security`, for every candidate at
     once: a candidate passes iff each receiver list gains 1 and each
-    pair gains 0.  The receiver lists are ranked first, then the pair
-    lists on the candidates every receiver decodes, in steps of at most
-    STACK_ENTRIES (candidate, list) pairs; a candidate is dropped after
-    the first step in which it fails, and the fewer survive, the more
-    lists one step takes.
+    pair gains 0.  The receiver lists are ranked in one `_gains` call,
+    then the pair lists, in a second, on the candidates every receiver
+    decodes.
     """
     labels, pair_rows = _pair_rows(pairs)
     b = len(labels[0][1]) if labels else 1  # every block has one size
     alive = np.arange(len(generators))
     for lists, width, gain in ((_receiver_rows(inst)[0], 1, 1), (pair_rows, b, 0)):
-        start = 0
-        while start < len(lists) and alive.size:
-            stop = start + max(1, STACK_ENTRIES // alive.size)
-            ok = (_gains(q, generators[alive], (lists[start:stop], width)) == gain).all(axis=1)
-            alive = alive[ok]
-            start = stop
+        if lists and alive.size:
+            alive = alive[(_gains(q, generators[alive], (lists, width)) == gain).all(axis=1)]
     secure = np.zeros(len(generators), dtype=bool)
     secure[alive] = True
     return secure
@@ -441,10 +409,12 @@ def check_security(
     given every (codeword, A values) of positive probability.  A linear
     code (keyed or not) is answered from ranks of row subsets of [G;
     Gtilde], with H(X_B | C, X_A) = (b - I) log2 q for a leak of I
-    symbols; a table code from one state table.  Either way the gates
-    run first and in this order: the block size, the message count, the
-    joint states, and states x pairs, which is refused before the pairs
-    are listed (receiver rows are not counted).
+    symbols; a table code from one state table.  Both return per-list
+    verdicts, and the report is built here: a receiver decodes iff each
+    of its lists passes.  Either way the gates run first and in this
+    order: the block size, the message count, the joint states, and
+    states x pairs, which is refused before the pairs are listed
+    (receiver rows are not counted).
     """
     b = check_block_size(b)
     check_code_matches(code, inst)
@@ -453,6 +423,13 @@ def check_security(
     else:
         shown = f"{code.q}^{code.m} x {code.key_count}"
     check_budget(code.q, code.m, code.key_count, shown, acc, b, budget)
-    verdicts = _ranked if code.kind == "linear" else _verify
-    decodes, checks = verdicts(code, inst, block_pairs(inst, acc, b), b)
+    rows, owner = _receiver_rows(inst)
+    labels, pair_rows = _pair_rows(block_pairs(inst, acc, b))
+    verdicts = _ranked if code.kind == "linear" else _counted
+    passes, uniform, conditional = verdicts(code, rows, pair_rows, b)
+    decodes = [True] * len(inst.receivers)
+    for i, ok in zip(owner, passes):
+        decodes[i] = decodes[i] and ok
+    entropy = b * math.log2(code.q)
+    checks = [PairCheck(*label, ok, entropy, h) for label, ok, h in zip(labels, uniform, conditional)]
     return SecurityReport(tuple(checks), b, tuple(decodes))

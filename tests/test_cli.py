@@ -481,16 +481,21 @@ def test_verify_refuses_states_times_pairs_before_building_states(tmp_path, caps
     assert elapsed < 1.0 and peak < 2 ** 20
 
 
-def test_graph_refuses_too_many_access_sets(tmp_path, capsys):
-    # C(60, 12) = 1399358844975 access sets would not fit in memory
+def test_graph_draws_one_vertex_for_a_t_level_adversary(tmp_path, capsys):
+    # t = 12 of 60 messages is C(60, 12) = 1399358844975 access sets, none
+    # of them listed: the adversary is one labelled vertex with no arcs.
+    # A t of m or more is still one error line
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps({"q": 2, "m": 60, "receivers": [{"knows": [2], "wants": [1]}]}))
     start = time.perf_counter()
     code, out, err = run(capsys, "graph", "--instance", str(inst_path), "--t-level", "12")
     elapsed = time.perf_counter() - start
-    assert_one_error_line(code, err)
-    assert "1399358844975" in err and out == ""
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if line.startswith("  v")] == ['  v1 [label="t = 12"];']
     assert elapsed < 1.0
+    code, out, err = run(capsys, "graph", "--instance", str(inst_path), "--t-level", "60")
+    assert_one_error_line(code, err)
+    assert err == "error: access level must satisfy 0 <= t <= 59, got 60\n" and out == ""
 
 
 # q = 4294967311 is prime, but products of its elements overflow int64
@@ -727,13 +732,12 @@ GRAPH_CASES = {
     "keyed-explicit": (unwanted_key_instance(2), "--access", "[[]]",
                        dot_text([1, 2, "r1", "v1"], KEYED2_ARCS)),
     "keyed-t-level": (unwanted_key_instance(2), "--t-level", "1",
-                      dot_text([1, 2, "r1", "v1", "v2"], KEYED2_ARCS + [("v1", 1), ("v2", 2)])),
+                      dot_text([1, 2, "r1", 'v1 [label="t = 1"]'], KEYED2_ARCS)),
     "crossed-explicit": (crossed_pairs_instance(2), "--access", "[[3, 4], [1]]",
                          dot_text([1, 2, 3, 4, "r1", "r2", "r3", "r4", "v1", "v2"],
                                   CROSSED2_ARCS + [("v1", 3), ("v1", 4), ("v2", 1)])),
     "crossed-t-level": (crossed_pairs_instance(2), "--t-level", "1",
-                        dot_text([1, 2, 3, 4, "r1", "r2", "r3", "r4", "v1", "v2", "v3", "v4"],
-                                 CROSSED2_ARCS + [("v1", 1), ("v2", 2), ("v3", 3), ("v4", 4)])),
+                        dot_text([1, 2, 3, 4, "r1", "r2", "r3", "r4", 'v1 [label="t = 1"]'], CROSSED2_ARCS)),
 }
 
 

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secix import (
     Decoder,
@@ -23,7 +23,7 @@ from secix import (
     smallest_prime_at_least,
     vandermonde,
 )
-from secix.gf import MAX_MESSAGES, MAX_MODULUS, stack_rank
+from secix.gf import MAX_MESSAGES, MAX_MODULUS, radix_digits, stack_rank
 from conftest import WIDEST_Q
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -252,6 +252,29 @@ def test_stack_rank_matches_rref(case):
     assert stack_rank(q, stack).tolist() == [pivot_count(FieldMatrix(q, mat)) for mat in stack]
 
 
+SHAPE_EXAMPLES = [np.random.default_rng(3).integers(0, 7, size=shape)
+                  for shape in [(3, 5, 2), (3, 2, 5), (3, 4, 4), (0, 5, 2), (2, 0, 3), (2, 3, 0)]]
+
+
+@given(rank_stacks())
+@settings(max_examples=150, deadline=None)
+@example((7, SHAPE_EXAMPLES[0])).via("tall")
+@example((7, SHAPE_EXAMPLES[1])).via("wide")
+@example((7, SHAPE_EXAMPLES[2])).via("square")
+@example((7, SHAPE_EXAMPLES[3])).via("no matrix")
+@example((7, SHAPE_EXAMPLES[4])).via("no row")
+@example((7, SHAPE_EXAMPLES[5])).via("no column")
+def test_stack_rank_ranks_the_transposes_alike(case):
+    # a stack with more rows than columns is ranked as its transposes,
+    # and no stack is written to
+    q, stack = case
+    before = stack.copy()
+    ranks = stack_rank(q, stack).tolist()
+    assert ranks == stack_rank(q, stack.transpose(0, 2, 1)).tolist()
+    assert ranks == [pivot_count(FieldMatrix(q, mat)) for mat in stack]
+    assert np.array_equal(stack, before)
+
+
 def test_stack_rank_edge_shapes():
     assert stack_rank(5, np.zeros((0, 3, 4), dtype=np.int64)).shape == (0,)
     assert stack_rank(5, np.ones((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
@@ -272,6 +295,24 @@ def test_stack_rank_widest_field_stays_exact():
     d = c * b * pow(a, q - 2, q) % q
     stack = np.array([[[a, b], [c, d]], [[a, b], [c, (d + 1) % q]]])
     assert stack_rank(q, stack).tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_radix_digits_is_the_radix_grid(q):
+    # row v spells v in base q, most significant digit first: the
+    # lexicographic order of itertools.product
+    for width in range(8):
+        digits = radix_digits(np.arange(q ** width), q, width)
+        assert digits.shape == (q ** width, width)
+        assert digits.tolist() == [list(x) for x in itertools.product(range(q), repeat=width)]
+    assert radix_digits([6, 24], 5, 3).tolist() == [[0, 1, 1], [0, 4, 4]]
+
+
+def test_radix_digits_refuses_powers_past_int64():
+    # width 63 has 2^62 as its top power; width 64 would need 2^63
+    assert radix_digits([2 ** 63 - 1, 1], 2, 63).tolist() == [[1] * 63, [0] * 62 + [1]]
+    with pytest.raises(OverflowError):
+        radix_digits([1], 2, 64)
 
 
 # A system A x = b is solved by one rref of [A | b], as decode does: a

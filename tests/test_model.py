@@ -239,7 +239,9 @@ def test_graph_arcs_for_crossed_instance(crossed2):
 
 
 def test_graph_arc_counts(crossed2):
-    acc = AccessStructure.t_level(1)
+    # the t = 1 access sets, listed: one vertex per set and one arc per
+    # message in it; as a t-level adversary, one vertex and no arcs
+    acc = AccessStructure.explicit(AccessStructure.t_level(1).expand(crossed2.m))
     arcs = dot_arcs(to_dot(crossed2, acc))
     know_total = sum(len(r.knows) for r in crossed2.receivers)
     want_total = sum(len(r.wants) for r in crossed2.receivers)
@@ -248,6 +250,9 @@ def test_graph_arc_counts(crossed2):
     m_to_r = sum(1 for u, v in arcs if v.startswith("r"))
     v_to_m = sum(1 for u, v in arcs if u.startswith("v"))
     assert (r_to_m, m_to_r, v_to_m) == (know_total, want_total, access_total)
+    t_level = to_dot(crossed2, AccessStructure.t_level(1))
+    assert [v for v in dot_vertices(t_level) if v.startswith("v")] == ['v1 [label="t = 1"]']
+    assert dot_arcs(t_level) == [arc for arc in arcs if not arc[0].startswith("v")]
 
 
 def test_acyclic_examples(keyed2, crossed2):

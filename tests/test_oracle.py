@@ -27,7 +27,7 @@ from secix import (
     search_linear,
     security_level,
 )
-from secix.gf import radix_digits
+from secix.gf import STACK_ENTRIES, radix_digits
 from secix.oracle import (
     BudgetExceededError,
     InfeasibleBlockError,
@@ -49,17 +49,18 @@ from conftest import (
 
 # ---- state table ----------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3, 5])
-@pytest.mark.parametrize("width", range(1, 8))
-def test_digit_table_is_the_radix_grid(q, width):
-    total = q ** width
-    table = secix.oracle._digit_table(q, width)
-    assert table.shape == (width, total) and table.flags.c_contiguous
-    assert (table.T == radix_digits(np.arange(total), q, width)).all()
-    # a table code's key index runs fastest, below the message digits
-    keyed = secix.oracle._digit_table(q, width, 3)
-    assert keyed.shape == (width, 3 * total)
-    assert (keyed.T == radix_digits(np.arange(3 * total) // 3, q, width)).all()
+@pytest.mark.parametrize("q, m, keys", [(2, 1, 1), (2, 4, 3), (3, 3, 2), (5, 2, 4)])
+def test_state_table_runs_the_key_index_fastest(q, m, keys):
+    # one column per joint state in the nested enumeration's order, keys
+    # innermost; equal codewords, and only they, share an id
+    states = list(itertools.product(itertools.product(range(q), repeat=m), range(keys)))
+    words = [(x[0], (x[-1] + k) % q) for x, k in states]
+    code = TableCode(q, m, 2, keys, dict(zip(states, words)))
+    digits, ids = secix.oracle._state_table(code)
+    assert digits.shape == (m, len(states)) and digits.flags.c_contiguous
+    assert digits.T.tolist() == [list(x) for x, _ in states]
+    assert ids.shape == (len(states),) and 0 <= ids.min() and ids.max() < len(states)
+    assert len(set(zip(ids.tolist(), words))) == len(set(ids.tolist())) == len(set(words))
 
 
 # ---- decodability ------------------------------------------------------------
@@ -316,6 +317,27 @@ def test_sort_chunks_split_rows(sort_keys):
     one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
                   for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
     assert one_by_one == screened
+
+
+def test_secure_generators_ranks_each_phase_in_one_call(monkeypatch):
+    # the 2^8 length-2 generators, 256 times over, against the 32 pairs of
+    # every access set but the full one: the pair lists times the
+    # candidates that every receiver decodes exceed gf.STACK_ENTRIES, and
+    # each phase is still one _gains call, as _subset_ranks caps the stacks
+    inst = crossed_pairs_instance(2)
+    acc = AccessStructure.explicit([a for size in range(4) for a in itertools.combinations(range(1, 5), size)])
+    pairs = block_pairs(inst, acc, 1)
+    distinct = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
+    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in distinct]
+    decoding = 256 * sum(all(r.decodable) for r in reports)
+    assert sum(len(blocks) for _, blocks in pairs) * decoding > STACK_ENTRIES
+    calls = []
+    gains = secix.oracle._gains
+    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, *groups:
+                        calls.append(len(matrices)) or gains(q, matrices, *groups))
+    screened = secure_generators(2, np.tile(distinct, (256, 1, 1)), inst, pairs).tolist()
+    assert calls == [256 * len(distinct), decoding]
+    assert screened == [all(r.decodable) and r.secure for r in reports] * 256
 
 
 # ---- one pass: receiver and pair rows share a state table, not a sort ------------

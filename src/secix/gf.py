@@ -250,6 +250,8 @@ class FieldMatrix:
 # Most entries per `stack_rank` call in the package's batched callers
 # (`codes.security_level`, `oracle.check_security`): 512 KiB of int64.  A
 # caller always ranks at least one matrix per call, whatever its size.
+# `oracle.secure_generators` also ranks at most this many candidates x
+# pair lists per step, and at least one list.
 STACK_ENTRIES = 2 ** 16
 
 
@@ -257,22 +259,38 @@ def stack_rank(q: int, stack) -> np.ndarray:
     """Rank over GF(q) of every matrix in an S x r x d integer stack, as
     an int64 array of length S.
 
-    One fraction-free elimination runs on the whole stack, one row at a
-    time, so the Python loop is min(r, d) steps long whatever S is: a
-    stack with r > d is ranked as its transposes, which have the same
-    ranks.  Each matrix takes the first nonzero column of its working row
-    as pivot, and every row below becomes below * pivot - factor * row
-    mod q, which clears that column without an inverse.  A row that is
-    zero when its turn comes lies in the span of the rows above it, so
-    the rank is the number of nonzero working rows.  Entries are reduced
-    mod q first, into a C-ordered copy whatever the layout of `stack` (a
-    transposed view would slow every step), so every product stays below
-    q^2 < 2^63; `stack` itself is left as it is.  q must be a valid
+    One elimination runs on the whole stack, one row at a time, so the
+    Python loop is min(r, d) steps long whatever S is: a stack with r > d
+    is ranked as its transposes, which have the same ranks.  Each matrix
+    takes the first nonzero column of its working row as pivot and
+    clears that column from the rows below.  A row that is zero when its
+    turn comes lies in the span of the rows above it, so the rank is the
+    number of nonzero working rows.  The work is a C-ordered copy,
+    whatever the layout of `stack` (a transposed view would slow every
+    step); `stack` itself is left as it is, and may hold any integers.
+
+    Over GF(2) the copy is boolean (`stack & 1`), and a row below is
+    cleared by XOR with the pivot row where its pivot-column entry is
+    set: no products, no remainders.  A row never changes after its own
+    step, so the rank is counted once, from the rows left nonzero at the
+    end.  Over any other q the elimination is fraction-free: entries are
+    reduced mod q first, so every product stays below q^2 < 2^63, and
+    every row below becomes below * pivot - factor * row mod q, which
+    clears the pivot column without an inverse.  q must be a valid
     modulus (`checked_modulus`), which this function does not check
     again.
     """
     if stack.shape[1] > stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
+    if q == 2:
+        work = (stack & 1).astype(bool, order="C")
+        every = np.arange(len(work))
+        for i in range(work.shape[1] - 1):
+            row = work[:, i]
+            below = work[:, i + 1 :]
+            below ^= below[every, :, row.argmax(axis=1)][:, :, None] & row[:, None, :]
+        # a boolean product is an `any` over each row's columns, and faster
+        return (work @ np.ones(work.shape[2], dtype=bool)).sum(axis=1)
     work = np.remainder(stack, q, dtype=np.int64, order="C")
     count, nrows, ncols = work.shape
     ranks = np.zeros(count, dtype=np.int64)

@@ -24,8 +24,11 @@ distinct row subset is ranked once, by `gf.stack_rank`, in capped
 stacks in which every matrix has one shape (`_subset_ranks`).  One
 routine ranks a stack of matrices: `check_security` passes one code's
 M, and `secure_generators`, which screens the generator search, a stack
-of candidate generators, once for the receiver lists and once for the
-pair lists.
+of candidate generators.  It first drops, with no rank, every candidate
+whose row is zero for a message that some receiver wants and lacks;
+then it ranks the receiver lists in one call, and the pair lists in
+steps of at most gf.STACK_ENTRIES candidates x lists, dropping the
+candidates that leak after each step.
 
 *Table codes: counting over the joint space.*  The reference for
 `TableCode`, and the second oracle that the tests hold the ranks to.
@@ -335,16 +338,25 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list):
 
     The rank identities of `check_security`, for every candidate at
     once: a candidate passes iff each receiver list gains 1 and each
-    pair gains 0.  The receiver lists are ranked in one `_gains` call,
-    then the pair lists, in a second, on the candidates every receiver
-    decodes.
+    pair gains 0.  A candidate whose row is zero for a message that some
+    receiver wants and lacks gains 0 on that receiver's list, so one
+    vectorized test drops it before any rank.  The receiver lists are
+    ranked in one `_gains` call, on the candidates left; then the pair
+    lists, in steps of at most STACK_ENTRIES candidates x lists, each on
+    the candidates that leaked on no earlier step.
     """
+    rows = _receiver_rows(inst)[0]
     labels, pair_rows = _pair_rows(pairs)
     b = len(labels[0][1]) if labels else 1  # every block has one size
-    alive = np.arange(len(generators))
-    for lists, width, gain in ((_receiver_rows(inst)[0], 1, 1), (pair_rows, b, 0)):
-        if lists and alive.size:
-            alive = alive[(_gains(q, generators[alive], (lists, width)) == gain).all(axis=1)]
+    wanted = sorted({row[-1] for row in rows})
+    alive = generators.any(axis=2).take(wanted, axis=1).all(axis=1).nonzero()[0]
+    if rows and alive.size:
+        alive = alive[(_gains(q, generators[alive], (rows, 1)) == 1).all(axis=1)]
+    start = 0
+    while start < len(pair_rows) and alive.size:
+        stop = start + max(1, STACK_ENTRIES // alive.size)
+        alive = alive[(_gains(q, generators[alive], (pair_rows[start:stop], b)) == 0).all(axis=1)]
+        start = stop
     secure = np.zeros(len(generators), dtype=bool)
     secure[alive] = True
     return secure

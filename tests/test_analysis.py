@@ -387,6 +387,24 @@ def test_full_search_scan_stays_small():
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
+def test_stepped_pair_phase_stays_small():
+    # one receiver knows x2 .. x10 and wants x1: at t = 5 each decoding
+    # candidate meets C(10, 5) x 5 = 1260 pair lists, ranked in steps of at
+    # most gf.STACK_ENTRIES candidates x lists.  The winner sends 0 and
+    # x1 + x5 + ... + x10, which no 5 messages reveal
+    inst = Instance(2, 10, (Receiver(set(range(2, 11)), {1}),))
+    acc = AccessStructure.t_level(5)
+    tracemalloc.start()
+    try:
+        code = search_linear(inst, acc, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+    assert code.generator.to_lists() == [[0, 1]] + [[0, 0]] * 3 + [[0, 1]] * 6
+    assert check_decodability(code, inst) == [True] and check_security(code, inst, acc).secure
+
+
 def test_search_budget_refusals_allocate_nothing():
     # 2^40 states per candidate, and C(40, 20) access sets that must not be expanded
     inst = Instance(2, 40, (Receiver({1}, {2}),))

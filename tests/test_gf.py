@@ -285,6 +285,25 @@ def test_stack_rank_edge_shapes():
     assert stack_rank(5, np.array(tall)).tolist() == [2, 1, 0]
     # the first column is zero in the working row, so it is no pivot
     assert stack_rank(3, np.array([[[0, 1, 2], [0, 2, 1], [1, 0, 0]]])).tolist() == [2]
+    # GF(2) ranks by XOR on `stack & 1`: no matrix, no row, no column, all
+    # zeros (even entries included), negative entries and entries >= 2
+    assert stack_rank(2, np.zeros((0, 3, 4), dtype=np.int64)).shape == (0,)
+    assert stack_rank(2, np.ones((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    assert stack_rank(2, np.ones((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
+    assert stack_rank(2, np.array([[[0] * 3] * 3, [[2, -4, 6], [8, 0, -2], [4, 4, 4]]])).tolist() == [0, 0]
+    signed = [[[3, -1], [-2, 4]], [[-1, 2], [5, -3]], [[-3, 7], [9, 11]]]
+    assert stack_rank(2, np.array(signed)).tolist() == [1, 2, 1]
+    # tall, ranked as its transposes, and wide: repeated rows, sums of rows
+    tall = [[[1, 0], [0, 1], [1, 1]], [[1, 1], [3, -1], [0, 2]], [[0, 1], [1, 0], [0, 0]]]
+    wide = [[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [3, 2, -1]], [[0, 0, 1], [1, 1, 1]]]
+    assert stack_rank(2, np.array(tall)).tolist() == [2, 1, 2]
+    assert stack_rank(2, np.array(wide)).tolist() == [2, 1, 2]
+    # the input is left as it is, a transposed view included
+    for stack in (np.array(signed), np.array(tall), np.array(wide).transpose(0, 2, 1)):
+        before = stack.copy()
+        ranks = stack_rank(2, stack).tolist()
+        assert np.array_equal(stack, before)
+        assert ranks == [pivot_count(FieldMatrix(2, mat)) for mat in stack]
 
 
 def test_stack_rank_widest_field_stays_exact():

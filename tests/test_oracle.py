@@ -319,25 +319,59 @@ def test_sort_chunks_split_rows(sort_keys):
     assert one_by_one == screened
 
 
-def test_secure_generators_ranks_each_phase_in_one_call(monkeypatch):
+def test_secure_generators_screens_zero_rows_then_steps_the_pair_lists(monkeypatch):
     # the 2^8 length-2 generators, 256 times over, against the 32 pairs of
-    # every access set but the full one: the pair lists times the
-    # candidates that every receiver decodes exceed gf.STACK_ENTRIES, and
-    # each phase is still one _gains call, as _subset_ranks caps the stacks
+    # every access set but the full one.  Every message is wanted by a
+    # receiver that lacks it, so the receiver lists are ranked, in one
+    # _gains call, on the candidates with no zero row.  The pair lists
+    # times the candidates that every receiver decodes exceed
+    # gf.STACK_ENTRIES, so they are ranked in steps of at most that many,
+    # each on the candidates that leaked on no earlier step.  Every
+    # candidate leaks within the first step, so the last lists are never
+    # ranked
     inst = crossed_pairs_instance(2)
     acc = AccessStructure.explicit([a for size in range(4) for a in itertools.combinations(range(1, 5), size)])
     pairs = block_pairs(inst, acc, 1)
+    lists = sum(len(blocks) for _, blocks in pairs)
     distinct = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
-    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in distinct]
-    decoding = 256 * sum(all(r.decodable) for r in reports)
-    assert sum(len(blocks) for _, blocks in pairs) * decoding > STACK_ENTRIES
+    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in distinct] * 256
+    nonzero = 256 * int(distinct.any(axis=2).all(axis=1).sum())
+    decoding = [r for r in reports if all(r.decodable)]
+    step = STACK_ENTRIES // len(decoding)
+    assert lists * len(decoding) > STACK_ENTRIES and step < lists
+    assert not any(all(p.uniform for p in r.checks[:step]) for r in decoding)
     calls = []
     gains = secix.oracle._gains
     monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, *groups:
-                        calls.append(len(matrices)) or gains(q, matrices, *groups))
+                        calls.append((len(matrices), sum(len(rows) for rows, _ in groups)))
+                        or gains(q, matrices, *groups))
     screened = secure_generators(2, np.tile(distinct, (256, 1, 1)), inst, pairs).tolist()
-    assert calls == [256 * len(distinct), decoding]
-    assert screened == [all(r.decodable) and r.secure for r in reports] * 256
+    assert calls == [(nonzero, len(inst.receivers)), (len(decoding), step)]
+    assert (nonzero, len(decoding), step) == (256 * 81, 256 * 12, 21)
+    assert screened == [all(r.decodable) and r.secure for r in reports]
+
+
+def test_secure_generators_ranks_only_candidates_without_zero_wanted_rows(monkeypatch):
+    # receiver 1 knows x1 and x3 and wants x1 and x2, so x2, x3 and x4 are
+    # wanted by a receiver that lacks them and x1 is not.  A candidate with
+    # a zero row for x2, x3 or x4 gains 0 on that receiver's list and never
+    # reaches the receiver phase; one with a zero row for x1 does, and 6 of
+    # the 18 secure generators are such.  The verdicts are check_security's,
+    # candidate by candidate
+    inst = Instance(2, 4, (Receiver({1, 3}, {1, 2}), Receiver({2, 4}, {3}), Receiver({3}, {4})))
+    acc = AccessStructure.explicit([[]])
+    stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
+    calls = []
+    gains = secix.oracle._gains
+    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, *groups:
+                        calls.append(matrices.copy()) or gains(q, matrices, *groups))
+    screened = secure_generators(2, stack, inst, block_pairs(inst, acc, 1)).tolist()
+    receiver_phase = calls[0]
+    assert len(receiver_phase) == 2 ** 2 * 3 ** 3  # any row for x1, a nonzero one for the others
+    assert receiver_phase[:, 1:].any(axis=2).all()
+    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in stack]
+    assert screened == [all(r.decodable) and r.secure for r in reports]
+    assert sum(screened) == 18 and sum(ok for ok, g in zip(screened, stack) if not g[0].any()) == 6
 
 
 # ---- one pass: receiver and pair rows share a state table, not a sort ------------

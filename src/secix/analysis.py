@@ -23,9 +23,9 @@ from .gf import FieldMatrix, checked_int, radix_digits
 from .model import AccessStructure, Instance, every_message_wanted, is_acyclic, require_normalized
 from .oracle import (
     DEFAULT_BUDGET,
-    block_pairs,
     check_block_size,
     check_budget,
+    list_checks,
     refuse,
     secure_generators,
 )
@@ -231,9 +231,10 @@ def search_linear(
     structural decision leaves unknown.
 
     Generators are screened by rank identities in chunks of consecutive
-    candidates, each chunk in one call of `secure_generators`: the first
-    holds about _SEARCH_BATCH generator entries, and each later one twice
-    as many as the one before, up to _SEARCH_BATCH_MOST.  `budget` bounds
+    candidates, each chunk in one call of `secure_generators` on the
+    checks of one `list_checks` pass: the first chunk holds about
+    _SEARCH_BATCH generator entries, and each later one twice as many as
+    the one before, up to _SEARCH_BATCH_MOST.  `budget` bounds
     the q^(m*length) candidates, then, as `check_security` would for each
     candidate, its q^m states and those states times the (access set,
     block) pairs.
@@ -248,7 +249,7 @@ def search_linear(
     candidates = q ** width
     refuse(candidates, f"{q}^{width} candidate generators", budget)
     check_budget(q, m, 1, f"{q}^{m}", acc, b, budget)
-    pairs = block_pairs(inst, acc, b)
+    checks = list_checks(inst, acc, b)
     chunk = max(1, _SEARCH_BATCH // max(1, width))
     most = max(1, _SEARCH_BATCH_MOST // max(1, width))
     start = 0
@@ -256,7 +257,7 @@ def search_linear(
         stop = min(start + chunk, candidates)
         # base-q digits of consecutive indices run in itertools.product order
         generators = radix_digits(np.arange(start, stop), q, width).reshape(stop - start, m, length)
-        hits = np.flatnonzero(secure_generators(q, generators, inst, pairs))
+        hits = np.flatnonzero(secure_generators(q, generators, checks))
         if hits.size:
             return LinearCode(FieldMatrix(q, generators[hits[0]]))
         start, chunk = stop, min(2 * chunk, most)

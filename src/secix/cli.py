@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
     report = oracle.check_security(code, inst, acc, b=args.b, budget=args.budget)
     decodable = report.decodable
     if args.json:
-        _print_json(report.to_dict())
+        sys.stdout.write(report.json_text() + "\n")
     else:
         for i, ok in enumerate(decodable, start=1):
             print(f"receiver {i}: {'decodes' if ok else 'CANNOT DECODE'}")

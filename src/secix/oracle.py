@@ -12,8 +12,15 @@ call, and `check_decodability` is that call with no pairs.  Each check
 is a digit list, view then target: a receiver and one wanted message it
 does not know (view: its side information; it decodes iff it decodes
 each such message), or an (A, B) pair (view: X_A, target: X_B).
-`check_security` lists them and builds the report from per-list
-verdicts, and there is one verdict path per kind of code.
+`list_checks` lists them in one pass: each pair's label (A, B), in
+report order, and per list the two sets of removed rows it is checked
+without, its view and its view plus target.  Each distinct set is one
+slot, an int bitmask of row indices, so an access set's view is one
+slot shared by all its blocks, and equal labels share one tuple.
+`check_security` builds the report from the per-list verdicts of one
+such pass, and there is one verdict path per kind of code.
+`SecurityReport.json_text` renders the report's `--json` text from
+fragments made once per distinct label and per distinct verdict tail.
 
 *Linear codes: rank identities.*  With M = [G; Gtilde], a check hidden
 behind its view sees the rows of M outside the view, key rows included.
@@ -24,11 +31,12 @@ distinct row subset is ranked once, by `gf.stack_rank`, in capped
 stacks in which every matrix has one shape (`_subset_ranks`).  One
 routine ranks a stack of matrices: `check_security` passes one code's
 M, and `secure_generators`, which screens the generator search, a stack
-of candidate generators.  It first drops, with no rank, every candidate
-whose row is zero for a message that some receiver wants and lacks;
-then it ranks the receiver lists in one call, and the pair lists in
-steps of at most gf.STACK_ENTRIES candidates x lists, dropping the
-candidates that leak after each step.
+of candidate generators, on the lists of the search's one listing pass.
+It first drops, with no rank, every candidate whose row is zero for a
+message that some receiver wants and lacks; then it ranks the receiver
+lists in one call, and the pair lists in steps of at most
+gf.STACK_ENTRIES candidates x lists, dropping the candidates that leak
+after each step.  Each call ranks only the slots its lists use.
 
 *Table codes: counting over the joint space.*  The reference for
 `TableCode`, and the second oracle that the tests hold the ranks to.
@@ -63,22 +71,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf import STACK_ENTRIES, checked_int, radix_digits, stack_rank
-from .model import AccessStructure, Instance
+from .model import AccessStructure, Instance, json_text
 
 __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
+    "Checks",
     "InfeasibleBlockError",
     "PairCheck",
     "SecurityReport",
-    "block_pairs",
     "check_budget",
     "check_decodability",
     "check_security",
+    "list_checks",
     "secure_generators",
 ]
 # `refuse`, `check_code_matches` and `check_block_size` stay unlisted, though codes
@@ -120,7 +132,7 @@ def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b:
     """Refuse q^m * keys joint states (`shown` as a power of q) past the
     budget, or past what 64-bit (view, target) keys, below states * q^m,
     can index; then the states times the (access set, block) pairs of
-    `block_pairs` past the budget, as the enumeration counts every state
+    `list_checks` past the budget, as the enumeration counts every state
     per pair.  Linear codes pass the same gates.  The pairs are counted
     with math.comb, before any access set is listed."""
     states = q ** m * keys
@@ -128,7 +140,7 @@ def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b:
     if acc.kind == acc.KIND_T_LEVEL:
         pairs = math.comb(m, acc.max_size(m)) * math.comb(m - acc.t, b)
     else:
-        # the full set counts C(0, b) = 0 pairs, as block_pairs skips it
+        # the full set counts C(0, b) = 0 pairs, as list_checks skips it
         pairs = sum(math.comb(m - len(a), b) for a in acc.expand(m))
     refuse(states * pairs, f"{shown} joint states x {pairs} (access set, block) pairs", budget)
 
@@ -151,25 +163,64 @@ def check_block_size(b: int) -> int:
     return b
 
 
-def block_pairs(inst: Instance, acc: AccessStructure, b: int) -> list:
-    """(A, [size-b blocks outside A]) for every access set A of `acc`.
+class Checks(NamedTuple):
+    """Every check of an instance against an adversary, listed once:
+    per list (the receiver lists, then the pair lists), the slot of its
+    view and the slot of its view plus target.  A slot is a set of
+    message rows, kept as an int bitmask, and each distinct set has one
+    slot, so an access set's view serves all its blocks."""
 
-    The full message set is skipped: no block lies outside it, so it is
-    vacuously leak-free.  Raises InfeasibleBlockError when some access
-    set leaves fewer than b messages outside it.
+    labels: list  # (A, B) per pair list, in report order
+    owner: list  # receiver index per receiver list
+    wanted: np.ndarray  # the message rows some receiver wants and lacks
+    masks: np.ndarray  # per slot, its rows as a bitmask (the state gates keep m below 32)
+    slots: np.ndarray  # 2 x lists: per list, its view's slot, then its view and target's
+    b: int
+
+
+def list_checks(inst: Instance, acc: AccessStructure, b: int) -> Checks:
+    """The receiver lists and the (A, B) pairs of `check_security`.
+
+    A receiver list is a receiver and one wanted message it does not
+    know (view: its side information; a tuple of values is a function of
+    the view iff each value is, and the wanted messages a receiver knows
+    are read off its view).  A pair is an access set A and a size-b
+    block B outside it (view X_A, target X_B), A in the order of
+    `acc.expand` and B in lexicographic order.  The full message set is
+    skipped: no block lies outside it, so it is vacuously leak-free.
+    Raises InfeasibleBlockError when some access set leaves fewer than b
+    messages outside it.  Equal labels share one tuple object.
     """
-    full = frozenset(inst.messages())
-    pairs = []
-    for a in acc.expand(inst.m):
-        if a == full:
+    m = inst.m
+    bit = [0] + [1 << j for j in range(m)]  # bit[j] is message j's row
+    index, views, fulls, owner, wanted = {}, [], [], [], set()  # index: mask -> slot
+    for i, r in enumerate(inst.receivers):
+        view = sum(map(bit.__getitem__, r.knows))
+        for j in sorted(r.wants - r.knows):
+            views.append(index.setdefault(view, len(index)))
+            fulls.append(index.setdefault(view | bit[j], len(index)))
+            owner.append(i)
+            wanted.add(j - 1)
+    everything, messages = (1 << m) - 1, range(1, m + 1)
+    labels, blocks = [], {}
+    for a in acc.expand(m):
+        view = sum(map(bit.__getitem__, a))
+        if view == everything:
             continue
-        outside = sorted(full - a)
+        access = tuple(sorted(a))
+        outside = [j for j in messages if j not in a]
         if b > len(outside):
             raise InfeasibleBlockError(
-                f"block size {b} exceeds the {len(outside)} messages outside access set {sorted(a)}"
+                f"block size {b} exceeds the {len(outside)} messages outside access set {list(access)}"
             )
-        pairs.append((tuple(sorted(a)), list(itertools.combinations(outside, b))))
-    return pairs
+        slot = index.setdefault(view, len(index))
+        for block in itertools.combinations(outside, b):
+            mask = sum(map(bit.__getitem__, block))
+            labels.append((access, blocks.setdefault(mask, block)))
+            views.append(slot)
+            fulls.append(index.setdefault(view | mask, len(index)))
+    return Checks(labels, owner, np.array(sorted(wanted), dtype=np.intp), np.array(list(index), dtype=np.int64),
+                  np.array((views, fulls), dtype=np.intp), b)
 
 
 def _state_table(code):
@@ -203,54 +254,39 @@ def _classes(ids, digits, row: list, width: int, q: int):
     return runs, np.add.reduceat(runs, starts)[inverse]
 
 
-def _receiver_rows(inst: Instance):
-    """One digit list per receiver and wanted message it does not know:
-    the view is the receiver's side information, the target that one
-    message.  A tuple of values is a function of the view iff each value
-    is, and the wanted messages a receiver knows are read off its view.
-    Returns the lists and, per list, its receiver's index."""
-    rows, owner = [], []
-    for i, r in enumerate(inst.receivers):
-        view = [j - 1 for j in sorted(r.knows)]
-        for j in sorted(r.wants - r.knows):
-            rows.append(view + [j - 1])
-            owner.append(i)
-    return rows, owner
+def _rows(mask: int) -> list:
+    """The row indices of a bitmask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def _pair_rows(pairs: list):
-    """The (A, B) of every pair of `pairs` (from `block_pairs`), and its
-    digit list: view X_A, target X_B."""
-    labels = [(access, block) for access, blocks in pairs for block in blocks]
-    return labels, [[j - 1 for j in access + block] for access, block in labels]
-
-
-def _counted(code, rows: list, pair_rows: list, b: int):
+def _counted(code, checks: Checks):
     """The per-list verdicts of a table code, all read from one state
-    table, with one _classes count per digit list: per receiver list,
-    whether every class is its whole view; per pair list, whether every
-    class holds 1/q^b of its view, and H(X_B | C, X_A), each class's
-    share of the states times log2(view / class), summed."""
-    if not rows and not pair_rows:
+    table, with one _classes count per list of `checks` (its view's
+    digits, then its target's): per receiver list, whether every class
+    is its whole view; per pair list, whether every class holds 1/q^b
+    of its view, and H(X_B | C, X_A), each class's share of the states
+    times log2(view / class), summed."""
+    if not checks.slots.size:
         return [], [], []
-    q = code.q
+    q, b, masks = code.q, checks.b, checks.masks.tolist()
+    rows = [_rows(masks[v]) + _rows(masks[f] ^ masks[v]) for v, f in zip(*checks.slots.tolist())]
     digits, ids = _state_table(code)
     decodes, uniform, conditional = [], [], []
-    for row in rows:
+    for row in rows[:len(checks.owner)]:
         runs, views = _classes(ids, digits, row, 1, q)
         decodes.append(bool((runs == views).all()))
     states, values = ids.size, q ** b
-    for row in pair_rows:
+    for row in rows[len(checks.owner):]:
         runs, views = _classes(ids, digits, row, b, q)
         uniform.append(bool((runs * values == views).all()))
         conditional.append(float(runs.astype(np.float64).dot(np.log2(views) - np.log2(runs))) / states)
     return decodes, uniform, conditional
 
 
-def _subset_ranks(q: int, matrices, removed: list):
+def _subset_ranks(q: int, matrices, masks):
     """Per matrix M of a candidates x rows x cols stack over GF(q), and
-    per set of `removed` row indices, the rank of M without those rows,
-    as a candidates x sets array.
+    per bitmask of removed row indices in `masks`, the rank of M without
+    those rows, as a candidates x masks array.
 
     Every matrix of a stack has one shape: each set's kept rows gathered
     and padded with an appended zero row to the most rows a set keeps,
@@ -260,10 +296,8 @@ def _subset_ranks(q: int, matrices, removed: list):
     candidates, repays.  Stacks run over the (candidate, set) pairs,
     candidate-major, and hold at most STACK_ENTRIES entries."""
     count, rows, cols = matrices.shape
-    sizes = [len(r) for r in removed]
-    keep = np.ones((len(removed), rows), dtype=np.int64)
-    keep[np.repeat(np.arange(len(removed)), sizes), list(itertools.chain.from_iterable(removed))] = 0
-    width = rows - min(sizes, default=rows)
+    keep = ((masks[:, None] >> np.arange(rows)) & 1) == 0
+    width = int(keep.sum(axis=1).max(initial=0))
     gather = width < rows and (width < cols or count > 1)
     if gather:
         # a removed row reads the zero row, and sorting puts the kept rows first
@@ -275,13 +309,13 @@ def _subset_ranks(q: int, matrices, removed: list):
         width = rows
     # a stack holds every set of several candidates, or some sets of one
     per_stack = max(1, STACK_ENTRIES // max(1, width * cols))
-    sets = max(1, min(len(removed), per_stack))
+    sets = max(1, min(len(masks), per_stack))
     per_candidate = max(1, per_stack // sets)
-    ranks = np.empty(count * len(removed), dtype=np.int64)
+    ranks = np.empty(count * len(masks), dtype=np.int64)
     done = 0
     for first in range(0, count, per_candidate):
         some = matrices[first:first + per_candidate]
-        for start in range(0, len(removed), sets):
+        for start in range(0, len(masks), sets):
             if gather:
                 stack = np.take(some, kept[start:start + sets], axis=1)
             else:
@@ -289,34 +323,35 @@ def _subset_ranks(q: int, matrices, removed: list):
             stack = stack.reshape(len(stack) * stack.shape[1], width, cols)
             ranks[done:done + len(stack)] = stack_rank(q, stack)
             done += len(stack)
-    return ranks.reshape(count, len(removed))
+    return ranks.reshape(count, len(masks))
 
 
-def _gains(q: int, matrices, *groups):
+def _gains(q: int, matrices, checks: Checks, lists: slice):
     """Per matrix M of a candidates x rows x cols stack over GF(q), and
-    per digit list (view, then target) of `groups`, each a (lists,
-    target length) pair, the symbols its target gains: rank M_hidden -
-    rank M_{hidden minus target}, where hidden is every row outside the
-    view.  Each distinct set of removed rows (a view, or a view and its
-    target) is ranked once."""
-    slots, index = {}, []
-    for lists, width in groups:
-        for row in lists:
-            index.append(slots.setdefault(frozenset(row[:-width]), len(slots)))
-            index.append(slots.setdefault(frozenset(row), len(slots)))
-    ranks = _subset_ranks(q, matrices, list(slots))[:, index]
-    return ranks[:, 0::2] - ranks[:, 1::2]
+    per list `lists` of `checks`, the symbols its target gains: rank
+    M_hidden - rank M_{hidden minus target}, where hidden is every row
+    outside the view.  Only the slots these lists use are ranked."""
+    both = checks.slots[:, lists].ravel()  # the views, then the views and targets
+    used = np.zeros(len(checks.masks), dtype=bool)
+    used[both] = True
+    # a used slot's column among the ranks is the number of used slots before it
+    ranks = _subset_ranks(q, matrices, checks.masks[used])[:, (used.cumsum() - 1)[both]]
+    half = len(both) // 2
+    return ranks[:, :half] - ranks[:, half:]
 
 
-def _ranked(code, rows: list, pair_rows: list, b: int):
-    """The per-list verdicts of a linear code, from the _gains of M =
-    [G; Gtilde], key rows included in every hidden set: per receiver
+def _ranked(code, checks: Checks):
+    """The per-list verdicts of a linear code, from one rank per slot of
+    M = [G; Gtilde], key rows included in every hidden set: per receiver
     list, whether it gains 1; per pair list, which leaks I = its gain
-    symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q."""
-    gains = _gains(code.q, code.matrix[None], (rows, 1), (pair_rows, b))[0].tolist()
-    leaks, bits = gains[len(rows):], math.log2(code.q)
-    return ([gain == 1 for gain in gains[:len(rows)]], [leak == 0 for leak in leaks],
-            [(b - leak) * bits for leak in leaks])
+    symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q,
+    one float object per value of I."""
+    view, full = _subset_ranks(code.q, code.matrix[None], checks.masks)[0][checks.slots]
+    gains = (view - full).tolist()
+    split, b, bits = len(checks.owner), checks.b, math.log2(code.q)
+    leaks, conditional = gains[split:], [(b - leak) * bits for leak in range(b + 1)]
+    return ([gain == 1 for gain in gains[:split]], [leak == 0 for leak in leaks],
+            [conditional[leak] for leak in leaks])
 
 
 def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> list:
@@ -331,10 +366,10 @@ def check_decodability(code, inst: Instance, budget: int = DEFAULT_BUDGET) -> li
     return list(check_security(code, inst, AccessStructure.explicit([]), budget=budget).decodable)
 
 
-def secure_generators(q: int, generators, inst: Instance, pairs: list):
+def secure_generators(q: int, generators, checks: Checks):
     """Which of a candidates x m x length stack of generators over GF(q)
-    decode for every receiver and leak nothing on any of `pairs` (from
-    `block_pairs`); returns one bool per candidate.
+    decode for every receiver and leak nothing on any pair of `checks`
+    (from `list_checks`); returns one bool per candidate.
 
     The rank identities of `check_security`, for every candidate at
     once: a candidate passes iff each receiver list gains 1 and each
@@ -345,17 +380,14 @@ def secure_generators(q: int, generators, inst: Instance, pairs: list):
     lists, in steps of at most STACK_ENTRIES candidates x lists, each on
     the candidates that leaked on no earlier step.
     """
-    rows = _receiver_rows(inst)[0]
-    labels, pair_rows = _pair_rows(pairs)
-    b = len(labels[0][1]) if labels else 1  # every block has one size
-    wanted = sorted({row[-1] for row in rows})
-    alive = generators.any(axis=2).take(wanted, axis=1).all(axis=1).nonzero()[0]
-    if rows and alive.size:
-        alive = alive[(_gains(q, generators[alive], (rows, 1)) == 1).all(axis=1)]
-    start = 0
-    while start < len(pair_rows) and alive.size:
+    split, lists = len(checks.owner), checks.slots.shape[1]
+    alive = generators.any(axis=2).take(checks.wanted, axis=1).all(axis=1).nonzero()[0]
+    if split and alive.size:
+        alive = alive[(_gains(q, generators[alive], checks, slice(0, split)) == 1).all(axis=1)]
+    start = split
+    while start < lists and alive.size:
         stop = start + max(1, STACK_ENTRIES // alive.size)
-        alive = alive[(_gains(q, generators[alive], (pair_rows[start:stop], b)) == 0).all(axis=1)]
+        alive = alive[(_gains(q, generators[alive], checks, slice(start, stop)) == 0).all(axis=1)]
         start = stop
     secure = np.zeros(len(generators), dtype=bool)
     secure[alive] = True
@@ -382,6 +414,9 @@ class PairCheck:
         }
 
 
+_PAIR_FIELDS = attrgetter("access", "block", "uniform", "block_entropy_bits", "conditional_entropy_bits")
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     """All pair verdicts plus the overall conjunction, and per receiver
@@ -391,18 +426,49 @@ class SecurityReport:
     block_size: int
     decodable: tuple
 
-    @property
+    @cached_property
     def secure(self) -> bool:
         return all(p.uniform for p in self.checks)
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
+        """The fields after "pairs", in order."""
         return {
-            "pairs": [p.to_dict() for p in self.checks],
             "secure": self.secure,
             "block_size": self.block_size,
             "assumptions": "messages and keys uniform and independent",
             "decodable": list(self.decodable),
         }
+
+    def to_dict(self) -> dict:
+        return {"pairs": [p.to_dict() for p in self.checks], **self._summary()}
+
+    def json_text(self) -> str:
+        """Exactly `model.json_text(self.to_dict())`, rendered from
+        fragments: the text of each distinct A or B object, and of each
+        distinct (uniform, H_B, H_B|CA) triple of objects, is made once,
+        and a pair's text is one concatenation of three.  Fragments are
+        keyed by object identity, which the checks keep alive, so values
+        that compare equal but print differently (0.0 and -0.0, True and
+        1) never share one; `check_security` shares its label tuples and
+        entropy floats, so its fragments are few."""
+        labels, tails, pairs = {}, {}, []
+        for a, b, uniform, block_bits, conditional_bits in map(_PAIR_FIELDS, self.checks):
+            text_a = labels.get(id(a))
+            if text_a is None:
+                text_a = labels[id(a)] = json_text(list(a), "      ")
+            text_b = labels.get(id(b))
+            if text_b is None:
+                text_b = labels[id(b)] = json_text(list(b), "      ")
+            key = id(uniform), id(block_bits), id(conditional_bits)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = (',\n      "uniform": ' + json_text(uniform)
+                                     + ',\n      "H_B_bits": ' + json_text(block_bits)
+                                     + ',\n      "H_B_given_CA_bits": ' + json_text(conditional_bits)
+                                     + "\n    }")
+            pairs.append('{\n      "A": ' + text_a + ',\n      "B": ' + text_b + tail)
+        listed = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
+        return '{\n  "pairs": ' + listed + "," + json_text(self._summary())[1:]
 
 
 def check_security(
@@ -422,11 +488,12 @@ def check_security(
     code (keyed or not) is answered from ranks of row subsets of [G;
     Gtilde], with H(X_B | C, X_A) = (b - I) log2 q for a leak of I
     symbols; a table code from one state table.  Both return per-list
-    verdicts, and the report is built here: a receiver decodes iff each
-    of its lists passes.  Either way the gates run first and in this
-    order: the block size, the message count, the joint states, and
-    states x pairs, which is refused before the pairs are listed
-    (receiver rows are not counted).
+    verdicts for the lists of one `list_checks` pass, and the report is
+    built here: a receiver decodes iff each of its lists passes.  Either
+    way the gates run first and in this order: the block size, the
+    message count, the joint states, and states x pairs, which is
+    refused before the pairs are listed (receiver lists are not
+    counted).
     """
     b = check_block_size(b)
     check_code_matches(code, inst)
@@ -435,13 +502,12 @@ def check_security(
     else:
         shown = f"{code.q}^{code.m} x {code.key_count}"
     check_budget(code.q, code.m, code.key_count, shown, acc, b, budget)
-    rows, owner = _receiver_rows(inst)
-    labels, pair_rows = _pair_rows(block_pairs(inst, acc, b))
+    checks = list_checks(inst, acc, b)
     verdicts = _ranked if code.kind == "linear" else _counted
-    passes, uniform, conditional = verdicts(code, rows, pair_rows, b)
+    passes, uniform, conditional = verdicts(code, checks)
     decodes = [True] * len(inst.receivers)
-    for i, ok in zip(owner, passes):
+    for i, ok in zip(checks.owner, passes):
         decodes[i] = decodes[i] and ok
     entropy = b * math.log2(code.q)
-    checks = [PairCheck(*label, ok, entropy, h) for label, ok, h in zip(labels, uniform, conditional)]
-    return SecurityReport(tuple(checks), b, tuple(decodes))
+    pairs = [PairCheck(*label, ok, entropy, h) for label, ok, h in zip(checks.labels, uniform, conditional)]
+    return SecurityReport(tuple(pairs), b, tuple(decodes))

@@ -29,7 +29,7 @@ from secix import (
     strip_unwanted,
 )
 from secix import analysis
-from secix.oracle import BudgetExceededError, InfeasibleBlockError, block_pairs, secure_generators
+from secix.oracle import BudgetExceededError, InfeasibleBlockError, list_checks, secure_generators
 import reference_search
 from conftest import (
     complementary_instance,
@@ -321,7 +321,7 @@ def test_screen_matches_enumeration_of_table_copies(case):
     # the search screens by ranks; each candidate's table copy is
     # enumerated state by state, a second oracle independent of ranks
     inst, acc, b, stack = case
-    screened = secure_generators(inst.q, stack, inst, block_pairs(inst, acc, b)).tolist()
+    screened = secure_generators(inst.q, stack, list_checks(inst, acc, b)).tolist()
     expected = []
     for generator in stack:
         table = table_copy(LinearCode(FieldMatrix(inst.q, generator)))
@@ -349,6 +349,23 @@ def test_search_winner_past_first_chunk(monkeypatch, crossed2):
     assert expected.generator.to_lists() != [[0, 0]] * 4
     monkeypatch.setattr(analysis, "_SEARCH_BATCH", 1)  # a first chunk of one candidate
     assert search_linear(crossed2, acc, 2) == expected
+
+
+def test_search_lists_its_checks_once(monkeypatch):
+    # every receiver knows all 4 messages but the one it wants, and t = 3
+    # covers that knowledge: all 2^12 generators of length 3 are screened,
+    # in several chunks, each on the lists of the search's one listing pass
+    inst = complementary_instance(2, 4)
+    listed, screened = [], []
+    real_list, real_screen = analysis.list_checks, analysis.secure_generators
+    monkeypatch.setattr(analysis, "list_checks", lambda *args: listed.append(real_list(*args)) or listed[-1])
+    monkeypatch.setattr(analysis, "secure_generators",
+                        lambda q, generators, checks: screened.append((len(generators), checks))
+                        or real_screen(q, generators, checks))
+    assert search_linear(inst, AccessStructure.t_level(3), 3) is None
+    assert len(listed) == 1 and len(screened) > 3
+    assert sum(count for count, _ in screened) == 2 ** 12
+    assert all(checks is listed[0] for _, checks in screened)
 
 
 def test_search_rejects_bad_block_size_before_any_candidate(crossed2):

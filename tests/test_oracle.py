@@ -2,6 +2,7 @@
 independently computed expectations."""
 
 import itertools
+import json
 import math
 import random
 import sys
@@ -9,9 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import entropy as scipy_entropy
 
+import reference_listing
 import reference_oracle
 
 import secix.oracle
@@ -31,7 +33,9 @@ from secix.gf import STACK_ENTRIES, radix_digits
 from secix.oracle import (
     BudgetExceededError,
     InfeasibleBlockError,
-    block_pairs,
+    PairCheck,
+    SecurityReport,
+    list_checks,
     secure_generators,
 )
 from conftest import (
@@ -173,13 +177,13 @@ def test_budget_guard():
 def test_budget_counts_states_times_pairs_before_listing_them(monkeypatch, acc, b):
     inst = crossed_pairs_instance(2)
     code = disjoint_sum_code(2)
-    pairs = sum(len(blocks) for _, blocks in block_pairs(inst, acc, b))
+    pairs = len(list_checks(inst, acc, b).labels)
     assert len(check_security(code, inst, acc, b=b, budget=16 * pairs).checks) == pairs
 
     def unreachable(*args):
         raise AssertionError("pairs listed before the budget was checked")
 
-    monkeypatch.setattr(secix.oracle, "block_pairs", unreachable)
+    monkeypatch.setattr(secix.oracle, "list_checks", unreachable)
     with pytest.raises(BudgetExceededError, match=rf"2\^4 joint states x {pairs} \(access set, block\) pairs"):
         check_security(code, inst, acc, b=b, budget=16 * pairs - 1)
 
@@ -254,9 +258,9 @@ def test_secure_generators_keeps_candidates_apart():
     # decodes; its one view must not merge with the next candidate's
     # first view, or the leaking x1 code would condemn it too
     inst = Instance(2, 2, (Receiver({1}, {1}),))
-    pairs = block_pairs(inst, AccessStructure.explicit([[]]), 1)
+    checks = list_checks(inst, AccessStructure.explicit([[]]), 1)
     stack = np.array([[[0], [0]], [[1], [0]]])
-    assert secure_generators(2, stack, inst, pairs).tolist() == [True, False]
+    assert secure_generators(2, stack, checks).tolist() == [True, False]
     for generator, secure in zip(stack, [True, False]):
         code = LinearCode(FieldMatrix(2, generator))
         assert check_security(code, inst, AccessStructure.explicit([[]])).secure is secure
@@ -291,11 +295,11 @@ def test_receivers_with_empty_and_two_message_targets():
     # the same receivers screen a stack of candidates, with no pair to
     # check: this code, and the code that sends x3 in the clear, which
     # receiver 2 also decodes
-    no_pairs = block_pairs(inst, AccessStructure.explicit([[1, 2, 3, 4]]), 1)
+    no_pairs = list_checks(inst, AccessStructure.explicit([[1, 2, 3, 4]]), 1)
     stack = np.array([code.generator.data, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 0, 0]]])
     expected = [all(check_decodability(LinearCode(FieldMatrix(3, g)), inst)) for g in stack]
     assert expected == [False, True]
-    assert secure_generators(3, stack, inst, no_pairs).tolist() == expected
+    assert secure_generators(3, stack, no_pairs).tolist() == expected
 
 
 @pytest.mark.parametrize("sort_keys", [1, 3 * 16, 5 * 16])
@@ -307,12 +311,12 @@ def test_sort_chunks_split_rows(sort_keys):
     # which other candidates share its stack
     inst = crossed_pairs_instance(2)
     screen_acc = AccessStructure.explicit([[3], []])
-    pairs = block_pairs(inst, screen_acc, 1)
+    checks = list_checks(inst, screen_acc, 1)
     stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
-    screened = secure_generators(2, stack, inst, pairs).tolist()
+    screened = secure_generators(2, stack, checks).tolist()
     assert sum(screened) == 6
     chunked = [ok for k in range(0, len(stack), sort_keys)
-               for ok in secure_generators(2, stack[k:k + sort_keys], inst, pairs).tolist()]
+               for ok in secure_generators(2, stack[k:k + sort_keys], checks).tolist()]
     assert chunked == screened
     one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
                   for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
@@ -331,8 +335,8 @@ def test_secure_generators_screens_zero_rows_then_steps_the_pair_lists(monkeypat
     # ranked
     inst = crossed_pairs_instance(2)
     acc = AccessStructure.explicit([a for size in range(4) for a in itertools.combinations(range(1, 5), size)])
-    pairs = block_pairs(inst, acc, 1)
-    lists = sum(len(blocks) for _, blocks in pairs)
+    checks = list_checks(inst, acc, 1)
+    lists = len(checks.labels)
     distinct = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
     reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in distinct] * 256
     nonzero = 256 * int(distinct.any(axis=2).all(axis=1).sum())
@@ -342,10 +346,10 @@ def test_secure_generators_screens_zero_rows_then_steps_the_pair_lists(monkeypat
     assert not any(all(p.uniform for p in r.checks[:step]) for r in decoding)
     calls = []
     gains = secix.oracle._gains
-    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, *groups:
-                        calls.append((len(matrices), sum(len(rows) for rows, _ in groups)))
-                        or gains(q, matrices, *groups))
-    screened = secure_generators(2, np.tile(distinct, (256, 1, 1)), inst, pairs).tolist()
+    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, checks, lists:
+                        calls.append((len(matrices), checks.slots[:, lists].shape[1]))
+                        or gains(q, matrices, checks, lists))
+    screened = secure_generators(2, np.tile(distinct, (256, 1, 1)), checks).tolist()
     assert calls == [(nonzero, len(inst.receivers)), (len(decoding), step)]
     assert (nonzero, len(decoding), step) == (256 * 81, 256 * 12, 21)
     assert screened == [all(r.decodable) and r.secure for r in reports]
@@ -363,9 +367,9 @@ def test_secure_generators_ranks_only_candidates_without_zero_wanted_rows(monkey
     stack = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
     calls = []
     gains = secix.oracle._gains
-    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, *groups:
-                        calls.append(matrices.copy()) or gains(q, matrices, *groups))
-    screened = secure_generators(2, stack, inst, block_pairs(inst, acc, 1)).tolist()
+    monkeypatch.setattr(secix.oracle, "_gains", lambda q, matrices, checks, lists:
+                        calls.append(matrices.copy()) or gains(q, matrices, checks, lists))
+    screened = secure_generators(2, stack, list_checks(inst, acc, 1)).tolist()
     receiver_phase = calls[0]
     assert len(receiver_phase) == 2 ** 2 * 3 ** 3  # any row for x1, a nonzero one for the others
     assert receiver_phase[:, 1:].any(axis=2).all()
@@ -666,6 +670,56 @@ def test_report_json_shape():
         assert set(pair) == {"A", "B", "uniform", "H_B_bits", "H_B_given_CA_bits"}
 
 
+# ---- the listing pass against its frozenset reference ------------------------------------
+
+@st.composite
+def listing_cases(draw):
+    """(instance, access structure, b): receivers that may want what they
+    know, t-level adversaries, and explicit ones with repeated sets and
+    the full set."""
+    m = draw(st.integers(1, 6))
+    subsets = st.frozensets(st.integers(1, m))
+    receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        acc = AccessStructure.t_level(draw(st.integers(0, m - 1)))
+    else:
+        sets = draw(st.lists(subsets, max_size=4))
+        sets += draw(st.lists(st.sampled_from([*sets, frozenset(range(1, m + 1))]), max_size=3))
+        acc = AccessStructure.explicit(draw(st.permutations(sets)))
+    return Instance(2, m, tuple(receivers)), acc, draw(st.integers(1, 3))
+
+
+@given(listing_cases())
+@example((crossed_pairs_instance(2), AccessStructure.explicit([[1, 2], [1, 2, 3, 4], [], [1, 2], [1, 2, 3, 4]]), 2))
+@example((crossed_pairs_instance(2), AccessStructure.explicit([[1, 2, 3, 4]]), 1))
+@example((crossed_pairs_instance(2), AccessStructure.t_level(3), 2))
+@settings(max_examples=300, deadline=None)
+def test_listing_pass_matches_frozenset_reference(case):
+    inst, acc, b = case
+    try:
+        labels, owner, removed, views, fulls = reference_listing.listing(inst, acc, b)
+    except InfeasibleBlockError as expected:
+        with pytest.raises(InfeasibleBlockError) as raised:
+            list_checks(inst, acc, b)
+        assert str(raised.value) == str(expected)
+        return
+    checks = list_checks(inst, acc, b)
+    assert checks.labels == labels and checks.owner == owner and checks.b == b
+    assert [frozenset(j for j in range(inst.m) if mask >> j & 1) for mask in checks.masks.tolist()] == removed
+    assert checks.slots.tolist() == [views, fulls]
+    assert checks.wanted.tolist() == sorted({j - 1 for r in inst.receivers for j in r.wants - r.knows})
+    # equal labels are one object, so the report text renders each once
+    for side in (0, 1):
+        assert len({id(label[side]) for label in checks.labels}) == len({label[side] for label in labels})
+
+
+def test_infeasible_block_text_is_pinned():
+    inst = crossed_pairs_instance(2)
+    with pytest.raises(InfeasibleBlockError) as raised:
+        check_security(disjoint_sum_code(2), inst, AccessStructure.explicit([[1], [1, 2, 4]]), b=2)
+    assert str(raised.value) == "block size 2 exceeds the 1 messages outside access set [1, 2, 4]"
+
+
 # ---- entropy rendering in the reference ---------------------------------------------
 
 def test_entropy_examples():
@@ -790,3 +844,73 @@ def test_rank_path_matches_enumeration(case):
         leak = round(b - row.conditional_entropy_bits / bits)
         assert pair.uniform == (leak == 0)
         assert pair.conditional_entropy_bits == (b - leak) * bits
+
+
+# ---- the report text: one fragment per distinct label and tail object ------------------
+
+# objects that compare equal but print differently, each shared by the
+# pairs that draw it, so that a fragment keyed by value would be reused
+# for a twin that prints otherwise
+TWINS_LISTS = [(), (1,), (True,), (1, 2), [1, 2], (1.0, 2), (False, 2), (0,)]
+TWINS_SCALARS = [True, False, 1, 0, 0.0, -0.0, 1.0, 1, 0.5, float("inf"), float("nan")]
+
+
+@st.composite
+def hand_built_reports(draw):
+    """SecurityReports built by hand from shared objects: 0.0 and -0.0,
+    True and 1, False and 0, tuples and lists of equal values."""
+    lists, scalars = st.sampled_from(TWINS_LISTS), st.sampled_from(TWINS_SCALARS)
+    checks = draw(st.lists(st.builds(PairCheck, lists, lists, scalars, scalars, scalars), max_size=8))
+    decodable = draw(st.lists(st.booleans(), max_size=3))
+    return SecurityReport(tuple(checks), draw(st.integers(1, 3)), tuple(decodable))
+
+
+@given(oracle_cases())
+@example((disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.classical(4), 1))
+@example((disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.explicit([[1, 2, 3, 4], [3]]), 2))
+@settings(max_examples=150, deadline=None)
+def test_report_text_is_json_dumps_indent_2(case):
+    # deterministic, keyed and table codes, t-level and explicit
+    # adversaries, b = 1 or 2; the classical adversary lists no pair
+    code, inst, acc, b = case
+    try:
+        report = check_security(code, inst, acc, b=b)
+    except InfeasibleBlockError:
+        return
+    assert report.json_text() == json.dumps(report.to_dict(), indent=2)
+
+
+@given(hand_built_reports())
+@example(SecurityReport((PairCheck((1,), (2,), True, 0.0, 0.0), PairCheck((1,), (2,), 1, -0.0, 0.0)), 1, (True,)))
+@example(SecurityReport((PairCheck((1,), (2,), False, 1.0, 0.0), PairCheck((1,), (2,), False, 1.0, 1.0)), 1, ()))
+@example(SecurityReport((PairCheck((1,), (True,), 0, 1, 0.5), PairCheck((True,), (1,), 0, 1.0, 0.5)), 2, (False,)))
+@settings(max_examples=300, deadline=None)
+def test_hand_built_report_text_is_json_dumps_indent_2(report):
+    assert report.json_text() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize("field", [2, 3, 4])
+def test_report_text_refuses_numpy_scalars(field):
+    # numpy scalars are never coerced: not np.bool_, and not np.float64,
+    # a float subclass that json.dumps would print
+    values = [(1,), (2,), True, 1.0, 1.0]
+    values[field] = np.float64(1.0) if field > 2 else np.bool_(True)
+    report = SecurityReport((PairCheck((1,), (2,), True, 1.0, 1.0), PairCheck(*values)), 1, (True,))
+    with pytest.raises(TypeError):
+        secix.model.json_text(report.to_dict())
+    with pytest.raises(TypeError):
+        report.json_text()
+
+
+def test_secure_is_computed_once():
+    # verify reads it twice, for the report text and for the exit code
+    calls = []
+
+    class Counted:
+        def __bool__(self):
+            calls.append(1)
+            return True
+
+    report = SecurityReport((PairCheck((), (1,), Counted(), 1.0, 1.0),), 1, ())
+    assert report.secure and report.secure
+    assert calls == [1]

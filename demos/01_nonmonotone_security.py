@@ -12,7 +12,6 @@ x3; the second code does exactly the opposite.
 
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -27,8 +26,8 @@ instance = Instance(2, 4, (
     Receiver({2, 3}, {4}),
 ))
 
-code_a = LinearCode(FieldMatrix(2, [[1, 0], [1, 0], [0, 1], [0, 1]]))  # [x1+x2, x3+x4]
-code_b = LinearCode(FieldMatrix(2, [[1, 0], [1, 1], [0, 1], [0, 1]]))  # [x1+x2, x2+x3+x4]
+code_a = LinearCode(2, [[1, 0], [1, 0], [0, 1], [0, 1]])  # [x1+x2, x3+x4]
+code_b = LinearCode(2, [[1, 0], [1, 1], [0, 1], [0, 1]])  # [x1+x2, x2+x3+x4]
 
 holds_both = AccessStructure.explicit([[3, 4]])
 holds_one = AccessStructure.explicit([[3]])

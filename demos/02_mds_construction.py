@@ -30,7 +30,7 @@ instance = Instance(5, 4, (
 code = construct_mds_code(instance)
 print(f"messages: {instance.m} over GF({code.q}), codeword length: {code.length}")
 print("generator rows:")
-for j, row in enumerate(code.generator.to_lists(), start=1):
+for j, row in enumerate(code.generator.tolist(), start=1):
     print(f"  message {j}: {row}")
 
 # (1) decodability, exhaustively

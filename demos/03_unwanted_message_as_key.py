@@ -25,7 +25,7 @@ print(to_dot(instance, nothing_held))
 
 verdict = decide(instance, nothing_held)
 print(f"with the unwanted message kept: {verdict.answer}")
-print(f"  certificate generator: {verdict.code.generator.to_lists()}  (c = x1 + x2)")
+print(f"  certificate generator: {verdict.code.generator.tolist()}  (c = x1 + x2)")
 print(f"  oracle: {'secure' if check_security(verdict.code, instance, nothing_held).secure else 'leaks'}")
 
 stripped, stripped_acc = strip_unwanted(instance, nothing_held)

@@ -11,7 +11,6 @@ sees.
 
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -22,8 +21,9 @@ from secix import (
 
 instance = Instance(2, 2, (Receiver({2}, {1}),))
 keyed = LinearCode(
-    FieldMatrix(2, [[1, 0], [1, 0]]),   # messages feed only the first symbol
-    FieldMatrix(2, [[1, 1]]),           # the key pads both symbols
+    2,
+    [[1, 0], [1, 0]],   # messages feed only the first symbol
+    [[1, 1]],           # the key pads both symbols
 )
 
 print(f"keyed code: length {keyed.length}, key symbols {keyed.key_dim}")
@@ -31,7 +31,7 @@ print(f"  decodable: {check_decodability(keyed, instance)}")
 
 deterministic = derandomize(keyed, instance)
 print(f"\nderandomized: length {deterministic.length} (was {keyed.length})")
-print(f"  generator: {deterministic.generator.to_lists()}  (c = x1 + x2)")
+print(f"  generator: {deterministic.generator.tolist()}  (c = x1 + x2)")
 
 nothing_held = AccessStructure.explicit([[]])
 for name, code in [("keyed", keyed), ("deterministic", deterministic)]:

@@ -33,7 +33,7 @@ for width in (upper, upper - 1):
     if found is None:
         print(f"width {width}: searched all {space} generators, none works")
     else:
-        rows = found.generator.to_lists()
+        rows = found.generator.tolist()
         index = 0
         for entry in (e for row in rows for e in row):
             index = index * instance.q + entry

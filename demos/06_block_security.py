@@ -31,7 +31,7 @@ for b in (1, 2, 3):
 
 yes = decide_t_level(instance, 1, b=2)
 code = yes.code
-print(f"\ncertificate at b=2, t=1: generator {code.generator.to_lists()}")
+print(f"\ncertificate at b=2, t=1: generator {code.generator.tolist()}")
 for t, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
     rep = check_security(code, instance, AccessStructure.t_level(t), b=b)
     print(f"  oracle t={t} b={b}: {'secure' if rep.secure else 'leaks'}")

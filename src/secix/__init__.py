@@ -8,7 +8,7 @@ block security exactly: linear codes by ranks over GF(q), explicit
 table codes by exhaustive counting.
 """
 
-from .gf import FieldMatrix, is_prime, smallest_prime_at_least, vandermonde
+from .gf import is_prime, smallest_prime_at_least, vandermonde
 from .model import (
     AccessStructure,
     Instance,

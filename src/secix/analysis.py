@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import LinearCode, code_to_dict, construct_mds_code, single_access_code
-from .gf import FieldMatrix, checked_int, radix_digits
+from .gf import checked_int, radix_digits
 from .model import AccessStructure, Instance, every_message_wanted, is_acyclic, require_normalized
 from .oracle import (
     DEFAULT_BUDGET,
@@ -259,6 +259,6 @@ def search_linear(
         generators = radix_digits(np.arange(start, stop), q, width).reshape(stop - start, m, length)
         hits = np.flatnonzero(secure_generators(q, generators, checks))
         if hits.size:
-            return LinearCode(FieldMatrix(q, generators[hits[0]]))
+            return LinearCode(q, generators[hits[0]])
         start, chunk = stop, min(2 * chunk, most)
     return None

@@ -80,7 +80,7 @@ def _describe_verdict(verdict):
     if verdict.answer == analysis.ANSWER_YES:
         code = verdict.code
         lines.append(f"certificate: linear code of length {code.length} over GF({code.q})")
-        for j, row in enumerate(code.generator.to_lists(), start=1):
+        for j, row in enumerate(code.generator.tolist(), start=1):
             lines.append(f"  g_{j} = {row}")
     elif verdict.certificate is not None:
         cert = verdict.certificate.to_dict()
@@ -328,7 +328,8 @@ _T_LEVEL = ("--t-level", {"dest": "t_level", "type": int,
 _ACCESS = ("--access", {"help": "override adversary: explicit JSON sets, e.g. '[[3,4]]'"})
 _B = ("--b", {"type": int, "default": 1, "help": "block size for joint security (default 1)"})
 _BUDGET = ("--budget", {"type": int, "default": oracle.DEFAULT_BUDGET,
-                        "help": "max joint states / candidates to enumerate"})
+                        "help": "most units of work: joint states and states x pairs (verify, search), "
+                                "candidate generators (search), span vectors (construct)"})
 _JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
 _INSTANCE_ADVERSARY = (_INSTANCE, _T_LEVEL, _ACCESS)
 

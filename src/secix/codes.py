@@ -37,11 +37,12 @@ import numpy as np
 from .gf import (
     MAX_MESSAGES,
     STACK_ENTRIES,
-    FieldMatrix,
     checked_int,
     checked_ints,
     checked_modulus,
+    nullspace,
     radix_digits,
+    rref,
     smallest_prime_at_least,
     stack_rank,
     vandermonde,
@@ -83,43 +84,56 @@ class NoSecureCodeError(Exception):
         )
 
 
+def _reduced(q: int, data) -> np.ndarray:
+    """data as a 2-D int64 array reduced mod q.  Arrays of numpy ints
+    that fit in int64 are reduced at once; lists, and arrays of bools,
+    floats, strings or ints past 63 bits, go entry by entry through
+    `checked_ints`, so a non-integer raises ValueError."""
+    arr = data if type(data) is np.ndarray else np.array(data, dtype=object)
+    if arr.ndim != 2:
+        raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.itemsize < 8:
+        return np.remainder(arr, q, dtype=np.int64, order="C")
+    entries = checked_ints(arr.ravel().tolist(), "matrix")
+    return np.array([v % q for v in entries], dtype=np.int64).reshape(arr.shape)
+
+
 class LinearCode:
     """Linear index code c = x G (+ y Gtilde when a key matrix is given).
 
-    G is m x ell over GF(q); an optional key matrix Gtilde is k x ell
-    over the same field, with the k key symbols uniform and independent
-    of the messages.  `matrix` is the stack [G; Gtilde], and m + k and
-    ell are each at most gf.MAX_MESSAGES.
+    G is m x ell over GF(q), q a prime no larger than gf.MAX_MODULUS; an
+    optional key matrix Gtilde is k x ell over the same field, with the
+    k key symbols uniform and independent of the messages.  Entries must
+    be integers, and are reduced mod q.  The code keeps one read-only
+    int64 array, `matrix`, the stack [G; Gtilde]; `generator` and
+    `key_generator` (None without a key) are views of it.  m + k and ell
+    are each at most gf.MAX_MESSAGES.
     """
 
     kind = "linear"
 
-    def __init__(self, generator: FieldMatrix, key_generator: FieldMatrix | None = None):
-        self.generator = generator
-        self.key_generator = key_generator
+    def __init__(self, q: int, generator, key_generator=None):
+        self.q = q = checked_modulus(q)
+        matrix = _reduced(q, generator)
+        self.m, self.length = matrix.shape
+        self.key_dim = 0
         if key_generator is not None:
-            if key_generator.q != generator.q:
-                raise ValueError(
-                    f"key matrix over GF({key_generator.q}) does not match GF({generator.q})"
-                )
-            if key_generator.cols != generator.cols:
-                raise ValueError(
-                    f"key matrix has {key_generator.cols} columns, generator has {generator.cols}"
-                )
-        self.q = generator.q
-        self.m = generator.rows
-        self.length = generator.cols
-        self.key_dim = 0 if key_generator is None else key_generator.rows
+            keys = _reduced(q, key_generator)
+            if keys.shape[1] != self.length:
+                raise ValueError(f"key matrix has {keys.shape[1]} columns, generator has {self.length}")
+            self.key_dim = len(keys)
+            matrix = np.vstack([matrix, keys])
         if self.m + self.key_dim > MAX_MESSAGES or self.length > MAX_MESSAGES:
             raise ValueError(
                 f"code has {self.m} message + {self.key_dim} key rows and {self.length} columns; "
                 f"at most {MAX_MESSAGES} of each are supported"
             )
-        self.key_count = self.q ** self.key_dim
+        self.key_count = q ** self.key_dim
+        matrix.setflags(write=False)
         # [G; Gtilde]: the codeword of (x, y) is (x, y) @ matrix mod q
-        self.matrix = (
-            generator.data if key_generator is None else np.vstack([generator.data, key_generator.data])
-        )
+        self.matrix = matrix
+        self.generator = matrix[: self.m]
+        self.key_generator = None if key_generator is None else matrix[self.m :]
 
     @property
     def is_randomized(self) -> bool:
@@ -149,8 +163,8 @@ class LinearCode:
     def __eq__(self, other):
         return (
             isinstance(other, LinearCode)
-            and other.generator == self.generator
-            and other.key_generator == self.key_generator
+            and (other.q, other.m, other.is_randomized) == (self.q, self.m, self.is_randomized)
+            and np.array_equal(other.matrix, self.matrix)
         )
 
 
@@ -232,17 +246,17 @@ class Decoder:
         rec = inst.receivers[receiver - 1]
         known = sorted(rec.knows)
         unknown = [j for j in inst.messages() if j not in rec.knows]
-        g = code.generator.data
+        g = code.generator
         self.q = code.q
         self.length = code.length
         self.side_count = len(known)
         self._known_rows = g[np.array(known, dtype=np.intp) - 1]
         system = np.hstack([g[np.array(unknown, dtype=np.intp) - 1].T, np.eye(code.length, dtype=np.int64)])
-        reduced, pivots = FieldMatrix(code.q, system).rref()
+        reduced, pivots = rref(code.q, system)
         lead = [c for c in pivots if c < len(unknown)]
         free = [c for c in range(len(unknown)) if c not in lead]
         # x_j is pinned iff its pivot row has no entry in a free column
-        pinned = {unknown[c]: row for row, c in enumerate(lead) if not reduced.data[row, free].any()}
+        pinned = {unknown[c]: row for row, c in enumerate(lead) if not reduced[row, free].any()}
         side_at = {j: p for p, j in enumerate(known)}
         wanted = sorted(rec.wants)
         solved = [j for j in wanted if j not in side_at]
@@ -252,7 +266,7 @@ class Decoder:
         # columns of T r: the wanted unknowns, then the consistency checks
         self._checked_from = len(solved)
         rows = [pinned[j] for j in solved] + list(range(len(lead), code.length))
-        self._map = reduced.data[rows, len(unknown):].T
+        self._map = reduced[rows, len(unknown):].T
         # wanted values in ascending order, picked from [T r | side]
         column = {j: i for i, j in enumerate(solved)}
         column.update((j, len(rows) + p) for j, p in side_at.items())
@@ -310,7 +324,7 @@ def derandomize(code: LinearCode, inst: Instance) -> LinearCode:
     if not code.is_randomized:
         raise ValueError("derandomize applies to randomized linear codes")
     check_code_matches(code, inst)
-    projected = LinearCode(code.generator @ code.key_generator.nullspace())
+    projected = LinearCode(code.q, code.generator @ nullspace(code.q, code.key_generator))
     for i in range(1, inst.n + 1):
         if not Decoder(projected, inst, i).decodable:
             raise ValueError(f"receiver {i} cannot decode the keyed code")
@@ -329,7 +343,7 @@ def construct_mds_code(inst: Instance) -> LinearCode:
     """
     require_normalized(inst, "MDS construction")
     min_known = min(len(r.knows) for r in inst.receivers)
-    return LinearCode(_mds_block(inst.m, inst.m - min_known, inst.q))
+    return LinearCode(*_mds_block(inst.m, inst.m - min_known, inst.q))
 
 
 def single_access_code(inst: Instance, access) -> LinearCode:
@@ -357,21 +371,23 @@ def single_access_code(inst: Instance, access) -> LinearCode:
                 raise NoSecureCodeError(i, access)
             known_outside.append(len(rec.knows - access))
     if known_outside:
-        block = _mds_block(len(outside), len(outside) - min(known_outside), inst.q)
+        q, block = _mds_block(len(outside), len(outside) - min(known_outside), inst.q)
     else:
-        block = FieldMatrix.zeros(inst.q, len(outside), 0)
+        q, block = inst.q, np.zeros((len(outside), 0), dtype=np.int64)
     clear = np.eye(inst.m, dtype=np.int64)[:, sorted(j - 1 for j in access)]
-    protected = np.zeros((inst.m, block.cols), dtype=np.int64)
-    protected[[j - 1 for j in outside]] = block.data
-    return LinearCode(FieldMatrix(block.q, np.hstack([clear, protected])))
+    protected = np.zeros((inst.m, block.shape[1]), dtype=np.int64)
+    protected[[j - 1 for j in outside]] = block
+    return LinearCode(q, np.hstack([clear, protected]))
 
 
-def _mds_block(rows: int, length: int, q: int) -> FieldMatrix:
-    """Vandermonde generator of `rows` messages and `length` symbols, so
-    that any `length` rows are independent.  It needs `rows` distinct
+def _mds_block(rows: int, length: int, q: int):
+    """(q, Vandermonde generator) of `rows` messages and `length` symbols,
+    so that any `length` rows are independent.  It needs `rows` distinct
     evaluation points: when GF(q) has fewer, the smallest prime >= rows
     is used instead, and the code shows it as code.q != inst.q."""
-    return vandermonde(rows, length, q if q >= rows else smallest_prime_at_least(rows))
+    if q < rows:
+        q = smallest_prime_at_least(rows)
+    return q, vandermonde(rows, length, q)
 
 
 def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
@@ -401,16 +417,16 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     while code.q ** (k + 1) <= budget:
         k += 1
     top = min(code.m, code.length)
-    if k < top and stack_rank(code.q, code.generator.data[None, :, : k + 1])[0] == k + 1:
+    if k < top and stack_rank(code.q, code.generator[None, :, : k + 1])[0] == k + 1:
         shown = f"{code.q}^{top}" if k + 1 == top else f"{code.q}^{k + 1} to {code.q}^{top}"
         refuse(code.q ** (k + 1), f"{shown} vectors of the column span", budget)
-    basis, pivots = code.generator.transpose().rref()
+    basis, pivots = rref(code.q, code.generator.T)
     rank = len(pivots)
     if rank == 0:
         return -1  # trivial span: the code sends nothing
     span = code.q ** rank
     refuse(span, f"{code.q}^{rank} vectors of the column span", budget)
-    rows = basis.data[:rank]
+    rows = basis[:rank]
     size = _least_full_rank_size(rows, code.q, span)
     if size is not None:
         return code.m - size - 1
@@ -450,8 +466,8 @@ def _least_full_rank_size(rows, q: int, most: int):
 
 # ---- JSON code files -------------------------------------------------------
 
-def _field_matrix(q: int, rows, what: str) -> FieldMatrix:
-    """The FieldMatrix of `rows` (the matrix `what` of a code file) when
+def _field_matrix(q: int, rows, what: str) -> np.ndarray:
+    """The int64 array of `rows` (the matrix `what` of a code file) when
     it is a non-empty list of equally long rows of integers in [0, q);
     ValueError naming the matrix or the row otherwise.  No entry is
     reduced mod q.  q must already be a valid modulus, so every entry
@@ -465,7 +481,7 @@ def _field_matrix(q: int, rows, what: str) -> FieldMatrix:
         checked.append(checked_ints(row, f"{what} row {i}", q))
         if len(row) != len(rows[0]):
             raise ValueError(f"{what} row {i} has length {len(row)}, row 1 has length {len(rows[0])}")
-    return FieldMatrix(q, np.array(checked, dtype=np.int64))
+    return np.array(checked, dtype=np.int64)
 
 
 def parse_code(obj) -> LinearCode:
@@ -493,17 +509,17 @@ def parse_code(obj) -> LinearCode:
         key_generator = _field_matrix(q, obj["Gtilde"], "Gtilde")
     elif "Gtilde" in obj:
         raise ValueError("linear_det code must not carry a 'Gtilde' matrix")
-    return LinearCode(generator, key_generator)
+    return LinearCode(q, generator, key_generator)
 
 
 def code_to_dict(code: LinearCode) -> dict:
     obj = {
         "kind": "linear_rand" if code.is_randomized else "linear_det",
         "q": code.q,
-        "G": code.generator.to_lists(),
+        "G": code.generator.tolist(),
     }
     if code.is_randomized:
-        obj["Gtilde"] = code.key_generator.to_lists()
+        obj["Gtilde"] = code.key_generator.tolist()
     return obj
 
 

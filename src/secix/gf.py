@@ -4,7 +4,7 @@ This module is the package's one arithmetic path: field elements are
 ints reduced mod q, held in int64 numpy arrays, and every GF(q)
 computation is a numpy product or an elimination over such arrays.
 Every rank goes through `stack_rank`, one matrix or a whole stack at a
-time; `FieldMatrix.rref` serves where reduced rows are needed.  Row
+time; `rref` serves where reduced rows are needed.  Row
 reduction uses leftmost-pivot / first-nonzero-row ordering, so
 reduced forms and nullspace bases are deterministic across runs.
 Everything is integer-exact -- no floating point anywhere -- because
@@ -20,13 +20,14 @@ import operator
 import numpy as np
 
 __all__ = [
-    "FieldMatrix",
     "MAX_ACCESS_SETS",
     "MAX_MESSAGES",
     "MAX_MODULUS",
     "STACK_ENTRIES",
     "is_prime",
+    "nullspace",
     "radix_digits",
+    "rref",
     "smallest_prime_at_least",
     "stack_rank",
     "vandermonde",
@@ -48,8 +49,9 @@ MAX_MODULUS = math.isqrt((2 ** 63 - 1) // (MAX_MESSAGES + 1)) + 1
 
 @functools.cache
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, memoized: every FieldMatrix asks it
-    about its q, and one scan of the largest modulus takes about 0.5 ms."""
+    """Trial-division primality test, memoized: every `checked_modulus`
+    asks it about its q, and one scan of the largest modulus takes about
+    0.5 ms."""
     if n < 2:
         return False
     if n in (2, 3):
@@ -130,121 +132,49 @@ def radix_digits(values, q: int, width: int):
     return np.asarray(values, dtype=np.int64)[:, None] // powers % q
 
 
-class FieldMatrix:
-    """Immutable dense matrix over GF(q).
+def rref(q: int, a):
+    """Reduced row-echelon form over GF(q) of the integer matrix `a`.
 
-    q must be a prime no larger than MAX_MODULUS.  Entries must be
-    integers: a bool, float or string entry raises ValueError.  They are
-    stored as a read-only int64 array, reduced mod q at construction.
-    A product of matrices over different fields raises ValueError.
+    Returns (reduced int64 array, pivot column indices).  Entries are
+    reduced mod q first, into a C-ordered copy; `a` is left as it is.
+    Pivoting is deterministic: scan columns left to right, take the
+    first row at or below the working row with a nonzero entry.  q must
+    be a valid modulus (`checked_modulus`), which this function does not
+    check again.
     """
+    work = np.remainder(a, q, dtype=np.int64, order="C")
+    nrows, ncols = work.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(work[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+        inv = pow(int(work[r, c]), q - 2, q)
+        work[r] = (work[r] * inv) % q
+        targets = np.flatnonzero(work[:, c])
+        targets = targets[targets != r]
+        work[targets] = (work[targets] - work[targets, c, None] * work[r]) % q
+        pivots.append(c)
+        r += 1
+    return work, tuple(pivots)
 
-    __slots__ = ("q", "data")
 
-    def __init__(self, q: int, data):
-        self.q = q = checked_modulus(q)
-        arr = data if type(data) is np.ndarray else np.array(data, dtype=object)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        if arr.dtype.kind == "i" or arr.dtype.kind == "u" and arr.itemsize < 8:
-            arr = np.remainder(arr, q, dtype=np.int64)
-        else:  # lists, and arrays of bools, floats, strings or ints past 63 bits
-            entries = checked_ints(arr.ravel().tolist(), "matrix")
-            arr = np.array([v % q for v in entries], dtype=np.int64).reshape(arr.shape)
-        arr.setflags(write=False)
-        self.data = arr
-
-    # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, q: int, rows: int, cols: int) -> "FieldMatrix":
-        return cls(q, np.zeros((rows, cols), dtype=np.int64))
-
-    # ---- shape accessors ----------------------------------------------
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def to_lists(self):
-        """Row-major nested lists of plain ints (for JSON)."""
-        return [[int(v) for v in row] for row in self.data]
-
-    # ---- comparisons ---------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldMatrix)
-            and other.q == self.q
-            and other.data.shape == self.data.shape
-            and np.array_equal(other.data, self.data)
-        )
-
-    def __repr__(self):
-        return f"FieldMatrix(q={self.q}, {self.to_lists()})"
-
-    # ---- arithmetic ------------------------------------------------------
-
-    def __matmul__(self, other):
-        if not isinstance(other, FieldMatrix):
-            raise TypeError(f"matrix product expects a FieldMatrix, got {type(other).__name__}")
-        if other.q != self.q:
-            raise ValueError(f"matrix product over mismatched fields GF({self.q}) vs GF({other.q})")
-        if self.cols != other.rows:
-            raise ValueError(f"inner dimensions differ: {self.data.shape} @ {other.data.shape}")
-        return FieldMatrix(self.q, (self.data @ other.data) % self.q)
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.q, self.data.T)
-
-    # ---- elimination -----------------------------------------------------
-
-    def rref(self):
-        """Reduced row-echelon form.
-
-        Returns (reduced matrix, pivot column indices).  Pivoting is
-        deterministic: scan columns left to right, take the first row at
-        or below the working row with a nonzero entry.
-        """
-        q = self.q
-        work = self.data.copy()
-        nrows, ncols = work.shape
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            nz = np.nonzero(work[r:, c])[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                work[[r, p]] = work[[p, r]]
-            inv = pow(int(work[r, c]), q - 2, q)
-            work[r] = (work[r] * inv) % q
-            targets = np.flatnonzero(work[:, c])
-            targets = targets[targets != r]
-            work[targets] = (work[targets] - work[targets, c, None] * work[r]) % q
-            pivots.append(c)
-            r += 1
-        return FieldMatrix(q, work), tuple(pivots)
-
-    def nullspace(self) -> "FieldMatrix":
-        """Basis of {v : self @ v = 0}, returned as matrix columns.
-
-        Column count equals cols - rank; a full-rank matrix yields a
-        (cols x 0) matrix.
-        """
-        reduced, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        basis[free, range(len(free))] = 1
-        basis[list(pivots)] = -reduced.data[: len(pivots)][:, free] % self.q
-        return FieldMatrix(self.q, basis)
+def nullspace(q: int, a) -> np.ndarray:
+    """Basis of {v : a v = 0} over GF(q), as the columns of an int64
+    array: cols - rank of them, so a full-rank `a` yields cols x 0."""
+    reduced, pivots = rref(q, a)
+    cols = reduced.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    basis[free, range(len(free))] = 1
+    basis[list(pivots)] = -reduced[: len(pivots)][:, free] % q
+    return basis
 
 
 # Most entries per `stack_rank` call in the package's batched callers
@@ -313,8 +243,9 @@ def stack_rank(q: int, stack) -> np.ndarray:
     return ranks
 
 
-def vandermonde(rows: int, cols: int, q: int) -> FieldMatrix:
-    """Vandermonde matrix with evaluation points 0, 1, ..., rows-1.
+def vandermonde(rows: int, cols: int, q: int) -> np.ndarray:
+    """Vandermonde int64 array over GF(q), with evaluation points 0, 1,
+    ..., rows-1.
 
     Row i is [1, a_i, a_i^2, ..., a_i^(cols-1)] with a_i = i.  Distinct
     points make every cols-row subset invertible, which is what makes
@@ -332,4 +263,4 @@ def vandermonde(rows: int, cols: int, q: int) -> FieldMatrix:
     data = np.ones((rows, cols), dtype=np.int64)
     for e in range(1, cols):
         data[:, e] = data[:, e - 1] * points % q
-    return FieldMatrix(q, data)
+    return data

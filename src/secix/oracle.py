@@ -72,7 +72,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -346,8 +345,7 @@ def _ranked(code, checks: Checks):
     list, whether it gains 1; per pair list, which leaks I = its gain
     symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q,
     one float object per value of I."""
-    view, full = _subset_ranks(code.q, code.matrix[None], checks.masks)[0][checks.slots]
-    gains = (view - full).tolist()
+    gains = _gains(code.q, code.matrix[None], checks, slice(None))[0].tolist()
     split, b, bits = len(checks.owner), checks.b, math.log2(code.q)
     leaks, conditional = gains[split:], [(b - leak) * bits for leak in range(b + 1)]
     return ([gain == 1 for gain in gains[:split]], [leak == 0 for leak in leaks],
@@ -394,8 +392,7 @@ def secure_generators(q: int, generators, checks: Checks):
     return secure
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     """Exact verdict for one (access set, block) pair."""
 
     access: tuple
@@ -412,9 +409,6 @@ class PairCheck:
             "H_B_bits": self.block_entropy_bits,
             "H_B_given_CA_bits": self.conditional_entropy_bits,
         }
-
-
-_PAIR_FIELDS = attrgetter("access", "block", "uniform", "block_entropy_bits", "conditional_entropy_bits")
 
 
 @dataclass(frozen=True)
@@ -452,7 +446,7 @@ class SecurityReport:
         1) never share one; `check_security` shares its label tuples and
         entropy floats, so its fragments are few."""
         labels, tails, pairs = {}, {}, []
-        for a, b, uniform, block_bits, conditional_bits in map(_PAIR_FIELDS, self.checks):
+        for a, b, uniform, block_bits, conditional_bits in self.checks:
             text_a = labels.get(id(a))
             if text_a is None:
                 text_a = labels[id(a)] = json_text(list(a), "      ")

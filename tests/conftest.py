@@ -8,7 +8,6 @@ import pytest
 
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -40,12 +39,12 @@ def crossed_pairs_instance(q: int) -> Instance:
 
 def disjoint_sum_code(q: int) -> LinearCode:
     """[x1+x2, x3+x4]"""
-    return LinearCode(FieldMatrix(q, [[1, 0], [1, 0], [0, 1], [0, 1]]))
+    return LinearCode(q, [[1, 0], [1, 0], [0, 1], [0, 1]])
 
 
 def overlapping_sum_code(q: int) -> LinearCode:
     """[x1+x2, x2+x3+x4]"""
-    return LinearCode(FieldMatrix(q, [[1, 0], [1, 1], [0, 1], [0, 1]]))
+    return LinearCode(q, [[1, 0], [1, 1], [0, 1], [0, 1]])
 
 
 def table_copy(code: LinearCode) -> TableCode:
@@ -100,7 +99,7 @@ def random_decodable_code(rng: random.Random, inst: Instance, max_tries: int = 2
         data = np.array(
             [rng.randrange(inst.q) for _ in range(inst.m * inst.m)], dtype=np.int64
         ).reshape(inst.m, inst.m)
-        code = LinearCode(FieldMatrix(inst.q, data))
+        code = LinearCode(inst.q, data)
         if all(check_decodability(code, inst)):
             return code
     raise AssertionError("no decodable random code found (seed/search space too tight)")

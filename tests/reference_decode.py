@@ -5,7 +5,7 @@ tested against it."""
 
 import numpy as np
 
-from secix import FieldMatrix
+from secix.gf import rref
 
 
 def decode(code, inst, receiver, codeword, side):
@@ -34,21 +34,21 @@ def decode(code, inst, receiver, codeword, side):
     if len(side) != len(known):
         raise ValueError(f"side information has {len(side)} values, expected {len(known)}")
 
-    g = code.generator.data
+    g = code.generator
     unknown = [j for j in inst.messages() if j not in rec.knows]
     # x_unknown G_unknown = c - x_known G_known: one reduction of
     # [G_unknown^T | residual] decides consistency and pins coordinates
     residual = np.array(codeword, dtype=np.int64) - np.array(side, dtype=np.int64) @ g[[j - 1 for j in known]]
     system = np.column_stack([g[[j - 1 for j in unknown]].T, residual])
-    reduced, pivots = FieldMatrix(code.q, system).rref()
+    reduced, pivots = rref(code.q, system)
     if len(unknown) in pivots:
         return None  # a pivot in the residual column: 0 = nonzero
     free = [c for c in range(len(unknown)) if c not in pivots]
     # x_j is pinned iff its pivot row has no entry in a free column
     pinned = {
-        unknown[c]: int(reduced.data[row, -1])
+        unknown[c]: int(reduced[row, -1])
         for row, c in enumerate(pivots)
-        if not reduced.data[row, free].any()
+        if not reduced[row, free].any()
     }
     side_by_index = dict(zip(known, side))
     values = []

@@ -7,12 +7,12 @@ import itertools
 
 import numpy as np
 
-from secix import FieldMatrix, LinearCode, check_decodability, check_security
+from secix import LinearCode, check_decodability, check_security
 
 
 def search(inst, acc, length, b=1):
     for entries in itertools.product(range(inst.q), repeat=inst.m * length):
-        code = LinearCode(FieldMatrix(inst.q, np.array(entries, dtype=np.int64).reshape(inst.m, length)))
+        code = LinearCode(inst.q, np.array(entries, dtype=np.int64).reshape(inst.m, length))
         if not all(check_decodability(code, inst)):
             continue
         if check_security(code, inst, acc, b=b).secure:

@@ -16,7 +16,6 @@ from secix import (
     AccessStructure,
     AcyclicCertificate,
     CompromisedReceiverCertificate,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -169,9 +168,6 @@ def keyed_corpus():
     """
     entries = []
 
-    def lc(q, g, gt):
-        return LinearCode(FieldMatrix(q, g), FieldMatrix(q, gt))
-
     keyed_q2 = unwanted_key_instance(2)
     keyed_q3 = unwanted_key_instance(3)
     keyed_q5 = unwanted_key_instance(5)
@@ -180,43 +176,43 @@ def keyed_corpus():
     entries.append((
         "pad-and-reveal q2",
         keyed_q2,
-        lc(2, [[1, 0], [1, 0]], [[1, 1]]),
+        LinearCode(2, [[1, 0], [1, 0]], [[1, 1]]),
         accs_m2,
     ))
     entries.append((
         "pad-and-reveal q3",
         keyed_q3,
-        lc(3, [[1, 0], [1, 0]], [[1, 1]]),
+        LinearCode(3, [[1, 0], [1, 0]], [[1, 1]]),
         accs_m2,
     ))
     entries.append((
         "scaled pad q5",
         keyed_q5,
-        lc(5, [[1, 0], [1, 0]], [[1, 3]]),
+        LinearCode(5, [[1, 0], [1, 0]], [[1, 3]]),
         accs_m2,
     ))
     entries.append((
         "two chained keys q2",
         keyed_q2,
-        lc(2, [[1, 0, 0], [1, 0, 0]], [[1, 1, 0], [0, 1, 1]]),
+        LinearCode(2, [[1, 0, 0], [1, 0, 0]], [[1, 1, 0], [0, 1, 1]]),
         accs_m2,
     ))
     entries.append((
         "duplicate keys q2",
         keyed_q2,
-        lc(2, [[1, 0], [1, 0]], [[1, 1], [1, 1]]),
+        LinearCode(2, [[1, 0], [1, 0]], [[1, 1], [1, 1]]),
         accs_m2,
     ))
     entries.append((
         "zero key matrix q2",
         keyed_q2,
-        lc(2, [[1, 1], [1, 0]], [[0, 0]]),
+        LinearCode(2, [[1, 1], [1, 0]], [[0, 0]]),
         accs_m2,
     ))
     entries.append((
         "key on redundant symbol q3",
         keyed_q3,
-        lc(3, [[1, 0], [1, 0]], [[0, 1]]),
+        LinearCode(3, [[1, 0], [1, 0]], [[0, 1]]),
         accs_m2,
     ))
 
@@ -224,7 +220,7 @@ def keyed_corpus():
     entries.append((
         "padded total sum m3 q2",
         two_receivers,
-        lc(2, [[1, 0], [1, 0], [1, 0]], [[1, 1]]),
+        LinearCode(2, [[1, 0], [1, 0], [1, 0]], [[1, 1]]),
         [AccessStructure.t_level(0), AccessStructure.t_level(1)],
     ))
 
@@ -232,7 +228,7 @@ def keyed_corpus():
     entries.append((
         "padded scaled sum m3 q3",
         comp3,
-        lc(3, [[1, 0], [1, 0], [1, 0]], [[1, 2]]),
+        LinearCode(3, [[1, 0], [1, 0], [1, 0]], [[1, 2]]),
         [AccessStructure.t_level(0), AccessStructure.t_level(1)],
     ))
 
@@ -240,7 +236,7 @@ def keyed_corpus():
     entries.append((
         "keyed pair sums m4 q2",
         crossed,
-        lc(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], [[0, 1, 1]]),
+        LinearCode(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], [[0, 1, 1]]),
         [AccessStructure.explicit([[3, 4]]), AccessStructure.explicit([[3]])],
     ))
 
@@ -248,7 +244,7 @@ def keyed_corpus():
     entries.append((
         "two wants one receiver q2",
         wide,
-        lc(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[1, 1, 1]]),
+        LinearCode(2, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[1, 1, 1]]),
         [AccessStructure.explicit([[]]), AccessStructure.explicit([[3]])],
     ))
 
@@ -256,7 +252,7 @@ def keyed_corpus():
     entries.append((
         "padded total sum m4 q2",
         comp4,
-        lc(2, [[1, 0], [1, 0], [1, 0], [1, 0]], [[1, 1]]),
+        LinearCode(2, [[1, 0], [1, 0], [1, 0], [1, 0]], [[1, 1]]),
         [AccessStructure.t_level(t) for t in range(3)],
     ))
 
@@ -313,7 +309,7 @@ def test_criterion_7_unwanted_message_keeps_instance_feasible():
 
     verdict = decide(inst, acc)
     assert verdict.answer == ANSWER_YES
-    assert verdict.code.generator.to_lists() == [[1], [1]]  # x1 + x2
+    assert verdict.code.generator.tolist() == [[1], [1]]  # x1 + x2
     assert all(check_decodability(verdict.code, inst))
     assert check_security(verdict.code, inst, acc).secure
 
@@ -354,7 +350,7 @@ def test_criterion_9_mds_security_level():
     for m in range(2, 7):
         q = smallest_prime_at_least(m)
         for least in range(1, m):
-            code = LinearCode(vandermonde(m, m - least, q))
+            code = LinearCode(q, vandermonde(m, m - least, q))
             assert security_level(code) == least - 1, (m, least, q)
             checked += 1
     report(9, f"{checked} (m, K) pairs over the smallest adequate primes")

@@ -15,7 +15,6 @@ from secix import (
     AccessStructure,
     AcyclicCertificate,
     CompromisedReceiverCertificate,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -126,7 +125,7 @@ def test_decide_single_access_beats_size_comparison(crossed2):
 def test_decide_keyed_instance_yes_via_small_access(keyed2):
     verdict = decide(keyed2, AccessStructure.explicit([[]]))
     assert verdict.answer == ANSWER_YES
-    assert verdict.code.generator.to_lists() == [[1], [1]]
+    assert verdict.code.generator.tolist() == [[1], [1]]
 
 
 def test_decide_stripped_keyed_instance_acyclic(keyed2):
@@ -170,7 +169,7 @@ def test_decide_no_access_set_yes_with_mds(crossed2):
 def test_decide_single_access_with_known_wants():
     verdict = decide(known_want_instance(), AccessStructure.explicit([[1]]))
     assert verdict.answer == ANSWER_YES
-    assert verdict.code.generator.to_lists() == [[1, 0], [0, 1], [0, 1]]
+    assert verdict.code.generator.tolist() == [[1, 0], [0, 1], [0, 1]]
 
 
 @st.composite
@@ -235,7 +234,7 @@ def test_length_bounds_absent_when_access_too_large():
 
 def test_search_finds_lexicographically_first_code(keyed2):
     code = search_linear(keyed2, AccessStructure.explicit([[]]), 1)
-    assert code.generator.to_lists() == [[1], [1]]
+    assert code.generator.tolist() == [[1], [1]]
 
 
 def test_search_zero_length_finds_nothing(keyed2):
@@ -309,7 +308,7 @@ def screen_cases(draw):
     rows = draw(st.lists(entries, min_size=1, max_size=6))
     found = search_linear(inst, acc, length, b=b)
     if found is not None:
-        rows.append(found.generator.data.ravel().tolist())
+        rows.append(found.generator.ravel().tolist())
     return inst, acc, b, np.array(rows, dtype=np.int64).reshape(len(rows), m, length)
 
 
@@ -324,7 +323,7 @@ def test_screen_matches_enumeration_of_table_copies(case):
     screened = secure_generators(inst.q, stack, list_checks(inst, acc, b)).tolist()
     expected = []
     for generator in stack:
-        table = table_copy(LinearCode(FieldMatrix(inst.q, generator)))
+        table = table_copy(LinearCode(inst.q, generator))
         expected.append(all(check_decodability(table, inst)) and check_security(table, inst, acc, b=b).secure)
     assert screened == expected
 
@@ -346,7 +345,7 @@ def test_numpy_length_is_refused_as_its_int(length):
 def test_search_winner_past_first_chunk(monkeypatch, crossed2):
     acc = AccessStructure.explicit([[3]])
     expected = reference_search.search(crossed2, acc, 2)
-    assert expected.generator.to_lists() != [[0, 0]] * 4
+    assert expected.generator.tolist() != [[0, 0]] * 4
     monkeypatch.setattr(analysis, "_SEARCH_BATCH", 1)  # a first chunk of one candidate
     assert search_linear(crossed2, acc, 2) == expected
 
@@ -380,7 +379,7 @@ def test_search_rejects_bad_block_size_before_any_candidate(crossed2):
 @pytest.mark.parametrize("call", [
     lambda inst: decide_t_level(inst, 0, b=0),
     lambda inst: search_linear(inst, AccessStructure.t_level(0), 1, b=0, budget=1),
-    lambda inst: check_security(LinearCode(FieldMatrix(inst.q, [[1]] * inst.m)), inst,
+    lambda inst: check_security(LinearCode(inst.q, [[1]] * inst.m), inst,
                                 AccessStructure.t_level(0), b=0, budget=1),
 ], ids=["decide_t_level", "search_linear", "check_security"])
 def test_block_size_refused_alike_before_any_budget(crossed2, call):
@@ -418,7 +417,7 @@ def test_stepped_pair_phase_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
-    assert code.generator.to_lists() == [[0, 1]] + [[0, 0]] * 3 + [[0, 1]] * 6
+    assert code.generator.tolist() == [[0, 1]] + [[0, 0]] * 3 + [[0, 1]] * 6
     assert check_decodability(code, inst) == [True] and check_security(code, inst, acc).secure
 
 

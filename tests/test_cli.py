@@ -127,7 +127,7 @@ def test_single_access_with_known_wants_exits_0(tmp_path, capsys):
     assert (code, err) == (0, "")
     code, _, err = run(capsys, "construct", "--instance", path, "--access", "[[1]]", "--code", code_path)
     assert (code, err) == (0, "")
-    assert load_code(code_path).generator.to_lists() == [[1, 0], [0, 1], [0, 1]]
+    assert load_code(code_path).generator.tolist() == [[1, 0], [0, 1], [0, 1]]
     code, out, _ = run(capsys, "verify", "--instance", path, "--code", code_path, "--access", "[[1]]")
     assert code == 0 and out.endswith("secure: True\n")
 

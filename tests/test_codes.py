@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     NoSecureCodeError,
@@ -27,10 +26,12 @@ from secix import (
     load_code,
     parse_code,
     save_code,
+    search_linear,
     security_level,
     single_access_code,
     vandermonde,
 )
+import secix.codes
 from secix.gf import MAX_MESSAGES, stack_rank
 from secix.oracle import BudgetExceededError
 import reference_decode
@@ -63,7 +64,7 @@ def test_encode_dimension_checks():
 
 def encode_reference(code, x, y=()):
     """x G + y Gtilde with Python ints, one symbol at a time."""
-    rows = code.generator.to_lists() + (code.key_generator.to_lists() if y else [])
+    rows = code.generator.tolist() + (code.key_generator.tolist() if y else [])
     return tuple(sum(v * row[t] for v, row in zip(list(x) + list(y), rows)) % code.q for t in range(code.length))
 
 
@@ -75,9 +76,9 @@ def test_encode_matches_python_int_reference(q, data):
 
     def matrix(rows):
         flat = data.draw(st.lists(entries, min_size=rows * length, max_size=rows * length))
-        return FieldMatrix(q, np.array(flat, dtype=np.int64).reshape(rows, length))
+        return np.array(flat, dtype=np.int64).reshape(rows, length)
 
-    code = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
+    code = LinearCode(q, matrix(m), matrix(key_dim) if key_dim else None)
     x = data.draw(st.lists(entries, min_size=m, max_size=m))
     y = data.draw(st.lists(entries, min_size=key_dim, max_size=key_dim))
     assert code.encode(x, y if key_dim else None) == encode_reference(code, x, y)
@@ -97,7 +98,7 @@ def test_encode_matches_python_int_reference(q, data):
     ((0, 0, 0), (7,), "key vector entry 7 is outside GF(5)"),
 ], ids=["high", "negative", "float", "bool", "string-key", "high-key"])
 def test_encode_refuses_symbols_outside_the_field(x, y, problem):
-    code = LinearCode(FieldMatrix(5, [[1, 0], [1, 1], [0, 1]]), FieldMatrix(5, [[1, 1]]))
+    code = LinearCode(5, [[1, 0], [1, 1], [0, 1]], [[1, 1]])
     with pytest.raises(ValueError) as info:
         code.encode(x, y)
     assert str(info.value) == problem
@@ -107,22 +108,15 @@ def test_encode_refuses_symbols_outside_the_field(x, y, problem):
 
 def test_encode_exact_at_the_size_and_modulus_caps():
     q = WIDEST_Q
-    code = LinearCode(
-        FieldMatrix(q, np.full((MAX_MESSAGES - 1, 2), q - 1)), FieldMatrix(q, np.full((1, 2), q - 1))
-    )
+    code = LinearCode(q, np.full((MAX_MESSAGES - 1, 2), q - 1), np.full((1, 2), q - 1))
     x, y = [q - 1] * (MAX_MESSAGES - 1), [q - 1]
     assert code.encode(x, y) == encode_reference(code, x, y)
     with pytest.raises(ValueError, match="at most"):
-        LinearCode(
-            FieldMatrix(2, np.zeros((MAX_MESSAGES, 1), dtype=np.int64)),
-            FieldMatrix(2, np.zeros((1, 1), dtype=np.int64)),
-        )
+        LinearCode(2, np.zeros((MAX_MESSAGES, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
 
 
 def test_randomized_encode_and_key_enumeration():
-    g = FieldMatrix(2, [[1, 0], [1, 0]])
-    gt = FieldMatrix(2, [[1, 1]])
-    code = LinearCode(g, gt)
+    code = LinearCode(2, [[1, 0], [1, 0]], [[1, 1]])
     assert code.key_count == 2
     assert code.encode((1, 0), (1,)) == (0, 1)
     with pytest.raises(ValueError):
@@ -168,10 +162,55 @@ def test_table_code_refuses_bad_field_count_or_length(q, m, length, text):
 
 
 def test_linear_code_shape_validation():
-    with pytest.raises(ValueError):
-        LinearCode(FieldMatrix(2, [[1, 0]]), FieldMatrix(2, [[1]]))  # column mismatch
-    with pytest.raises(ValueError):
-        LinearCode(FieldMatrix(2, [[1]]), FieldMatrix(3, [[1]]))  # field mismatch
+    with pytest.raises(ValueError, match=r"^key matrix has 1 columns, generator has 2$"):
+        LinearCode(2, [[1, 0]], [[1]])
+    with pytest.raises(ValueError, match=r"^matrix data must be 2-dimensional, got shape \(2,\)$"):
+        LinearCode(2, [1, 0])
+
+
+def starts_at_row(view, matrix, row):
+    """Whether view is matrix[row:row + len(view)] itself, not a copy:
+    the same memory, from the same address, with the same strides."""
+    address = matrix.__array_interface__["data"][0] + row * matrix.strides[0]
+    return (view.__array_interface__["data"][0] == address and view.strides == matrix.strides
+            and np.array_equal(view, matrix[row:row + len(view)]))
+
+
+def test_every_code_keeps_one_checked_array(keyed2):
+    # files, lists, numpy ints of any width and layout, the empty rows of
+    # a 2 x 0 code, and every construction: one read-only, C-ordered
+    # int64 [G; Gtilde] with entries in [0, q), G and Gtilde views of it
+    three = Instance(2, 3, (Receiver({2}, {1}), Receiver({1}, {3})))
+    wide = np.arange(-6, 6).reshape(3, 4)
+    codes = [
+        parse_code({"kind": "linear_det", "q": 3, "G": [[1, 2], [0, 1]]}),
+        parse_code({"kind": "linear_rand", "q": 3, "G": [[1, 2], [0, 1]], "Gtilde": [[2, 2]]}),
+        LinearCode(5, [[7, -1], [0, 4]], [[10, 11]]),
+        LinearCode(2, [[], []]),
+        LinearCode(2, [[], []], [[]]),
+        *(LinearCode(7, wide.astype(dtype), wide[:1].astype(dtype) % 7) for dtype in (np.int8, np.int32, np.int64)),
+        LinearCode(7, wide.T),
+        LinearCode(7, (wide % 7).astype(np.uint32)),
+        construct_mds_code(three),
+        single_access_code(three, {3}),
+        single_access_code(Instance(2, 3, (Receiver({3}, {1}),)), {1}),
+        single_access_code(Instance(2, 4, (Receiver({2}, {1, 3}), Receiver({4}, {1}))), {1}),
+        derandomize(LinearCode(2, [[1, 0], [1, 0]], [[1, 1]]), keyed2),
+        search_linear(three, AccessStructure.t_level(0), 2),
+    ]
+    assert codes[4].is_randomized and codes[-3].q == 3  # a moved field
+    for code in codes:
+        matrix = code.matrix
+        assert matrix.dtype == np.int64 and matrix.flags.c_contiguous and not matrix.flags.writeable
+        assert matrix.shape == (code.m + code.key_dim, code.length)
+        assert ((0 <= matrix) & (matrix < code.q)).all()
+        assert starts_at_row(code.generator, matrix, 0) and len(code.generator) == code.m
+        if code.is_randomized:
+            assert starts_at_row(code.key_generator, matrix, code.m) and len(code.key_generator) == code.key_dim
+        else:
+            assert code.key_generator is None
+        for view in (code.generator, code.key_generator):
+            assert view is None or not view.flags.writeable
 
 
 # ---- MDS construction ------------------------------------------------------------
@@ -180,14 +219,14 @@ def test_mds_length_is_messages_minus_min_knowledge():
     inst = Instance(3, 3, tuple(Receiver({j for j in range(1, 4)} - {i}, {i}) for i in (1, 2, 3)))
     code = construct_mds_code(inst)
     assert code.length == 1
-    assert code.generator.to_lists() == [[1], [1], [1]]
+    assert code.generator.tolist() == [[1], [1], [1]]
 
 
 def test_mds_small_case():
     inst = unwanted_key_instance(2)
     code = construct_mds_code(inst)
     assert code.length == 1
-    assert code.generator.to_lists() == [[1], [1]]
+    assert code.generator.tolist() == [[1], [1]]
 
 
 def test_mds_field_substitution_when_q_too_small():
@@ -197,7 +236,7 @@ def test_mds_field_substitution_when_q_too_small():
     assert code.length == 3
     # any 3 rows of the generator stay independent
     subsets = list(itertools.combinations(range(4), 3))
-    assert stack_rank(5, code.generator.data[subsets]).tolist() == [3] * len(subsets)
+    assert stack_rank(5, code.generator[subsets]).tolist() == [3] * len(subsets)
 
 
 def test_mds_requires_normalized_instance():
@@ -240,7 +279,7 @@ def test_decode_pinned_coordinate_in_underdetermined_system():
 
 def test_decode_single_unknown():
     inst = Instance(5, 3, (Receiver({1, 2}, {3}),))
-    code = LinearCode(FieldMatrix(5, [[1], [1], [2]]))
+    code = LinearCode(5, [[1], [1], [2]])
     x = (3, 1, 4)
     got = decode(code, inst, 1, code.encode(x), (3, 1))
     assert got == (4,)
@@ -248,13 +287,13 @@ def test_decode_single_unknown():
 
 def test_decode_failure_signal_when_not_determined():
     inst = Instance(2, 2, (Receiver(set(), {1}),))
-    code = LinearCode(FieldMatrix(2, [[1], [1]]))  # receiver sees only x1+x2
+    code = LinearCode(2, [[1], [1]])  # receiver sees only x1+x2
     assert decode(code, inst, 1, (1,), ()) is None
 
 
 def test_decode_inconsistent_codeword():
     inst = Instance(3, 2, (Receiver({2}, {1}),))
-    code = LinearCode(FieldMatrix(3, [[1, 1], [0, 0]]))  # duplicated symbol
+    code = LinearCode(3, [[1, 1], [0, 0]])  # duplicated symbol
     assert decode(code, inst, 1, (1, 2), (0,)) is None  # no x with (x1, x1) = (1, 2)
 
 
@@ -269,7 +308,7 @@ def deterministic_cases(draw):
     knows = st.frozensets(st.integers(1, m), max_size=m)
     wants = st.frozensets(st.integers(1, m), min_size=1, max_size=m)
     receivers = draw(st.lists(st.tuples(knows, wants), min_size=1, max_size=3))
-    code = LinearCode(FieldMatrix(q, np.array(data, dtype=np.int64).reshape(m, length)))
+    code = LinearCode(q, np.array(data, dtype=np.int64).reshape(m, length))
     return code, Instance(q, m, tuple(Receiver(k, w) for k, w in receivers))
 
 
@@ -300,7 +339,7 @@ def decoder_cases(draw):
     data = draw(st.lists(symbol, min_size=m * length, max_size=m * length))
     knows = sorted(draw(st.frozensets(st.integers(1, m), max_size=m)))
     wants = draw(st.frozensets(st.integers(1, m), min_size=1, max_size=m))
-    code = LinearCode(FieldMatrix(q, np.array(data, dtype=np.int64).reshape(m, length)))
+    code = LinearCode(q, np.array(data, dtype=np.int64).reshape(m, length))
     messages = draw(st.lists(st.lists(symbol, min_size=m, max_size=m), max_size=4))
     width = length + len(knows)
     lines = [list(code.encode(x)) + [x[j - 1] for j in knows] for x in messages]
@@ -327,10 +366,10 @@ def test_decoder_matches_per_line_reference(case):
 
 def test_decode_rejects_randomized_and_bad_dimensions():
     inst = unwanted_key_instance(2)
-    keyed = LinearCode(FieldMatrix(2, [[1], [1]]), FieldMatrix(2, [[1]]))
+    keyed = LinearCode(2, [[1], [1]], [[1]])
     with pytest.raises(ValueError):
         decode(keyed, inst, 1, (0,), (0,))
-    det = LinearCode(FieldMatrix(2, [[1], [1]]))
+    det = LinearCode(2, [[1], [1]])
     with pytest.raises(ValueError):
         decode(det, inst, 9, (0,), (0,))
     with pytest.raises(ValueError):
@@ -346,7 +385,7 @@ def test_decode_rejects_randomized_and_bad_dimensions():
 ], ids=["high", "negative", "float", "high-side", "none-side"])
 def test_decode_refuses_symbols_outside_the_field(word, side, problem):
     inst = Instance(2, 2, (Receiver({2}, {1}),))
-    code = LinearCode(FieldMatrix(2, [[1, 0], [1, 1]]))
+    code = LinearCode(2, [[1, 0], [1, 1]])
     with pytest.raises(ValueError) as info:
         decode(code, inst, 1, word, side)
     assert str(info.value) == problem
@@ -377,19 +416,19 @@ def test_roundtrip_for_constructed_codes():
 
 def padded_key_code(q=2):
     """c = [x1 + x2 + y, y]"""
-    return LinearCode(FieldMatrix(q, [[1, 0], [1, 0]]), FieldMatrix(q, [[1, 1]]))
+    return LinearCode(q, [[1, 0], [1, 0]], [[1, 1]])
 
 
 def test_derandomize_padded_key_code(keyed2):
     det = derandomize(padded_key_code(), keyed2)
     assert det.length == 1
-    assert det.generator.to_lists() == [[1], [1]]
+    assert det.generator.tolist() == [[1], [1]]
     assert check_decodability(det, keyed2) == [True]
     assert check_security(det, keyed2, AccessStructure.explicit([[]])).secure
 
 
 def test_derandomize_zero_key_matrix_keeps_length(keyed2):
-    code = LinearCode(FieldMatrix(2, [[1], [1]]), FieldMatrix(2, [[0]]))
+    code = LinearCode(2, [[1], [1]], [[0]])
     det = derandomize(code, keyed2)
     assert det.length == 1
     assert check_decodability(det, keyed2) == [True]
@@ -397,24 +436,21 @@ def test_derandomize_zero_key_matrix_keeps_length(keyed2):
 
 def test_derandomize_full_rank_key_matrix_invalidates_witness(keyed2):
     # the key saturates both symbols; no decoding vector can dodge it
-    code = LinearCode(FieldMatrix(2, [[1, 0], [1, 1]]), FieldMatrix(2, [[1, 0], [0, 1]]))
+    code = LinearCode(2, [[1, 0], [1, 1]], [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="^receiver 1 cannot decode"):
         derandomize(code, keyed2)
 
 
 def test_derandomize_requires_randomized_code(keyed2):
     with pytest.raises(ValueError):
-        derandomize(LinearCode(FieldMatrix(2, [[1], [1]])), keyed2)
+        derandomize(LinearCode(2, [[1], [1]]), keyed2)
 
 
 def test_derandomize_dominates_pair_by_pair():
     """Wherever the keyed code's gap is zero for an (access, block) pair,
     the projected code's gap is zero for that same pair."""
     inst = crossed_pairs_instance(2)
-    keyed = LinearCode(
-        FieldMatrix(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]]),
-        FieldMatrix(2, [[0, 1, 1]]),
-    )
+    keyed = LinearCode(2, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0]], [[0, 1, 1]])
     det = derandomize(keyed, inst)
     for acc in (AccessStructure.t_level(1), AccessStructure.explicit([[3, 4], [2]])):
         before = check_security(keyed, inst, acc)
@@ -437,11 +473,11 @@ def keyed_cases(draw):
 
     def matrix(rows):
         entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
-        return FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(rows, length))
+        return np.array(entries, dtype=np.int64).reshape(rows, length)
 
     subsets = st.frozensets(st.integers(1, m))
     receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=3))
-    return LinearCode(matrix(m), matrix(key_dim)), Instance(q, m, tuple(receivers))
+    return LinearCode(q, matrix(m), matrix(key_dim)), Instance(q, m, tuple(receivers))
 
 
 @given(keyed_cases())
@@ -458,7 +494,7 @@ def test_derandomize_matches_the_oracle(case):
             derandomize(keyed, inst)
         return
     det = derandomize(keyed, inst)
-    assert det.length == keyed.length - stack_rank(keyed.q, keyed.key_generator.data[None])[0]
+    assert det.length == keyed.length - stack_rank(keyed.q, keyed.key_generator[None])[0]
     assert all(check_decodability(det, inst))
     for t in range(inst.m):
         acc = AccessStructure.t_level(t)
@@ -470,12 +506,12 @@ def test_derandomize_matches_the_oracle(case):
 
 def test_single_access_empty_set_is_mds(keyed2):
     code = single_access_code(keyed2, set())
-    assert code.generator.to_lists() == [[1], [1]]  # x1 + x2
+    assert code.generator.tolist() == [[1], [1]]  # x1 + x2
 
 
 def test_single_access_full_set_sends_everything(crossed2):
     code = single_access_code(crossed2, {1, 2, 3, 4})
-    assert code.generator == FieldMatrix(2, np.eye(4, dtype=np.int64))
+    assert code == LinearCode(2, np.eye(4, dtype=np.int64))
 
 
 def test_single_access_raises_on_compromised_receiver():
@@ -507,7 +543,7 @@ def test_single_access_block_skips_receivers_served_in_the_clear():
     # receiver 2, knowing x3 outside A, sets the block length 2 - 1
     inst = known_want_instance()
     code = single_access_code(inst, {1})
-    assert code.generator == FieldMatrix(5, [[1, 0], [0, 1], [0, 1]])  # [x1 | x2 + x3]
+    assert code == LinearCode(5, [[1, 0], [0, 1], [0, 1]])  # [x1 | x2 + x3]
     report = check_security(code, inst, AccessStructure.explicit([[1]]))
     assert all(report.decodable) and report.secure
 
@@ -517,7 +553,7 @@ def test_single_access_empty_block_keeps_the_field():
     # although GF(2) has fewer than the 2 + 1 points a block would need
     inst = Instance(2, 3, (Receiver({3}, {1}),))
     code = single_access_code(inst, {1})
-    assert code.generator == FieldMatrix(2, [[1], [0], [0]])
+    assert code == LinearCode(2, [[1], [0], [0]])
 
 
 def test_single_access_block_substitutes_the_field():
@@ -526,7 +562,7 @@ def test_single_access_block_substitutes_the_field():
     inst = Instance(2, 4, (Receiver({2}, {1, 3}), Receiver({4}, {1})))
     code = single_access_code(inst, {1})
     assert code.q == 3
-    assert code.generator.data[:, 0].tolist() == [1, 0, 0, 0]
+    assert code.generator[:, 0].tolist() == [1, 0, 0, 0]
     report = check_security(code, inst, AccessStructure.explicit([[1]]))
     assert all(report.decodable) and report.secure
 
@@ -534,13 +570,13 @@ def test_single_access_block_substitutes_the_field():
 # ---- security level ----------------------------------------------------------------
 
 def test_security_level_sum_code():
-    code = LinearCode(vandermonde(3, 1, 3))
+    code = LinearCode(3, vandermonde(3, 1, 3))
     # span of (1,1,1) over GF(3): weights {3}; level = 3 - 2
     assert security_level(code) == 1
 
 
 def test_security_level_identity_leaks():
-    code = LinearCode(FieldMatrix(2, np.eye(3, dtype=np.int64)))
+    code = LinearCode(2, np.eye(3, dtype=np.int64))
     assert security_level(code) == -1
 
 
@@ -558,7 +594,7 @@ def test_security_level_disjoint_sum_code():
 
 
 def test_security_level_zero_generator():
-    assert security_level(LinearCode(FieldMatrix.zeros(2, 3, 2))) == -1
+    assert security_level(LinearCode(2, np.zeros((3, 2), dtype=np.int64))) == -1
 
 
 @given(deterministic_cases())
@@ -567,7 +603,7 @@ def test_security_level_is_largest_secure_t_level(case):
     """For b = 1, security_level = min span weight - 2 is the largest t
     whose t-level check passes, or -1 when even t = 0 leaks."""
     code, inst = case
-    assume(code.generator.data.any())
+    assume(code.generator.any())
     secure = [
         t for t in range(code.m)
         if check_security(code, inst, AccessStructure.t_level(t), b=1).secure
@@ -576,11 +612,11 @@ def test_security_level_is_largest_secure_t_level(case):
 
 
 def test_security_level_budget():
-    code = LinearCode(vandermonde(5, 4, 5))
+    code = LinearCode(5, vandermonde(5, 4, 5))
     with pytest.raises(BudgetExceededError):
         security_level(code, budget=10)
     # a span too large to print as a decimal int still gets a readable refusal
-    wide = LinearCode(FieldMatrix(WIDEST_Q, np.eye(560, dtype=np.int64)))
+    wide = LinearCode(WIDEST_Q, np.eye(560, dtype=np.int64))
     with pytest.raises(BudgetExceededError, match=rf"{WIDEST_Q}\^560 vectors"):
         security_level(wide)
 
@@ -588,11 +624,11 @@ def test_security_level_budget():
 def test_security_level_refuses_wide_span_without_full_reduction(monkeypatch):
     # one row of G^T already spans more than the budget: the refusal comes
     # from the first k + 1 rows, before G^T is reduced
-    def unreachable(self):
+    def unreachable(q, a):
         raise AssertionError("the generator was fully reduced before the refusal")
 
-    monkeypatch.setattr(FieldMatrix, "rref", unreachable)
-    wide = LinearCode(FieldMatrix(WIDEST_Q, np.eye(560, dtype=np.int64)))
+    monkeypatch.setattr(secix.codes, "rref", unreachable)
+    wide = LinearCode(WIDEST_Q, np.eye(560, dtype=np.int64))
     with pytest.raises(BudgetExceededError, match=rf"{WIDEST_Q}\^1 to {WIDEST_Q}\^560 vectors"):
         security_level(wide)
 
@@ -602,7 +638,7 @@ def test_security_level_vandermonde_grid():
     for m in range(2, 7):
         q = 2 if m <= 2 else (3 if m <= 3 else (5 if m <= 5 else 7))
         for length in range(1, m):
-            code = LinearCode(vandermonde(m, length, q))
+            code = LinearCode(q, vandermonde(m, length, q))
             assert security_level(code) == m - length - 1, (m, length, q)
 
 
@@ -629,7 +665,7 @@ def generators(draw):
 @settings(max_examples=150, deadline=None)
 def test_security_level_matches_brute_force_weight(case):
     q, rows = case
-    assert security_level(LinearCode(FieldMatrix(q, rows))) == reference_weight.security_level(q, rows)
+    assert security_level(LinearCode(q, rows)) == reference_weight.security_level(q, rows)
 
 
 def test_security_level_grid_covers_both_routes():
@@ -647,16 +683,16 @@ def test_security_level_grid_covers_both_routes():
     cases.append((5, [[1, 2, 1], [0, 1, 0], [3, 0, 3], [1, 1, 1], [4, 2, 4], [0, 0, 0]]))
     # ranks 3 and 4: MDS codes with subsets first, random ones without
     rng = np.random.default_rng(3)
-    cases.append((7, vandermonde(7, 3, 7).to_lists()))
-    cases.append((11, vandermonde(8, 4, 11).to_lists()))
+    cases.append((7, vandermonde(7, 3, 7).tolist()))
+    cases.append((11, vandermonde(8, 4, 11).tolist()))
     cases.append((2, rng.integers(0, 2, size=(8, 3)).tolist()))
     cases.append((2, rng.integers(0, 2, size=(8, 4)).tolist()))
     seen_levels, seen_ranks, routes = set(), set(), set()
     for q, rows in cases:
-        code = LinearCode(FieldMatrix(q, rows))
+        code = LinearCode(q, rows)
         level = security_level(code)
         assert level == reference_weight.security_level(q, rows), (q, rows)
-        rank = stack_rank(q, code.generator.data[None])[0]
+        rank = stack_rank(q, code.generator[None])[0]
         seen_ranks.add(rank)
         if rank:
             routes.add(subsets_first(q, code.m, rank))
@@ -670,7 +706,7 @@ def test_security_level_grid_covers_both_routes():
 def test_security_level_budget_counts_span_vectors():
     # C(10, 3) = 120 subsets would fit a budget of 1000, but the 11^3 span
     # vectors do not, and the budget counts span vectors
-    code = LinearCode(vandermonde(10, 3, 11))
+    code = LinearCode(11, vandermonde(10, 3, 11))
     assert subsets_first(11, 10, 3)
     with pytest.raises(BudgetExceededError) as exc:
         security_level(code, budget=1000)
@@ -682,7 +718,7 @@ def test_security_level_budget_counts_span_vectors():
 
 def test_security_level_subset_stacks_stay_small():
     # 42,504 subsets of 5 of 24 rows: about 8.5 MB as one int64 stack
-    code = LinearCode(vandermonde(24, 5, 29))
+    code = LinearCode(29, vandermonde(24, 5, 29))
     assert subsets_first(29, 24, 5)
     tracemalloc.start()
     try:
@@ -694,7 +730,7 @@ def test_security_level_subset_stacks_stay_small():
 
 
 def test_security_level_refuses_keyed_codes():
-    keyed = LinearCode(FieldMatrix(3, [[1], [1]]), FieldMatrix(3, [[1]]))
+    keyed = LinearCode(3, [[1], [1]], [[1]])
     with pytest.raises(ValueError, match="deterministic linear codes"):
         security_level(keyed)
 

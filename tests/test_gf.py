@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from secix import (
     Decoder,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -23,7 +22,7 @@ from secix import (
     smallest_prime_at_least,
     vandermonde,
 )
-from secix.gf import MAX_MESSAGES, MAX_MODULUS, radix_digits, stack_rank
+from secix.gf import MAX_MESSAGES, MAX_MODULUS, nullspace, radix_digits, rref, stack_rank
 from conftest import WIDEST_Q
 
 SMALL_PRIMES = [2, 3, 5, 7]
@@ -51,17 +50,14 @@ def rank_by_span(q, rows):
     return r
 
 
-def kernel_by_enumeration(mat: FieldMatrix):
-    return {v for v in itertools.product(range(mat.q), repeat=mat.cols) if not (mat.data @ v % mat.q).any()}
+def kernel_by_enumeration(q, mat):
+    mat = np.asarray(mat)
+    return {v for v in itertools.product(range(q), repeat=mat.shape[1]) if not (mat @ v % q).any()}
 
 
-def pivot_count(mat: FieldMatrix):
+def pivot_count(q, mat):
     """The rank as rref's pivot count: the one-matrix reference for stack_rank."""
-    return len(mat.rref()[1])
-
-
-def column(q, values):
-    return FieldMatrix(q, np.reshape(values, (-1, 1)))
+    return len(rref(q, mat)[1])
 
 
 # ---- primality helpers -----------------------------------------------------
@@ -81,30 +77,21 @@ def test_smallest_prime_at_least():
 
 # ---- element arithmetic ------------------------------------------------------
 #
-# Field elements are 1x1 FieldMatrix values: @ is the field's
-# multiplication, adding the entries and reducing them at construction
-# is its addition, and rref of [a | 1] scales the row by the inverse of
-# a, leaving a^-1 in the second column.
-
-def scalar(q, a):
-    return FieldMatrix(q, [[a]])
-
-
-def add(a, b):
-    return FieldMatrix(a.q, a.data + b.data)
-
+# Field elements are int64 values reduced mod q: a * b % q is the field's
+# multiplication and (a + b) % q its addition, and rref of [a | 1]
+# scales the row by the inverse of a, leaving a^-1 in the second column.
 
 def inverse(q, a):
     """a^-1 as rref leaves it in [a | 1]; None when a has no pivot."""
-    reduced, pivots = FieldMatrix(q, [[a, 1]]).rref()
-    return reduced.data[0, 1] if pivots == (0,) else None
+    reduced, pivots = rref(q, [[a, 1]])
+    return reduced[0, 1] if pivots == (0,) else None
 
 
 def test_mul_example_against_scan():
     # expected value fixed by scanning all products mod 7
     table = {(a, b): (a * b) % 7 for a in range(7) for b in range(7)}
     assert table[(3, 5)] == 1
-    assert scalar(7, 3) @ scalar(7, 5) == scalar(7, 1)
+    assert (np.array([[3]]) @ np.array([[5]]) % 7).tolist() == [[1]]
 
 
 def test_inverse_examples():
@@ -127,80 +114,76 @@ def test_inverse_of_zero_rejected():
 def test_inverse_property_all_small_fields():
     for q in SMALL_PRIMES + [11]:
         for a in range(1, q):
-            assert scalar(q, a) @ scalar(q, inverse(q, a)) == scalar(q, 1)
+            assert a * inverse(q, a) % q == 1
 
 
 def test_field_axioms_exhaustive():
     """Associativity and commutativity of the product, and its
-    distributivity over addition, for q <= 7."""
+    distributivity over addition, for q <= 7, on every triple at once."""
     for q in SMALL_PRIMES:
-        elems = [scalar(q, a) for a in range(q)]
-        for a in elems:
-            for b in elems:
-                assert a @ b == b @ a
-                for c in elems:
-                    assert (a @ b) @ c == a @ (b @ c)
-                    assert a @ add(b, c) == add(a @ b, a @ c)
+        a, b, c = np.meshgrid(*[np.arange(q, dtype=np.int64)] * 3, indexing="ij")
+        assert (a * b % q == b * a % q).all()
+        assert (a * b % q * c % q == a * (b * c % q) % q).all()
+        assert (a * ((b + c) % q) % q == (a * b % q + a * c % q) % q).all()
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
 def test_field_axioms_sampled_q11(a, b, c):
-    a, b, c = scalar(11, a), scalar(11, b), scalar(11, c)
-    assert a @ add(b, c) == add(a @ b, a @ c)
+    a, b, c = np.int64(a), np.int64(b), np.int64(c)
+    assert a * ((b + c) % 11) % 11 == (a * b % 11 + a * c % 11) % 11
 
 
 def test_composite_modulus_rejected():
     for q in (0, 1, 4, 6, 9, 12):
         with pytest.raises(ValueError):
-            FieldMatrix(q, [[1]])
+            LinearCode(q, [[1]])
 
 
 def test_modulus_above_int64_bound_rejected():
     # 4294967311 is prime, but (q-1)^2 sums would wrap int64
     assert is_prime(4294967311) and 4294967311 > MAX_MODULUS
     with pytest.raises(ValueError, match="exceeds"):
-        FieldMatrix(4294967311, [[1]])
+        LinearCode(4294967311, [[1]])
     # the bound keeps a MAX_MESSAGES-term product of maximal entries exact
     assert MAX_MESSAGES * (MAX_MODULUS - 1) ** 2 + MAX_MODULUS - 1 < 2 ** 63
-    row = FieldMatrix(WIDEST_Q, [[WIDEST_Q - 1] * MAX_MESSAGES])
-    assert (row @ row.transpose()).to_lists() == [[MAX_MESSAGES * (WIDEST_Q - 1) ** 2 % WIDEST_Q]]
+    column = LinearCode(WIDEST_Q, [[WIDEST_Q - 1]] * MAX_MESSAGES)
+    assert column.encode([WIDEST_Q - 1] * MAX_MESSAGES) == (MAX_MESSAGES * (WIDEST_Q - 1) ** 2 % WIDEST_Q,)
 
 
 def test_each_field_is_scanned_once():
-    # every FieldMatrix asks is_prime about its q; a trial-division scan of
-    # WIDEST_Q takes about half a millisecond, so it runs once per process
+    # every checked_modulus asks is_prime about its q; a trial-division
+    # scan of WIDEST_Q takes about half a millisecond, so it runs once per
+    # process, however many codes over GF(q) are built
     is_prime.cache_clear()
     q = WIDEST_Q
-    g = FieldMatrix(q, [[1, 1], [1, 0]])
-    g.rref()
-    g.nullspace()
-    g @ g.transpose()
+    g = [[1, 1], [1, 0]]
     inst = Instance(q, 2, (Receiver({2}, {1}),))
-    assert Decoder(LinearCode(g), inst, 1).decodable
+    assert Decoder(LinearCode(q, g), inst, 1).decodable
     # c = (x1 + x2, x1 + y): the key-free part x1 + x2 serves the receiver
-    keyed = LinearCode(g, FieldMatrix(q, [[0, 1]]))
-    assert derandomize(keyed, inst).generator.to_lists() == [[1], [1]]
+    keyed = LinearCode(q, g, [[0, 1]])
+    assert derandomize(keyed, inst).generator.tolist() == [[1], [1]]
     info = is_prime.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits > 5
+    # three codes ask: the two built here and the one derandomize builds
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 
 def test_entries_beyond_64_bits_are_reduced_exactly():
-    assert FieldMatrix(3, [[10 ** 30, -(10 ** 30)]]).to_lists() == [[10 ** 30 % 3, -(10 ** 30) % 3]]
+    assert LinearCode(3, [[10 ** 30, -(10 ** 30)]]).matrix.tolist() == [[10 ** 30 % 3, -(10 ** 30) % 3]]
 
 
 # ---- matrices ----------------------------------------------------------------
 
 def test_rank_trivial_cases():
     eye, zero = np.eye(3, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)
-    assert stack_rank(2, eye[None])[0] == pivot_count(FieldMatrix(2, eye)) == 3
-    assert stack_rank(2, zero[None])[0] == pivot_count(FieldMatrix(2, zero)) == 0
+    assert stack_rank(2, eye[None])[0] == pivot_count(2, eye) == 3
+    assert stack_rank(2, zero[None])[0] == pivot_count(2, zero) == 0
 
 
 def test_rank_dependent_rows_q3():
     # (2,1) = 2*(1,2) mod 3, so the span has 3 vectors: rank 1
     rows = [[1, 2], [2, 1]]
     assert rank_by_span(3, rows) == 1
-    assert pivot_count(FieldMatrix(3, rows)) == 1
+    assert pivot_count(3, rows) == 1
     assert stack_rank(3, np.array([rows]))[0] == 1
 
 
@@ -211,7 +194,7 @@ def test_rank_matches_span_oracle_on_random_matrices():
             shape = (rng.integers(1, 4), rng.integers(1, 4))
             data = rng.integers(0, q, size=shape)
             expected = rank_by_span(q, data.tolist())
-            assert pivot_count(FieldMatrix(q, data)) == expected
+            assert pivot_count(q, data) == expected
             assert stack_rank(q, data[None])[0] == expected
 
 
@@ -249,7 +232,7 @@ def rank_stacks(draw):
 @settings(max_examples=150, deadline=None)
 def test_stack_rank_matches_rref(case):
     q, stack = case
-    assert stack_rank(q, stack).tolist() == [pivot_count(FieldMatrix(q, mat)) for mat in stack]
+    assert stack_rank(q, stack).tolist() == [pivot_count(q, mat) for mat in stack]
 
 
 SHAPE_EXAMPLES = [np.random.default_rng(3).integers(0, 7, size=shape)
@@ -271,7 +254,7 @@ def test_stack_rank_ranks_the_transposes_alike(case):
     before = stack.copy()
     ranks = stack_rank(q, stack).tolist()
     assert ranks == stack_rank(q, stack.transpose(0, 2, 1)).tolist()
-    assert ranks == [pivot_count(FieldMatrix(q, mat)) for mat in stack]
+    assert ranks == [pivot_count(q, mat) for mat in stack]
     assert np.array_equal(stack, before)
 
 
@@ -303,7 +286,7 @@ def test_stack_rank_edge_shapes():
         before = stack.copy()
         ranks = stack_rank(2, stack).tolist()
         assert np.array_equal(stack, before)
-        assert ranks == [pivot_count(FieldMatrix(2, mat)) for mat in stack]
+        assert ranks == [pivot_count(2, mat) for mat in stack]
 
 
 def test_stack_rank_widest_field_stays_exact():
@@ -338,33 +321,33 @@ def test_radix_digits_refuses_powers_past_int64():
 # pivot in the last column means inconsistent, otherwise the pivot rows
 # give a solution with the free variables set to 0.
 
-def solve(a: FieldMatrix, b):
-    reduced, pivots = FieldMatrix(a.q, np.column_stack([a.data, b])).rref()
-    if a.cols in pivots:
+def solve(q, a, b):
+    cols = np.shape(a)[1]
+    reduced, pivots = rref(q, np.column_stack([a, b]))
+    if cols in pivots:
         return None
-    x = np.zeros(a.cols, dtype=np.int64)
-    x[list(pivots)] = reduced.data[: len(pivots), -1]
-    return column(a.q, x)
+    x = np.zeros(cols, dtype=np.int64)
+    x[list(pivots)] = reduced[: len(pivots), -1]
+    return x.tolist()
 
 
 def test_solve_identity_and_scalar():
-    eye = FieldMatrix(2, np.eye(2, dtype=np.int64))
-    assert solve(eye, [1, 0]) == column(2, [1, 0])
-    assert solve(FieldMatrix(5, [[2]]), [1]) == column(5, [3])
+    assert solve(2, np.eye(2, dtype=np.int64), [1, 0]) == [1, 0]
+    assert solve(5, [[2]], [1]) == [3]
 
 
 def test_solve_inconsistent_system():
     # overdetermined over GF(3); exhaustively confirmed unsolvable
-    a = FieldMatrix(3, [[1], [1]])
+    a = [[1], [1]]
     for x in range(3):
         assert [(x) % 3, (x) % 3] != [0, 1]
-    assert solve(a, [0, 1]) is None
+    assert solve(3, a, [0, 1]) is None
 
 
 def test_solve_unique_solution_is_returned():
-    a = FieldMatrix(5, [[1, 2], [3, 4]])
-    x = column(5, [2, 3])
-    assert solve(a, (a @ x).data[:, 0]) == x
+    a = np.array([[1, 2], [3, 4]])
+    x = [2, 3]
+    assert solve(5, a, a @ x % 5) == x
 
 
 @st.composite
@@ -377,74 +360,81 @@ def matrix_and_vector(draw):
                  min_size=rows, max_size=rows)
     )
     x = draw(st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols))
-    return FieldMatrix(q, data), x
+    return q, np.array(data, dtype=np.int64), x
 
 
 @given(matrix_and_vector())
 @settings(max_examples=60)
 def test_solve_roundtrip_property(mx):
-    mat, x = mx
-    b = mat @ column(mat.q, x)
-    sol = solve(mat, b.data[:, 0])
+    q, mat, x = mx
+    b = mat @ x % q
+    sol = solve(q, mat, b)
     assert sol is not None
-    assert mat @ sol == b
+    assert np.array_equal(mat @ sol % q, b)
+
+
+def test_rref_reduces_a_copy():
+    # entries are reduced mod q, and neither the input nor its layout
+    # reaches the result: a transposed view gives a C-ordered array
+    a = np.array([[4, -1], [6, 2]])
+    reduced, pivots = rref(3, a.T)
+    assert (reduced.tolist(), pivots) == ([[1, 0], [0, 1]], (0, 1))
+    assert reduced.dtype == np.int64 and reduced.flags.c_contiguous
+    assert a.tolist() == [[4, -1], [6, 2]]
+    # leftmost pivots: column 1 is no pivot, and column 2 is cleared above its own
+    reduced, pivots = rref(5, [[2, 4, 1], [1, 2, 4]])
+    assert (reduced.tolist(), pivots) == ([[1, 2, 0], [0, 0, 1]], (0, 2))
 
 
 def test_nullspace_parity_and_full_rank():
-    parity = FieldMatrix(2, [[1, 1]])
-    basis = parity.nullspace()
-    assert basis.cols == 1
-    assert basis.to_lists() == [[1], [1]]
-    assert FieldMatrix(3, np.eye(2, dtype=np.int64)).nullspace().cols == 0
+    basis = nullspace(2, [[1, 1]])
+    assert basis.shape == (2, 1)
+    assert basis.tolist() == [[1], [1]]
+    assert nullspace(3, np.eye(2, dtype=np.int64)).shape == (2, 0)
 
 
 def test_nullspace_matches_kernel_enumeration_q5():
-    mat = FieldMatrix(5, [[1, 2, 3]])
-    kernel = kernel_by_enumeration(mat)
+    mat = [[1, 2, 3]]
+    kernel = kernel_by_enumeration(5, mat)
     assert len(kernel) == 25  # 5^(3-1): two free dimensions
-    basis = mat.nullspace()
-    assert basis.cols == 2
-    spanned = span_of_rows(5, basis.data.T.tolist())
+    basis = nullspace(5, mat)
+    assert basis.shape[1] == 2
+    spanned = span_of_rows(5, basis.T.tolist())
     assert spanned == kernel
 
 
 @given(matrix_and_vector())
 @settings(max_examples=60)
 def test_nullspace_properties(mx):
-    mat, _ = mx
-    basis = mat.nullspace()
-    assert basis.cols == mat.cols - pivot_count(mat)
-    assert not (mat @ basis).data.any()
-    if basis.cols:
-        assert pivot_count(basis) == basis.cols
-
-
-def test_mismatched_moduli_raise():
-    a = FieldMatrix(2, [[1]])
-    b = FieldMatrix(3, [[1]])
-    with pytest.raises(ValueError, match="mismatched fields"):
-        a @ b
+    q, mat, _ = mx
+    basis = nullspace(q, mat)
+    assert basis.shape == (mat.shape[1], mat.shape[1] - pivot_count(q, mat))
+    assert not (mat @ basis % q).any()
+    if basis.shape[1]:
+        assert pivot_count(q, basis) == basis.shape[1]
 
 
 def test_matrix_entries_reduced_and_immutable():
-    mat = FieldMatrix(3, [[4, -1], [6, 2]])
-    assert mat.to_lists() == [[1, 2], [0, 2]]
-    with pytest.raises(ValueError):
-        mat.data[0, 0] = 9
+    code = LinearCode(3, [[4, -1], [6, 2]], [[5, 3]])
+    assert code.matrix.tolist() == [[1, 2], [0, 2], [2, 0]]
+    for array in (code.matrix, code.generator, code.key_generator):
+        with pytest.raises(ValueError):
+            array[0, 0] = 9
+    assert code.matrix.tolist() == [[1, 2], [0, 2], [2, 0]]
 
 
 # ---- vandermonde -------------------------------------------------------------
 
 def test_vandermonde_small_shapes():
-    assert vandermonde(3, 1, 3).to_lists() == [[1], [1], [1]]
-    assert vandermonde(3, 2, 3).to_lists() == [[1, 0], [1, 1], [1, 2]]
+    assert vandermonde(3, 1, 3).tolist() == [[1], [1], [1]]
+    assert vandermonde(3, 2, 3).tolist() == [[1, 0], [1, 1], [1, 2]]
 
 
 def test_vandermonde_every_row_subset_independent():
     for m, l, q in [(4, 2, 5), (5, 3, 5), (6, 4, 7), (4, 3, 5)]:
         mat = vandermonde(m, l, q)
         for subset in itertools.combinations(range(m), l):
-            rows = [mat.to_lists()[i] for i in subset]
+            rows = [mat.tolist()[i] for i in subset]
             assert rank_by_span(q, rows) == l, (m, l, q, subset)
 
 

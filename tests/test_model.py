@@ -14,7 +14,6 @@ import secix.model
 from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -162,7 +161,7 @@ def test_max_size_symbolic():
 # values int() would silently read as 1 or 2
 NOT_INTEGERS = [1.5, 2.0, "1", True, np.float64(1.0)]
 
-SUM = LinearCode(FieldMatrix(2, [[1], [1]]))  # c = x1 + x2
+SUM = LinearCode(2, [[1], [1]])  # c = x1 + x2
 ONE = Instance(2, 2, (Receiver({2}, {1}),))
 
 
@@ -178,8 +177,8 @@ ENTRY_POINTS = {
     "Instance-m": ("message count m", lambda v: Instance(2, v, ()), 3),
     "explicit": ("access set entry", lambda v: AccessStructure.explicit([np.array([1]), [v]]), 2),
     "t_level": ("access level t", AccessStructure.t_level, 1),
-    "FieldMatrix-modulus": ("field modulus", lambda v: FieldMatrix(v, [[1]]), 2),
-    "FieldMatrix-entry": ("matrix entry", lambda v: FieldMatrix(2, [[0, v]]), 1),
+    "LinearCode-modulus": ("field modulus", lambda v: LinearCode(v, [[1]]), 2),
+    "LinearCode-entry": ("matrix entry", lambda v: LinearCode(2, [[0, v]]).matrix.tolist(), 1),
     "TableCode-q": ("field size q", lambda v: TableCode(v, 1, 1, 1, parity_table()), 2),
     "TableCode-m": ("message count m", lambda v: TableCode(2, v, 1, 1, parity_table()), 1),
     "TableCode-length": ("code length", lambda v: TableCode(2, 1, v, 1, parity_table()), 1),

@@ -19,7 +19,6 @@ import reference_oracle
 import secix.oracle
 from secix import (
     AccessStructure,
-    FieldMatrix,
     Instance,
     LinearCode,
     Receiver,
@@ -78,25 +77,25 @@ def test_all_receivers_decode_both_sum_codes():
 
 def test_missing_message_is_undecodable():
     inst = Instance(2, 2, (Receiver(set(), {2}),))
-    code = LinearCode(FieldMatrix(2, [[1, 0], [0, 0]]))  # sends only x1
+    code = LinearCode(2, [[1, 0], [0, 0]])  # sends only x1
     assert check_decodability(code, inst) == [False]
 
 
 def test_one_time_pad_hides_message_from_receiver():
     inst = Instance(2, 1, (Receiver(set(), {1}),))
-    code = LinearCode(FieldMatrix(2, [[1]]), FieldMatrix(2, [[1]]))  # c = x1 + y
+    code = LinearCode(2, [[1]], [[1]])  # c = x1 + y
     assert check_decodability(code, inst) == [False]
 
 
 def test_satisfied_receiver_always_decodes():
     inst = Instance(2, 2, (Receiver({1, 2}, {1}),))
-    silent = LinearCode(FieldMatrix(2, [[0], [0]]))
+    silent = LinearCode(2, [[0], [0]])
     assert check_decodability(silent, inst) == [True]
 
 
 def test_zero_length_code_decodes_nothing_new():
     inst = unwanted_key_instance(2)
-    empty = LinearCode(FieldMatrix.zeros(2, 2, 0))
+    empty = LinearCode(2, np.zeros((2, 0), dtype=np.int64))
     assert check_decodability(empty, inst) == [False]
 
 
@@ -125,19 +124,19 @@ def test_leak_report_names_the_readable_message():
 
 def test_keyed_instance_sum_code_secure_against_nothing_known():
     inst = unwanted_key_instance(2)
-    code = LinearCode(FieldMatrix(2, [[1], [1]]))
+    code = LinearCode(2, [[1], [1]])
     assert check_security(code, inst, AccessStructure.explicit([[]])).secure
 
 
 def test_identity_code_insecure_at_level_zero():
     inst = crossed_pairs_instance(2)
-    code = LinearCode(FieldMatrix(2, np.eye(4, dtype=np.int64)))
+    code = LinearCode(2, np.eye(4, dtype=np.int64))
     assert not check_security(code, inst, AccessStructure.t_level(0)).secure
 
 
 def test_full_access_set_is_vacuously_secure():
     inst = crossed_pairs_instance(2)
-    code = LinearCode(FieldMatrix(2, np.eye(4, dtype=np.int64)))
+    code = LinearCode(2, np.eye(4, dtype=np.int64))
     report = check_security(code, inst, AccessStructure.classical(4))
     assert report.secure
     assert report.checks == ()
@@ -145,7 +144,7 @@ def test_full_access_set_is_vacuously_secure():
 
 def test_block_security_of_total_sum_code():
     inst = complementary_instance(5, 4)
-    code = LinearCode(FieldMatrix(5, [[1], [1], [1], [1]]))  # x1+x2+x3+x4
+    code = LinearCode(5, [[1], [1], [1], [1]])  # x1+x2+x3+x4
     acc1 = AccessStructure.t_level(1)
     assert check_security(code, inst, acc1, b=2).secure
     assert not check_security(code, inst, AccessStructure.t_level(2), b=2).secure
@@ -191,7 +190,7 @@ def test_budget_counts_states_times_pairs_before_listing_them(monkeypatch, acc, 
 def test_budget_refusal_allocates_nothing():
     # 2^40 joint states: any state table would take terabytes
     inst = Instance(2, 40, (Receiver({1}, {2}),))
-    code = LinearCode(FieldMatrix.zeros(2, 40, 3))
+    code = LinearCode(2, np.zeros((40, 3), dtype=np.int64))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
@@ -213,9 +212,9 @@ FORTY = Instance(2, 40, (Receiver({1}, {2}),))
 # per budget refusal: the call, its pinned message fragment, and the
 # function that asks the gate
 SEVEN_REFUSALS = {
-    "states": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY),
+    "states": (lambda: check_decodability(LinearCode(2, np.zeros((40, 3), dtype=np.int64)), FORTY),
                r"2\^40 joint states exceed", "check_budget"),
-    "state-keys": (lambda: check_decodability(LinearCode(FieldMatrix.zeros(2, 40, 3)), FORTY, budget=2 ** 90),
+    "state-keys": (lambda: check_decodability(LinearCode(2, np.zeros((40, 3), dtype=np.int64)), FORTY, budget=2 ** 90),
                    "joint states are too many", "check_budget"),
     # C(4, 1) access sets x C(3, 1) blocks
     "pairs": (lambda: check_security(disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.t_level(1),
@@ -226,10 +225,10 @@ SEVEN_REFUSALS = {
     "candidate-index": (lambda: search_linear(FORTY, AccessStructure.t_level(20), 2, budget=2 ** 90),
                         "candidate generators are too many", "search_linear"),
     # one row of G^T already spans more than the budget
-    "span-rows": (lambda: security_level(LinearCode(FieldMatrix(WIDEST_Q, np.eye(560, dtype=np.int64)))),
+    "span-rows": (lambda: security_level(LinearCode(WIDEST_Q, np.eye(560, dtype=np.int64))),
                   rf"{WIDEST_Q}\^1 to {WIDEST_Q}\^560 vectors", "security_level"),
     # the first two rows of G^T are equal, so only the full reduction finds rank 2
-    "span": (lambda: security_level(LinearCode(FieldMatrix(5, [[1, 1, 0], [0, 0, 1], [0, 0, 0]])), budget=10),
+    "span": (lambda: security_level(LinearCode(5, [[1, 1, 0], [0, 0, 1], [0, 0, 0]]), budget=10),
              r"5\^2 vectors of the column span exceed the budget of 10", "security_level"),
 }
 
@@ -262,7 +261,7 @@ def test_secure_generators_keeps_candidates_apart():
     stack = np.array([[[0], [0]], [[1], [0]]])
     assert secure_generators(2, stack, checks).tolist() == [True, False]
     for generator, secure in zip(stack, [True, False]):
-        code = LinearCode(FieldMatrix(2, generator))
+        code = LinearCode(2, generator)
         assert check_security(code, inst, AccessStructure.explicit([[]])).secure is secure
 
 
@@ -271,7 +270,7 @@ def test_constant_code_pair_rows_do_not_merge():
     # X_B digits: the last view of one row equals the first view of the
     # next, so the rows stay apart only through their row-start edges
     inst = complementary_instance(2, 6)
-    code = LinearCode(FieldMatrix.zeros(2, 6, 2))
+    code = LinearCode(2, np.zeros((6, 2), dtype=np.int64))
     for t, b in [(0, 1), (1, 1), (2, 2)]:
         report = check_security(code, inst, AccessStructure.t_level(t), b=b)
         assert len(report.checks) == math.comb(6, t) * math.comb(6 - t, b)
@@ -289,15 +288,15 @@ def test_receivers_with_empty_and_two_message_targets():
         Receiver({4}, {2, 3}),
         Receiver({2}, {1, 2}),
     ))
-    code = LinearCode(FieldMatrix(3, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 0]]))
+    code = LinearCode(3, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 1, 0]])
     assert check_decodability(code, inst) == [True, False, True, True]
     assert reference_oracle.decodability(code, inst) == [True, False, True, True]
     # the same receivers screen a stack of candidates, with no pair to
     # check: this code, and the code that sends x3 in the clear, which
     # receiver 2 also decodes
     no_pairs = list_checks(inst, AccessStructure.explicit([[1, 2, 3, 4]]), 1)
-    stack = np.array([code.generator.data, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 0, 0]]])
-    expected = [all(check_decodability(LinearCode(FieldMatrix(3, g)), inst)) for g in stack]
+    stack = np.array([code.generator, [[1, 0, 0], [1, 0, 1], [0, 1, 0], [0, 0, 0]]])
+    expected = [all(check_decodability(LinearCode(3, g), inst)) for g in stack]
     assert expected == [False, True]
     assert secure_generators(3, stack, no_pairs).tolist() == expected
 
@@ -319,7 +318,7 @@ def test_sort_chunks_split_rows(sort_keys):
                for ok in secure_generators(2, stack[k:k + sort_keys], checks).tolist()]
     assert chunked == screened
     one_by_one = [all(check_decodability(c, inst)) and check_security(c, inst, screen_acc).secure
-                  for c in (LinearCode(FieldMatrix(2, g)) for g in stack)]
+                  for c in (LinearCode(2, g) for g in stack)]
     assert one_by_one == screened
 
 
@@ -338,7 +337,7 @@ def test_secure_generators_screens_zero_rows_then_steps_the_pair_lists(monkeypat
     checks = list_checks(inst, acc, 1)
     lists = len(checks.labels)
     distinct = radix_digits(np.arange(2 ** 8), 2, 8).reshape(-1, 4, 2)
-    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in distinct] * 256
+    reports = [check_security(LinearCode(2, g), inst, acc) for g in distinct] * 256
     nonzero = 256 * int(distinct.any(axis=2).all(axis=1).sum())
     decoding = [r for r in reports if all(r.decodable)]
     step = STACK_ENTRIES // len(decoding)
@@ -373,7 +372,7 @@ def test_secure_generators_ranks_only_candidates_without_zero_wanted_rows(monkey
     receiver_phase = calls[0]
     assert len(receiver_phase) == 2 ** 2 * 3 ** 3  # any row for x1, a nonzero one for the others
     assert receiver_phase[:, 1:].any(axis=2).all()
-    reports = [check_security(LinearCode(FieldMatrix(2, g)), inst, acc) for g in stack]
+    reports = [check_security(LinearCode(2, g), inst, acc) for g in stack]
     assert screened == [all(r.decodable) and r.secure for r in reports]
     assert sum(screened) == 18 and sum(ok for ok, g in zip(screened, stack) if not g[0].any()) == 6
 
@@ -396,7 +395,7 @@ def test_one_pass_without_pair_rows():
     inst = crossed_pairs_instance(3)
     for acc in (AccessStructure.classical(4), AccessStructure.explicit([[1, 2, 3, 4]])):
         assert one_pass(overlapping_sum_code(3), inst, acc).decodable == (True,) * 4
-        report = one_pass(LinearCode(FieldMatrix(3, [[1], [1], [0], [0]])), inst, acc)
+        report = one_pass(LinearCode(3, [[1], [1], [0], [0]]), inst, acc)
         assert report.decodable == (True, True, False, False)
         assert report.checks == () and report.secure
 
@@ -405,7 +404,7 @@ def test_one_pass_without_receiver_rows():
     # every receiver wants only what it knows, so it decodes from any code,
     # and only pair rows are sorted
     inst = Instance(2, 3, (Receiver({1, 2}, {1}), Receiver({3}, {3})))
-    report = one_pass(LinearCode(FieldMatrix(2, [[1], [1], [0]])), inst, AccessStructure.t_level(1))
+    report = one_pass(LinearCode(2, [[1], [1], [0]]), inst, AccessStructure.t_level(1))
     assert report.decodable == (True, True)
     assert [p.uniform for p in report.checks] == [False, True, False, True, True, True]
 
@@ -415,7 +414,7 @@ def test_one_pass_zero_length_codes():
     # and every block stays uniform
     inst = crossed_pairs_instance(2)
     table = {(x, key): () for x in itertools.product(range(2), repeat=4) for key in range(3)}
-    for code in (LinearCode(FieldMatrix.zeros(2, 4, 0)), TableCode(2, 4, 0, 3, table)):
+    for code in (LinearCode(2, np.zeros((4, 0), dtype=np.int64)), TableCode(2, 4, 0, 3, table)):
         report = one_pass(code, inst, AccessStructure.t_level(1), b=2)
         assert report.decodable == (False,) * 4
         assert len(report.checks) == 12 and all(p.conditional_entropy_bits == 2 for p in report.checks)
@@ -424,7 +423,7 @@ def test_one_pass_zero_length_codes():
 def keyed_codes(q):
     """A keyed linear code, and a table code with q keys: both send
     [x1 + x2, x3 + x4 + y, x4 + y] for a uniform key y."""
-    linear = LinearCode(FieldMatrix(q, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]]), FieldMatrix(q, [[0, 1, 1]]))
+    linear = LinearCode(q, [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 1]], [[0, 1, 1]])
     return [linear, table_copy(linear)]
 
 
@@ -451,7 +450,7 @@ def test_one_pass_chunks_mix_row_kinds(lists, b):
     majority = {(x, 0): (int(x[0] + x[1] >= 2), (x[2] + x[3]) % 3) for x in itertools.product(range(3), repeat=4)}
     # the total sum and the empty code leave the first pairs, A = [1], uniform
     codes = [overlapping_sum_code(3), disjoint_sum_code(3), TableCode(3, 4, 2, 1, majority),
-             LinearCode(FieldMatrix(3, [[1]] * 4)), LinearCode(FieldMatrix.zeros(3, 4, 0))] + keyed_codes(3)
+             LinearCode(3, [[1]] * 4), LinearCode(3, np.zeros((4, 0), dtype=np.int64))] + keyed_codes(3)
     sets = acc.expand(inst.m)
     for code in codes:
         report = one_pass(code, inst, acc, b)
@@ -465,7 +464,7 @@ def test_two_to_the_fourteen_states_stay_small():
     # 2^14 states x 182 (A, B) pairs: the linear code is ranked, and its
     # table copy enumerated, one 2^14-key class count per digit list
     inst = complementary_instance(2, 14)
-    linear = LinearCode(FieldMatrix(2, [[1]] * 14))
+    linear = LinearCode(2, [[1]] * 14)
     for code in (linear, table_copy(linear)):
         tracemalloc.start()
         try:
@@ -485,7 +484,7 @@ def test_rank_stacks_stay_small():
     # from 3 others; its 1365 row subsets of the 14 x 48 M would make one
     # stack of 7.3 MiB, ranked in stacks of gf.STACK_ENTRIES entries instead
     inst = complementary_instance(2, 14)
-    code = LinearCode(FieldMatrix(2, [[1] * 48] * 14))
+    code = LinearCode(2, [[1] * 48] * 14)
     tracemalloc.start()
     try:
         report = check_security(code, inst, AccessStructure.t_level(3), budget=2 ** 26)
@@ -502,7 +501,7 @@ def test_codewords_longer_than_64_bits():
     # 70 binary symbols do not fit one int64 key; only the first three carry
     # information, so a key that dropped its high bits would merge codewords
     # (the table copy is enumerated, the linear code ranked)
-    linear = LinearCode(FieldMatrix(2, [[int(c == j) for c in range(70)] for j in range(3)]))
+    linear = LinearCode(2, [[int(c == j) for c in range(70)] for j in range(3)])
     inst = complementary_instance(2, 3)
     for code in (linear, table_copy(linear)):
         assert check_decodability(code, inst) == [True] * 3
@@ -524,7 +523,7 @@ def test_table_code_matches_linear_equivalent():
 def test_randomized_code_secure_via_key():
     # c = [x1 + x2 + y, y]: the key hides x1+x2's complement structure
     inst = unwanted_key_instance(2)
-    code = LinearCode(FieldMatrix(2, [[1, 0], [1, 0]]), FieldMatrix(2, [[1, 1]]))
+    code = LinearCode(2, [[1, 0], [1, 0]], [[1, 1]])
     assert check_decodability(code, inst) == [True]
     assert check_security(code, inst, AccessStructure.explicit([[]])).secure
 
@@ -536,7 +535,7 @@ def test_randomized_table_code_one_time_pad():
     table = {((x,), y): ((x + y) % 2,) for x in range(2) for y in range(2)}
     pad = TableCode(2, 1, 1, 2, table)
     assert check_decodability(pad, inst) == [False]
-    linear_pad = LinearCode(FieldMatrix(2, [[1]]), FieldMatrix(2, [[1]]))
+    linear_pad = LinearCode(2, [[1]], [[1]])
     assert check_decodability(linear_pad, inst) == [False]
 
 
@@ -616,13 +615,13 @@ def corpus_for(q, m):
     """Mixed corpus: constructed, fixed, and seeded-random codes."""
     rng = random.Random(q * 100 + m)
     inst = complementary_instance(q, m)
-    yield inst, LinearCode(FieldMatrix(q, [[1]] * m))
+    yield inst, LinearCode(q, [[1]] * m)
     if m == 4:
         yield crossed_pairs_instance(q), disjoint_sum_code(q)
         yield crossed_pairs_instance(q), overlapping_sum_code(q)
     for _ in range(3):
         gen = [[rng.randrange(q) for _ in range(2)] for _ in range(m)]
-        yield inst, LinearCode(FieldMatrix(q, gen))
+        yield inst, LinearCode(q, gen)
 
 
 def test_level_security_is_downward_closed():
@@ -756,10 +755,10 @@ def linear_cases(draw):
 
     def matrix(rows):
         entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * length, max_size=rows * length))
-        return FieldMatrix(q, np.array(entries, dtype=np.int64).reshape(rows, length))
+        return np.array(entries, dtype=np.int64).reshape(rows, length)
 
     key_dim = draw(st.integers(0, 2).filter(lambda k: q ** (m + k) <= 243))
-    linear = LinearCode(matrix(m), matrix(key_dim) if key_dim else None)
+    linear = LinearCode(q, matrix(m), matrix(key_dim) if key_dim else None)
     subsets = st.frozensets(st.integers(1, m))
     receivers = draw(st.lists(st.builds(Receiver, subsets, subsets), min_size=1, max_size=3))
     if draw(st.booleans()):

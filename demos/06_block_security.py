@@ -15,7 +15,7 @@ from secix import (
     Instance,
     Receiver,
     check_security,
-    decide_t_level,
+    decide,
 )
 
 full = {1, 2, 3, 4}
@@ -25,11 +25,11 @@ print("existence verdicts (b = block size, t = access level):")
 for b in (1, 2, 3):
     row = []
     for t in range(4):
-        verdict = decide_t_level(instance, t, b=b)
+        verdict = decide(instance, AccessStructure.t_level(t), b=b)
         row.append(f"t={t}:{verdict.answer:>3s}")
     print(f"  b={b}:  " + "  ".join(row))
 
-yes = decide_t_level(instance, 1, b=2)
+yes = decide(instance, AccessStructure.t_level(1), b=2)
 code = yes.code
 print(f"\ncertificate at b=2, t=1: generator {code.generator.tolist()}")
 for t, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:

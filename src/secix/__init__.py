@@ -56,7 +56,6 @@ from .analysis import (
     CompromisedReceiverCertificate,
     ExistenceVerdict,
     decide,
-    decide_t_level,
     length_bounds,
     min_side_info,
     search_linear,

@@ -1,15 +1,17 @@
 """Existence decisions, impossibility certificates, length bounds, and
 small-scale exhaustive search for secure index codes.
 
-The decision logic pivots on two scalars: the smallest amount of side
-information any receiver holds, and the largest set the eavesdropper
-might hold.  When every receiver knows strictly more than the
-eavesdropper can access, the MDS broadcast is secure; when some access
-set covers a receiver's entire knowledge while that receiver wants
-something outside it, no code can help; and for the classical-looking
-instances (acyclic side-information graph, every message wanted), the
-codeword alone already reveals everything.  Everything in between is
-reported honestly as unknown.
+`decide` is the one existence decision.  It pivots on two scalars: the
+smallest amount of side information any receiver holds, and the largest
+set the eavesdropper might hold.  For a t-level eavesdropper these
+settle every instance (the paper's iff rule).  For explicit access sets,
+when every receiver knows strictly more than the eavesdropper can
+access, the MDS broadcast is secure; when some access set covers a
+receiver's entire knowledge while that receiver wants something outside
+it, no code can help; and for the classical-looking instances (acyclic
+side-information graph, every message wanted), the codeword alone
+already reveals everything.  Everything in between is reported as
+unknown: no rule here settles it, whether or not a code exists.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "AcyclicCertificate",
     "ExistenceVerdict",
     "min_side_info",
-    "decide_t_level",
     "decide",
     "length_bounds",
     "search_linear",
@@ -120,48 +121,46 @@ def min_side_info(inst: Instance) -> int:
     return min(len(r.knows) for r in inst.receivers)
 
 
-def decide_t_level(inst: Instance, t: int, b: int = 1) -> ExistenceVerdict:
-    """Existence of codes secure against every size-t access set.
+def decide(inst: Instance, acc: AccessStructure, b: int = 1) -> ExistenceVerdict:
+    """Existence of a code that protects every block of b messages (b = 1
+    by default) from every access set of `acc`.
 
-    Secure codes (protecting blocks of b messages jointly, b=1 by
-    default) exist iff t <= K - b where K is the least side-information
-    size.  Yes comes with the MDS construction.  No comes with a
-    compromised-receiver certificate: for t >= K the certificate set
-    covers a minimal receiver's knowledge outright; for K - b < t < K
-    it sits inside that knowledge, and the eavesdropper's missing
-    symbols plus the receiver's wanted one form a readable block of at
-    most b messages.
+    A t-level adversary is decided by the paper's rule, without listing
+    its access sets: secure codes exist iff t <= K - b, where K is the
+    least side-information size.  Yes comes with the MDS construction.
+    No comes with a compromised-receiver certificate: for t >= K the
+    certificate set covers a minimal receiver's knowledge outright; for
+    K - b < t < K it sits inside that knowledge, and the eavesdropper's
+    missing symbols plus the receiver's wanted one form a readable block
+    of at most b messages.
+
+    An explicit adversary takes b = 1 only.  Impossibility is checked
+    first (the graph-level certificate before the per-receiver one,
+    since the former condemns the instance as a whole); then the two
+    constructive sufficient conditions.  When none of these rules
+    settles the instance the answer is unknown, which says nothing about
+    whether a code exists.
     """
-    require_normalized(inst, "analysis")
-    acc = AccessStructure.t_level(t)
-    t = acc.max_size(inst.m)  # refuses t outside [0, m - 1]
     b = check_block_size(b)
-    least = min_side_info(inst)
-    if t <= least - b:
-        lower, upper = length_bounds(inst, acc)
-        return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
-    idx, rec = min(enumerate(inst.receivers, start=1), key=lambda pair: len(pair[1].knows))
-    j = min(rec.wants - rec.knows)
-    known = sorted(rec.knows)
-    if t >= least:
-        padding = [v for v in inst.messages() if v not in rec.knows and v != j]
-        access = frozenset(known) | frozenset(padding[: t - least])
-    else:
-        access = frozenset(known[:t])
-    return ExistenceVerdict(
-        ANSWER_NO, certificate=CompromisedReceiverCertificate(idx, access)
-    )
+    t_level = acc.kind == AccessStructure.KIND_T_LEVEL
+    if b != 1 and not t_level:
+        raise ValueError("block sizes b > 1 are supported for t-level adversaries only")
+    least = min_side_info(inst)  # refuses an instance that is not normalized
+    if t_level:
+        t = acc.max_size(inst.m)  # refuses t outside [0, m - 1]
+        if t <= least - b:
+            lower, upper = length_bounds(inst, acc)
+            return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
+        idx, rec = min(enumerate(inst.receivers, start=1), key=lambda pair: len(pair[1].knows))
+        j = min(rec.wants - rec.knows)
+        known = sorted(rec.knows)
+        if t >= least:
+            padding = [v for v in inst.messages() if v not in rec.knows and v != j]
+            access = frozenset(known) | frozenset(padding[: t - least])
+        else:
+            access = frozenset(known[:t])
+        return ExistenceVerdict(ANSWER_NO, certificate=CompromisedReceiverCertificate(idx, access))
 
-
-def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
-    """Existence decision for an arbitrary access structure.
-
-    Impossibility is checked first (the graph-level certificate before
-    the per-receiver one, since the former condemns the instance as a
-    whole); then the two constructive sufficient conditions; remaining
-    cases are genuinely open and reported as unknown.
-    """
-    require_normalized(inst, "analysis")
     expanded = acc.expand(inst.m)
     lower, upper = length_bounds(inst, acc)
 
@@ -182,7 +181,7 @@ def decide(inst: Instance, acc: AccessStructure) -> ExistenceVerdict:
                 )
 
     # with no access set there is nothing to hide, and the MDS code decodes
-    if not expanded or acc.max_size(inst.m) < min_side_info(inst):
+    if not expanded or acc.max_size(inst.m) < least:
         return ExistenceVerdict(ANSWER_YES, code=construct_mds_code(inst), lower=lower, upper=upper)
 
     if len(expanded) == 1:

@@ -10,9 +10,14 @@ Subcommands
     graph      export the instance's directed bipartite graph as DOT
     search     exhaustive search for a secure linear code of a given length
 
+`analyze` and `construct` take their verdict from `analysis.decide`,
+the one existence decision: a t-level adversary is decided by the
+paper's rule t <= K - b at any size, and an explicit one (b = 1 only)
+by the structural rules.
+
 Exit codes are the API: 0 success/secure, 1 usage or parse error or a
 failed write to stdout, 2 proven impossible (or verification failed),
-3 unknown, 4 enumeration budget exceeded.
+3 unknown (no rule settles the instance), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -127,27 +132,18 @@ def _print_code(code, args, summary: dict, lines=()) -> None:
     print(f"code written to {args.code}" if args.code else json.dumps(codes.code_to_dict(code)))
 
 
-def _decide(inst, acc, args):
-    b = oracle.check_block_size(args.b)  # a bad b is named as such, whatever the adversary
-    if acc.kind == model.AccessStructure.KIND_T_LEVEL:
-        return analysis.decide_t_level(inst, acc.t, b=b)
-    if b != 1:
-        raise ValueError("block sizes b > 1 are supported for t-level adversaries only")
-    return analysis.decide(inst, acc)
-
-
 def cmd_analyze(args) -> int:
     inst, file_acc = _load_instance(args)
     inst = model.normalize(inst)
     acc = _resolve_access(args, file_acc, inst.m)
-    return _print_verdict(_decide(inst, acc, args), args)
+    return _print_verdict(analysis.decide(inst, acc, args.b), args)
 
 
 def cmd_construct(args) -> int:
     inst, file_acc = _load_instance(args)
     inst = model.normalize(inst)
     acc = _resolve_access(args, file_acc, inst.m)
-    verdict = _decide(inst, acc, args)
+    verdict = analysis.decide(inst, acc, args.b)
     if verdict.answer != analysis.ANSWER_YES:
         return _print_verdict(verdict, args)
     code = verdict.code

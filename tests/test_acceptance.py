@@ -23,7 +23,6 @@ from secix import (
     check_security,
     construct_mds_code,
     decide,
-    decide_t_level,
     derandomize,
     search_linear,
     security_level,
@@ -120,7 +119,7 @@ def test_criterion_3_construction_converse():
         least = min_knowledge(inst)
         samples = [random_decodable_code(rng, inst) for _ in range(50)]
         for t in range(least, inst.m):
-            verdict = decide_t_level(inst, t)
+            verdict = decide(inst, AccessStructure.t_level(t))
             assert verdict.answer == ANSWER_NO
             cert = verdict.certificate
             assert isinstance(cert, CompromisedReceiverCertificate)
@@ -333,9 +332,9 @@ def test_criterion_8_block_threshold():
     ]
     for inst in instances:
         assert min_knowledge(inst) == 3
-        yes = decide_t_level(inst, 1, b=2)
+        yes = decide(inst, AccessStructure.t_level(1), b=2)
         assert yes.answer == ANSWER_YES
-        no = decide_t_level(inst, 2, b=2)
+        no = decide(inst, AccessStructure.t_level(2), b=2)
         assert no.answer == ANSWER_NO
         assert check_security(
             yes.code, inst, AccessStructure.t_level(1), b=2

@@ -1,5 +1,6 @@
 """Existence decisions, certificates, bounds, and exhaustive search."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -21,7 +22,6 @@ from secix import (
     check_decodability,
     check_security,
     decide,
-    decide_t_level,
     length_bounds,
     min_side_info,
     search_linear,
@@ -58,7 +58,7 @@ def test_min_side_info_requires_normalized():
 
 def test_t_level_yes_with_verified_certificate():
     inst = Instance(3, 3, tuple(Receiver({1, 2, 3} - {i}, {i}) for i in (1, 2, 3)))
-    verdict = decide_t_level(inst, 1)
+    verdict = decide(inst, AccessStructure.t_level(1))
     assert verdict.answer == ANSWER_YES
     assert verdict.code.length == 1
     assert all(check_decodability(verdict.code, inst))
@@ -66,7 +66,7 @@ def test_t_level_yes_with_verified_certificate():
 
 
 def test_t_level_no_certificate_names_covering_set(crossed2):
-    verdict = decide_t_level(crossed2, 1)
+    verdict = decide(crossed2, AccessStructure.t_level(1))
     assert verdict.answer == ANSWER_NO
     cert = verdict.certificate
     assert isinstance(cert, CompromisedReceiverCertificate)
@@ -77,12 +77,12 @@ def test_t_level_no_certificate_names_covering_set(crossed2):
 
 
 def test_t_level_zero_always_yes_when_someone_knows_something(crossed2):
-    assert decide_t_level(crossed2, 0).answer == ANSWER_YES
+    assert decide(crossed2, AccessStructure.t_level(0)).answer == ANSWER_YES
 
 
 def test_t_level_threshold_is_downward_closed():
     inst = complementary_instance(5, 4)  # every receiver knows 3
-    answers = [decide_t_level(inst, t).answer for t in range(4)]
+    answers = [decide(inst, AccessStructure.t_level(t)).answer for t in range(4)]
     assert answers == [ANSWER_YES, ANSWER_YES, ANSWER_YES, ANSWER_NO]
     for t in range(1, 4):
         if answers[t] == ANSWER_YES:
@@ -91,9 +91,9 @@ def test_t_level_threshold_is_downward_closed():
 
 def test_t_level_block_thresholds():
     inst = complementary_instance(5, 4)  # min side info 3
-    assert decide_t_level(inst, 1, b=2).answer == ANSWER_YES
-    assert decide_t_level(inst, 2, b=2).answer == ANSWER_NO
-    verdict = decide_t_level(inst, 2, b=2)
+    assert decide(inst, AccessStructure.t_level(1), b=2).answer == ANSWER_YES
+    assert decide(inst, AccessStructure.t_level(2), b=2).answer == ANSWER_NO
+    verdict = decide(inst, AccessStructure.t_level(2), b=2)
     cert = verdict.certificate
     # with the block threshold crossed below the knowledge minimum, the
     # certificate set sits inside the receiver's knowledge
@@ -103,11 +103,71 @@ def test_t_level_block_thresholds():
 
 def test_t_level_range_checks(crossed2):
     with pytest.raises(ValueError):
-        decide_t_level(crossed2, 4)
+        decide(crossed2, AccessStructure.t_level(4))
     with pytest.raises(ValueError):
-        decide_t_level(crossed2, -1)
+        decide(crossed2, AccessStructure.t_level(-1))
     with pytest.raises(ValueError):
-        decide_t_level(crossed2, 1, b=0)
+        decide(crossed2, AccessStructure.t_level(1), b=0)
+
+
+@st.composite
+def t_level_cases(draw):
+    """(instance, t, b) with q in {2, 3}, m <= 6, normalized receivers,
+    t in [0, m - 1] and b in {1, 2}."""
+    q = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 6))
+    receivers = []
+    for _ in range(draw(st.integers(1, 4))):
+        knows = draw(st.frozensets(st.integers(1, m), max_size=m - 1))
+        lacking = sorted(set(range(1, m + 1)) - knows)
+        wants = draw(st.frozensets(st.integers(1, m))) | {draw(st.sampled_from(lacking))}
+        receivers.append(Receiver(knows, wants))
+    return Instance(q, m, tuple(receivers)), draw(st.integers(0, m - 1)), draw(st.sampled_from([1, 2]))
+
+
+@given(t_level_cases())
+@settings(max_examples=150, deadline=None)
+def test_t_level_rule_matches_the_explicit_rules(case):
+    # the paper's iff rule lists no access set; the explicit rules, run on
+    # every t-subset, are an independent reference for it at b = 1
+    inst, t, b = case
+    acc = AccessStructure.t_level(t)
+    verdict = decide(inst, acc, b=b)
+    if b == 1:
+        every_subset = AccessStructure.explicit(itertools.combinations(range(1, inst.m + 1), t))
+        assert verdict.answer == decide(inst, every_subset).answer
+    if verdict.answer == ANSWER_YES:
+        report = check_security(verdict.code, inst, acc, b=b, budget=2 ** 40)
+        assert all(report.decodable) and report.secure
+    else:
+        assert verdict.answer == ANSWER_NO and (verdict.lower, verdict.upper) == (None, None)
+
+
+def test_t_level_decision_lists_no_access_set():
+    # C(40, 20) access sets: the rule answers at once, with no listing
+    inst = Instance(2, 40, (Receiver({1}, {2}),))
+    start = time.perf_counter()
+    verdict = decide(inst, AccessStructure.t_level(20))
+    elapsed = time.perf_counter() - start
+    assert verdict.answer == ANSWER_NO
+    assert verdict.certificate == CompromisedReceiverCertificate(1, frozenset({1, *range(3, 22)}))
+    assert elapsed < 0.25, f"took {elapsed:.2f}s"
+
+
+def test_block_sizes_above_1_need_a_t_level_adversary(crossed2):
+    with pytest.raises(ValueError, match=r"^block sizes b > 1 are supported for t-level adversaries only$"):
+        decide(crossed2, AccessStructure.explicit([[1]]), b=2)
+
+
+def test_decide_refuses_b_then_normalization_then_t(crossed2):
+    lacking_nothing = Instance(2, 2, (Receiver({1}, {1}),))
+    t_far = AccessStructure.t_level(9)
+    with pytest.raises(ValueError, match="^block size"):
+        decide(lacking_nothing, t_far, b=0)
+    with pytest.raises(ValueError, match="normalized"):
+        decide(lacking_nothing, t_far)
+    with pytest.raises(ValueError, match="^access level must satisfy"):
+        decide(crossed2, t_far)
 
 
 # ---- general decisions ---------------------------------------------------------------
@@ -144,7 +204,9 @@ def test_decide_compromised_receiver():
 
 def test_decide_unknown_region(crossed2):
     # two access sets, each as large as the smallest knowledge, no
-    # covering pattern, graph has cycles: genuinely open
+    # covering pattern, graph has cycles: no rule here settles it.  A code
+    # exists (search_linear finds G = [[0,1],[1,0],[1,1],[1,1]]), so
+    # unknown means undecided here, not open
     verdict = decide(crossed2, AccessStructure.explicit([[3], [4]]))
     assert verdict.answer == ANSWER_UNKNOWN
     assert verdict.code is None and verdict.certificate is None
@@ -377,11 +439,11 @@ def test_search_rejects_bad_block_size_before_any_candidate(crossed2):
 
 
 @pytest.mark.parametrize("call", [
-    lambda inst: decide_t_level(inst, 0, b=0),
+    lambda inst: decide(inst, AccessStructure.t_level(0), b=0),
     lambda inst: search_linear(inst, AccessStructure.t_level(0), 1, b=0, budget=1),
     lambda inst: check_security(LinearCode(inst.q, [[1]] * inst.m), inst,
                                 AccessStructure.t_level(0), b=0, budget=1),
-], ids=["decide_t_level", "search_linear", "check_security"])
+], ids=["decide", "search_linear", "check_security"])
 def test_block_size_refused_alike_before_any_budget(crossed2, call):
     with pytest.raises(ValueError, match=r"^block size must be >= 1, got 0$"):
         call(crossed2)
@@ -446,7 +508,7 @@ def test_search_budget_refusals_allocate_nothing():
 # ---- certificate soundness ------------------------------------------------------------
 
 def test_no_certificate_condemns_sampled_codes(crossed2):
-    verdict = decide_t_level(crossed2, 1)
+    verdict = decide(crossed2, AccessStructure.t_level(1))
     cert = verdict.certificate
     rng = random.Random(5)
     wanted_outside = sorted(
@@ -475,7 +537,7 @@ def test_yes_verdicts_carry_oracle_passing_codes():
         m = rng.randint(2, 4)
         inst = complementary_instance(5, m)
         t = rng.randint(0, m - 2)
-        verdict = decide_t_level(inst, t)
+        verdict = decide(inst, AccessStructure.t_level(t))
         assert verdict.answer == ANSWER_YES
         assert all(check_decodability(verdict.code, inst))
         assert check_security(verdict.code, inst, AccessStructure.t_level(t)).secure
@@ -491,7 +553,7 @@ def test_verdict_json_shapes(crossed2, keyed2):
     # the lone receiver wants exactly what it lacks, so the bound is tight
     assert obj["bounds"] == {"lower": 1, "upper": 1}
 
-    no = decide_t_level(crossed2, 1)
+    no = decide(crossed2, AccessStructure.t_level(1))
     obj = no.to_dict()
     assert obj["answer"] == "no"
     assert obj["certificate"]["type"] == "compromised_receiver"

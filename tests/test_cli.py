@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, file formats, filters, round trips."""
 
+import contextlib
+import copy
 import errno
 import io
 import json
@@ -11,6 +13,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secix import (
     AccessStructure,
@@ -137,6 +140,13 @@ def test_analyze_block_size_needs_t_level(tmp_path, capsys, crossed2):
     code, _, err = run(capsys, "analyze", "--instance", path, "--b", "2")
     assert code == 1
     assert "t-level" in err
+
+
+def test_explicit_block_size_refusal_is_one_exact_line(tmp_path, capsys, crossed2):
+    path = write_instance(tmp_path, crossed2)
+    code, out, err = run(capsys, "analyze", "--instance", path, "--access", "[[1]]", "--b", "2")
+    assert_one_error_line(code, err)
+    assert err == "error: block sizes b > 1 are supported for t-level adversaries only\n" and out == ""
 
 
 @pytest.mark.parametrize("command", ["analyze", "construct"])
@@ -1062,6 +1072,77 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch, crossed2):
         code = main(None)
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == expected
+
+
+# ---- fuzzed input files --------------------------------------------------------------------
+
+# a valid instance and keyed code, and what a mutation may put in their place
+FUZZ_INSTANCE = {"q": 3, "m": 3, "receivers": [{"knows": [2, 3], "wants": [1]}, {"knows": [1, 3], "wants": [2]}],
+                 "adversary": {"type": "t_level", "t": 1}}
+FUZZ_CODE = {"kind": "linear_rand", "q": 3, "G": [[1, 0], [1, 0], [1, 1]], "Gtilde": [[0, 1]]}
+ODD_VALUES = [
+    None, True, False, 0, 1, 2, 3, 4, -1, 251, 0.5, 2.0, float("nan"), float("inf"), 2 ** 64, -2 ** 70, 10 ** 30,
+    "", "1", "linear_det", "explicit", "t_level", [], {}, [[]], [[1], [1, 2]], [1, [2]], [[2 ** 63]],
+    {"type": "explicit", "sets": [[1], [9]]}, {"type": "explicit", "sets": [[3], [1, 2]]}, {"type": "t_level", "t": 7},
+]
+FUZZ_COMMANDS = [("verify", "--code", "CODE"), ("analyze",), ("construct",), ("search", "--length", "1"), ("graph",)]
+
+
+def json_paths(obj, path=()):
+    """The path of every value in a JSON tree, the root's first."""
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def fuzzed_files(draw):
+    """[instance object, code object], with 1-3 values replaced by odd
+    ones, deleted, or joined by an odd sibling."""
+    files = copy.deepcopy([FUZZ_INSTANCE, FUZZ_CODE])
+    for _ in range(draw(st.integers(1, 3))):
+        which = draw(st.integers(0, 1))
+        path = draw(st.sampled_from(list(json_paths(files[which]))))
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        if not path:
+            files[which] = value
+            continue
+        parent = files[which]
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], list):
+            parent[path[-1]].append(value)
+        elif isinstance(parent, dict):
+            parent["extra"] = value
+        else:
+            parent.append(value)
+    return files
+
+
+@given(files=fuzzed_files())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fuzzed_files_exit_0_to_4_with_one_error_line(tmp_path_factory, files):
+    # every command returns an exit code of the API, and a usage error is
+    # one line, never a traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    inst_path, code_path = folder / "inst.json", folder / "code.json"
+    inst_path.write_text(json.dumps(files[0]))
+    code_path.write_text(json.dumps(files[1]))
+    for command in FUZZ_COMMANDS:
+        argv = [str(code_path) if a == "CODE" else a for a in command] + ["--instance", str(inst_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status in range(5), (argv, status, err.getvalue())
+        if status == 1:
+            assert_one_error_line(status, err.getvalue())
+            assert err.getvalue().startswith("error: ")
 
 
 # ---- process-level smoke test --------------------------------------------------------------

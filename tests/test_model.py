@@ -19,7 +19,7 @@ from secix import (
     Receiver,
     TableCode,
     check_security,
-    decide_t_level,
+    decide,
     decode,
     every_message_wanted,
     instance_to_dict,
@@ -192,7 +192,7 @@ ENTRY_POINTS = {
     "decode-codeword": ("codeword entry", lambda v: decode(SUM, ONE, 1, [v], [0]), 1),
     "decode-side": ("side information entry", lambda v: decode(SUM, ONE, 1, [0], [v]), 1),
     "decode-receiver": ("receiver index", lambda v: decode(SUM, ONE, v, [0], [0]), 1),
-    "decide_t_level-b": ("block size", lambda v: decide_t_level(ONE, 0, b=v), 1),
+    "decide-b": ("block size", lambda v: decide(ONE, AccessStructure.t_level(0), b=v), 1),
     "check_security-b": ("block size", lambda v: check_security(SUM, ONE, AccessStructure.t_level(0), b=v), 1),
     "search_linear-b": ("block size", lambda v: search_linear(ONE, AccessStructure.t_level(0), 1, b=v), 1),
     "search_linear-length": ("code length", lambda v: search_linear(ONE, AccessStructure.t_level(0), v), 1),

@@ -200,8 +200,7 @@ def length_bounds(inst: Instance, acc: AccessStructure):
     messages it lacks, counting symbols forces lower = m - K as well.
     A bound is None when its condition does not hold.
     """
-    require_normalized(inst, "analysis")
-    least = min_side_info(inst)
+    least = min_side_info(inst)  # refuses an instance that is not normalized
     if acc.max_size(inst.m) >= least:
         return None, None
     upper = inst.m - least

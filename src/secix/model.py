@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, checked_int, checked_ints, checked_modulus
@@ -76,6 +77,17 @@ class Instance:
     def is_normalized(self) -> bool:
         return all(r.missing_wants() for r in self.receivers)
 
+    @cached_property
+    def _indices_in_range(self) -> bool:
+        """Whether every receiver index lies in [1, m]: one min and max
+        over all of them, taken once per instance however many verdict
+        paths ask (`decide`'s yes path asks three times)."""
+        seen = set()
+        for r in self.receivers:
+            seen |= r.knows
+            seen |= r.wants
+        return not seen or 1 <= min(seen) and max(seen) <= self.m
+
 
 def validate(inst: Instance) -> list:
     """Check the field, the message count and every index; return a
@@ -115,10 +127,22 @@ def normalize(inst: Instance) -> Instance:
     return Instance(inst.q, inst.m, kept)
 
 
+def require_indices(inst: Instance) -> None:
+    """ValueError, with the text of `validate`, when some receiver index
+    lies outside [1, m].  Every verdict path runs it first, through this
+    module's `require_normalized` or `oracle.check_code_matches`, so an
+    index is never wrapped around or dropped; the passing path builds no
+    string."""
+    if not inst._indices_in_range:
+        raise ValueError("; ".join(validate(inst)))
+
+
 def require_normalized(inst: Instance, what: str) -> None:
-    """ValueError unless inst has receivers and each lacks something it wants."""
+    """ValueError unless inst has receivers, every receiver index is in
+    range, and each receiver lacks something it wants."""
     if inst.n < 1:
         raise ValueError(f"{what} needs at least one receiver")
+    require_indices(inst)
     if not inst.is_normalized():
         raise ValueError(
             f"{what} needs a normalized instance (some receiver wants nothing it lacks); "

@@ -15,8 +15,9 @@ each such message), or an (A, B) pair (view: X_A, target: X_B).
 `list_checks` lists them in one pass: each pair's label (A, B), in
 report order, and per list the two sets of removed rows it is checked
 without, its view and its view plus target.  Each distinct set is one
-slot, an int bitmask of row indices, so an access set's view is one
-slot shared by all its blocks, and equal labels share one tuple.
+slot, a packed bit row (bit j of the little-endian bytes is row j), so
+an access set's view is one slot shared by all its blocks, and equal
+labels share one tuple.
 `check_security` builds the report from the per-list verdicts of one
 such pass, and there is one verdict path per kind of code.
 `SecurityReport.json_text` renders the report's `--json` text from
@@ -77,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import STACK_ENTRIES, checked_int, radix_digits, stack_rank
-from .model import AccessStructure, Instance, json_text
+from .model import AccessStructure, Instance, json_text, require_indices
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -145,11 +146,13 @@ def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b:
 
 
 def check_code_matches(code, inst: Instance) -> None:
-    """ValueError unless the code is for the instance's messages.  Only
-    the message count must agree: a construction may move to a bigger
-    field than the instance's, which then governs the message alphabet."""
+    """ValueError unless the code is for the instance's messages and
+    every receiver index names one of them.  Only the message count must
+    agree: a construction may move to a bigger field than the
+    instance's, which then governs the message alphabet."""
     if code.m != inst.m:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
+    require_indices(inst)
 
 
 def check_block_size(b: int) -> int:
@@ -166,13 +169,13 @@ class Checks(NamedTuple):
     """Every check of an instance against an adversary, listed once:
     per list (the receiver lists, then the pair lists), the slot of its
     view and the slot of its view plus target.  A slot is a set of
-    message rows, kept as an int bitmask, and each distinct set has one
-    slot, so an access set's view serves all its blocks."""
+    message rows, kept as a packed bit row, and each distinct set has
+    one slot, so an access set's view serves all its blocks."""
 
     labels: list  # (A, B) per pair list, in report order
     owner: list  # receiver index per receiver list
     wanted: np.ndarray  # the message rows some receiver wants and lacks
-    masks: np.ndarray  # per slot, its rows as a bitmask (the state gates keep m below 32)
+    masks: np.ndarray  # slots x ceil(m / 8) uint8: per slot, bit j of its little-endian bytes is row j
     slots: np.ndarray  # 2 x lists: per list, its view's slot, then its view and target's
     b: int
 
@@ -188,7 +191,8 @@ def list_checks(inst: Instance, acc: AccessStructure, b: int) -> Checks:
     `acc.expand` and B in lexicographic order.  The full message set is
     skipped: no block lies outside it, so it is vacuously leak-free.
     Raises InfeasibleBlockError when some access set leaves fewer than b
-    messages outside it.  Equal labels share one tuple object.
+    messages outside it.  Equal labels share one tuple object.  Slots are
+    keyed by int bitmask while listing, then packed into bytes.
     """
     m = inst.m
     bit = [0] + [1 << j for j in range(m)]  # bit[j] is message j's row
@@ -200,7 +204,7 @@ def list_checks(inst: Instance, acc: AccessStructure, b: int) -> Checks:
             fulls.append(index.setdefault(view | bit[j], len(index)))
             owner.append(i)
             wanted.add(j - 1)
-    everything, messages = (1 << m) - 1, range(1, m + 1)
+    everything, messages, width = (1 << m) - 1, range(1, m + 1), -(-m // 8)  # width: bytes per packed slot
     labels, blocks = [], {}
     for a in acc.expand(m):
         view = sum(map(bit.__getitem__, a))
@@ -218,7 +222,9 @@ def list_checks(inst: Instance, acc: AccessStructure, b: int) -> Checks:
             labels.append((access, blocks.setdefault(mask, block)))
             views.append(slot)
             fulls.append(index.setdefault(view | mask, len(index)))
-    return Checks(labels, owner, np.array(sorted(wanted), dtype=np.intp), np.array(list(index), dtype=np.int64),
+    masks = np.frombuffer(b"".join(map(int.to_bytes, index, itertools.repeat(width), itertools.repeat("little"))),
+                          dtype=np.uint8).reshape(len(index), width)
+    return Checks(labels, owner, np.array(sorted(wanted), dtype=np.intp), masks,
                   np.array((views, fulls), dtype=np.intp), b)
 
 
@@ -253,11 +259,6 @@ def _classes(ids, digits, row: list, width: int, q: int):
     return runs, np.add.reduceat(runs, starts)[inverse]
 
 
-def _rows(mask: int) -> list:
-    """The row indices of a bitmask, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
 def _counted(code, checks: Checks):
     """The per-list verdicts of a table code, all read from one state
     table, with one _classes count per list of `checks` (its view's
@@ -267,8 +268,8 @@ def _counted(code, checks: Checks):
     times log2(view / class), summed."""
     if not checks.slots.size:
         return [], [], []
-    q, b, masks = code.q, checks.b, checks.masks.tolist()
-    rows = [_rows(masks[v]) + _rows(masks[f] ^ masks[v]) for v, f in zip(*checks.slots.tolist())]
+    q, b, bits = code.q, checks.b, np.unpackbits(checks.masks, axis=1, count=code.m, bitorder="little")
+    rows = [np.flatnonzero(bits[v]).tolist() + np.flatnonzero(bits[f] > bits[v]).tolist() for v, f in checks.slots.T]
     digits, ids = _state_table(code)
     decodes, uniform, conditional = [], [], []
     for row in rows[:len(checks.owner)]:
@@ -284,8 +285,10 @@ def _counted(code, checks: Checks):
 
 def _subset_ranks(q: int, matrices, masks):
     """Per matrix M of a candidates x rows x cols stack over GF(q), and
-    per bitmask of removed row indices in `masks`, the rank of M without
-    those rows, as a candidates x masks array.
+    per packed bit row of removed row indices in `masks` (bit j of its
+    little-endian bytes is row j; every bit past the last message reads
+    0, so key rows are never removed), the rank of M without those rows,
+    as a candidates x masks array.
 
     Every matrix of a stack has one shape: each set's kept rows gathered
     and padded with an appended zero row to the most rows a set keeps,
@@ -295,14 +298,13 @@ def _subset_ranks(q: int, matrices, masks):
     candidates, repays.  Stacks run over the (candidate, set) pairs,
     candidate-major, and hold at most STACK_ENTRIES entries."""
     count, rows, cols = matrices.shape
-    keep = ((masks[:, None] >> np.arange(rows)) & 1) == 0
+    keep = np.unpackbits(masks, axis=1, count=rows, bitorder="little") == 0
     width = int(keep.sum(axis=1).max(initial=0))
     gather = width < rows and (width < cols or count > 1)
     if gather:
         # a removed row reads the zero row, and sorting puts the kept rows first
         kept = np.where(keep, np.arange(rows), rows)
         kept.sort(axis=1)
-        kept = kept[:, :width]
         matrices = np.concatenate((matrices, np.zeros((count, 1, cols), dtype=np.int64)), axis=1)
     else:
         width = rows
@@ -316,7 +318,7 @@ def _subset_ranks(q: int, matrices, masks):
         some = matrices[first:first + per_candidate]
         for start in range(0, len(masks), sets):
             if gather:
-                stack = np.take(some, kept[start:start + sets], axis=1)
+                stack = np.take(some, kept[start:start + sets, :width], axis=1)
             else:
                 stack = some[:, None] * keep[start:start + sets, :, None]
             stack = stack.reshape(len(stack) * stack.shape[1], width, cols)
@@ -485,9 +487,9 @@ def check_security(
     verdicts for the lists of one `list_checks` pass, and the report is
     built here: a receiver decodes iff each of its lists passes.  Either
     way the gates run first and in this order: the block size, the
-    message count, the joint states, and states x pairs, which is
-    refused before the pairs are listed (receiver lists are not
-    counted).
+    message count and the receiver indices, the joint states, and states
+    x pairs, which is refused before the pairs are listed (receiver
+    lists are not counted).
     """
     b = check_block_size(b)
     check_code_matches(code, inst)

@@ -76,6 +76,14 @@ def complementary_instance(q: int, m: int) -> Instance:
     return Instance(q, m, tuple(Receiver(full - {i}, {i}) for i in range(1, m + 1)))
 
 
+def ring_instance(q: int, m: int) -> Instance:
+    """Receiver i knows every message but i, i + 1 and i + 2 (mod m) and
+    wants i: its least side information is m - 3."""
+    return Instance(q, m, tuple(
+        Receiver({j for j in range(1, m + 1) if (j - i) % m > 2}, {i}) for i in range(1, m + 1)
+    ))
+
+
 def random_instance(rng: random.Random, m: int, q: int, receivers: int | None = None) -> Instance:
     """Random normalized instance: every receiver knows at least one and
     at most m-1 messages, and wants something it lacks."""

@@ -14,16 +14,21 @@ import secix.model
 from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from secix import (
     AccessStructure,
+    Decoder,
     Instance,
     LinearCode,
     Receiver,
     TableCode,
+    check_decodability,
     check_security,
+    construct_mds_code,
     decide,
     decode,
+    derandomize,
     every_message_wanted,
     instance_to_dict,
     is_acyclic,
+    length_bounds,
     load_instance,
     normalize,
     parse_instance,
@@ -208,6 +213,41 @@ def test_entry_points_refuse_non_integers(what, call, good):
     # numpy integers are integers: read as the same plain int
     for make in (np.int64, np.int32, np.uint8):
         assert repr(call(make(good))) == repr(call(good))
+
+
+# index -1 would read as message m and index 0 would vanish from a row bitmask,
+# and an index past m would fall off the end of the listing pass
+WRAPPED = Instance(2, 3, (Receiver([-1], [1]), Receiver([0, 2], [3])))
+PAST_M = Instance(2, 3, (Receiver([2], [1]), Receiver([1], [2, 4])))
+G3 = LinearCode(2, [[1], [0], [1]])  # c = x1 + x3
+KEYED3 = LinearCode(2, [[1, 0], [0, 0], [1, 1]], [[0, 1]])  # [x1 + x3 + k, x3 + k]
+T0 = AccessStructure.t_level(0)
+
+# every verdict path, each refusing through check_code_matches or require_normalized
+INDEX_CHECKS = {
+    "check_security": lambda inst: check_security(G3, inst, T0),
+    "check_decodability": lambda inst: check_decodability(G3, inst),
+    "Decoder": lambda inst: Decoder(G3, inst, 1).decodable,
+    "derandomize": lambda inst: derandomize(KEYED3, inst),
+    "decide-t_level": lambda inst: decide(inst, T0),
+    "decide-explicit": lambda inst: decide(inst, AccessStructure.explicit([[1]])),
+    "length_bounds": lambda inst: length_bounds(inst, T0),
+    "search_linear": lambda inst: search_linear(inst, T0, 1),
+    "construct_mds_code": construct_mds_code,
+    "single_access_code": lambda inst: single_access_code(inst, [1]),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_CHECKS.values(), ids=INDEX_CHECKS.keys())
+def test_verdict_paths_refuse_out_of_range_indices(call):
+    assert "; ".join(validate(WRAPPED)) == (
+        "receiver 1: knows index -1 out of range [1, 3]; receiver 2: knows index 0 out of range [1, 3]"
+    )
+    assert validate(PAST_M) == ["receiver 2: wants index 4 out of range [1, 3]"]
+    for inst in (WRAPPED, PAST_M):
+        with pytest.raises(ValueError) as info:
+            call(inst)
+        assert str(info.value) == "; ".join(validate(inst))
 
 
 # ---- graph view ------------------------------------------------------------------

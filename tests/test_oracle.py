@@ -25,6 +25,7 @@ from secix import (
     TableCode,
     check_decodability,
     check_security,
+    construct_mds_code,
     search_linear,
     security_level,
 )
@@ -45,6 +46,7 @@ from conftest import (
     overlapping_sum_code,
     random_decodable_code,
     random_instance,
+    ring_instance,
     table_copy,
     unwanted_key_instance,
 )
@@ -692,6 +694,9 @@ def listing_cases(draw):
 @example((crossed_pairs_instance(2), AccessStructure.explicit([[1, 2], [1, 2, 3, 4], [], [1, 2], [1, 2, 3, 4]]), 2))
 @example((crossed_pairs_instance(2), AccessStructure.explicit([[1, 2, 3, 4]]), 1))
 @example((crossed_pairs_instance(2), AccessStructure.t_level(3), 2))
+# past 63 messages a slot no longer fits one 64-bit word
+@example((ring_instance(2, 64), AccessStructure.t_level(1), 1))
+@example((ring_instance(2, 70), AccessStructure.t_level(1), 1))
 @settings(max_examples=300, deadline=None)
 def test_listing_pass_matches_frozenset_reference(case):
     inst, acc, b = case
@@ -704,12 +709,26 @@ def test_listing_pass_matches_frozenset_reference(case):
         return
     checks = list_checks(inst, acc, b)
     assert checks.labels == labels and checks.owner == owner and checks.b == b
-    assert [frozenset(j for j in range(inst.m) if mask >> j & 1) for mask in checks.masks.tolist()] == removed
+    assert checks.masks.dtype == np.uint8 and checks.masks.shape == (len(removed), -(-inst.m // 8))
+    bits = np.unpackbits(checks.masks, axis=1, bitorder="little")
+    assert not bits[:, inst.m:].any()  # the padding past the last message
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in bits] == removed
     assert checks.slots.tolist() == [views, fulls]
     assert checks.wanted.tolist() == sorted({j - 1 for r in inst.receivers for j in r.wants - r.knows})
     # equal labels are one object, so the report text renders each once
     for side in (0, 1):
         assert len({id(label[side]) for label in checks.labels}) == len({label[side] for label in labels})
+
+
+def test_generators_are_screened_past_63_messages():
+    # the MDS code is secure against t = 1 on the 70-message ring (t <= K - 1 = 66);
+    # a code that also sends x1 in the clear leaks x1 to every access set
+    inst = ring_instance(2, 70)
+    checks = list_checks(inst, AccessStructure.t_level(1), 1)
+    mds = construct_mds_code(inst)
+    clear = np.hstack([mds.generator, np.eye(70, 1, dtype=np.int64)])
+    assert secure_generators(mds.q, mds.generator[None], checks).tolist() == [True]
+    assert secure_generators(mds.q, clear[None], checks).tolist() == [False]
 
 
 def test_infeasible_block_text_is_pinned():
@@ -843,6 +862,20 @@ def test_rank_path_matches_enumeration(case):
         leak = round(b - row.conditional_entropy_bits / bits)
         assert pair.uniform == (leak == 0)
         assert pair.conditional_entropy_bits == (b - leak) * bits
+
+
+@pytest.mark.parametrize("m, key_dim", [(7, 2), (8, 1), (9, 3)])
+def test_key_rows_past_the_packed_slot_bits_are_kept(m, key_dim):
+    # a slot packs m bits into whole bytes, and the key rows of [G; Gtilde]
+    # read its padding bits (m = 7 and 9) or lie past its last byte (m = 7
+    # and 8): either way they are never removed, as the enumeration agrees
+    rng = np.random.default_rng(m)
+    inst, acc = complementary_instance(2, m), AccessStructure.t_level(1)
+    for _ in range(4):
+        code = LinearCode(2, rng.integers(0, 2, (m, 3)), rng.integers(0, 2, (key_dim, 3)))
+        report, expected = check_security(code, inst, acc), check_security(table_copy(code), inst, acc)
+        assert report.decodable == expected.decodable
+        assert [p.uniform for p in report.checks] == [p.uniform for p in expected.checks]
 
 
 # ---- the report text: one fragment per distinct label and tail object ------------------

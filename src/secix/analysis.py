@@ -238,6 +238,7 @@ def search_linear(
     block) pairs.
     """
     require_normalized(inst, "analysis")
+    budget = checked_int(budget, "budget")
     length = checked_int(length, "code length")
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")

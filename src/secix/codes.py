@@ -411,6 +411,7 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
+    budget = checked_int(budget, "budget")
     # q^k <= budget < q^(k+1): k + 1 independent columns of G already
     # refuse the span, without the full reduction, and its rank is at most top
     k = 0

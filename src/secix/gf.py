@@ -253,6 +253,7 @@ def vandermonde(rows: int, cols: int, q: int) -> np.ndarray:
     needs q >= rows.
     """
     q = checked_modulus(q)
+    rows, cols = checked_int(rows, "row count"), checked_int(cols, "column count")
     if rows < 0 or cols < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if cols > rows:

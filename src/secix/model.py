@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 from .gf import MAX_ACCESS_SETS, MAX_MESSAGES, checked_int, checked_ints, checked_modulus
@@ -56,7 +55,15 @@ class Receiver:
 
 @dataclass(frozen=True)
 class Instance:
-    """A secure index-coding instance: field size, message count, receivers."""
+    """A secure index-coding instance: field size, message count, receivers.
+
+    Valid by construction: q is a prime no larger than MAX_MODULUS, m
+    lies in [1, MAX_MESSAGES] and every receiver index in [1, m], or the
+    constructor raises ValueError with the violations of `validate`
+    joined by "; ".  So no caller checks an index again.  Receivers may
+    be absent or want nothing they lack: `normalize` drops the latter,
+    and `require_normalized` refuses both on every verdict path.
+    """
 
     q: int
     m: int
@@ -66,6 +73,9 @@ class Instance:
         object.__setattr__(self, "q", checked_int(self.q, "field size q"))
         object.__setattr__(self, "m", checked_int(self.m, "message count m"))
         object.__setattr__(self, "receivers", tuple(self.receivers))
+        violations = validate(self)
+        if violations:
+            raise ValueError("; ".join(violations))
 
     @property
     def n(self) -> int:
@@ -77,26 +87,14 @@ class Instance:
     def is_normalized(self) -> bool:
         return all(r.missing_wants() for r in self.receivers)
 
-    @cached_property
-    def _indices_in_range(self) -> bool:
-        """Whether every receiver index lies in [1, m]: one min and max
-        over all of them, taken once per instance however many verdict
-        paths ask (`decide`'s yes path asks three times)."""
-        seen = set()
-        for r in self.receivers:
-            seen |= r.knows
-            seen |= r.wants
-        return not seen or 1 <= min(seen) and max(seen) <= self.m
-
 
 def validate(inst: Instance) -> list:
-    """Check the field, the message count and every index; return a
-    list of violations.
+    """The rules every `Instance` meets, as a list of violations: the
+    field, the message count and every receiver index, each violation
+    naming the receiver or index at fault.
 
-    An empty list means the instance is well formed.  Each violation
-    names the receiver or index at fault.  A receiver that wants nothing
-    it lacks is well formed: `normalize` drops it, and
-    `require_normalized` refuses an instance that still has one.
+    The constructor calls it on the fields it has just set, so a built
+    instance always gives an empty list.
     """
     violations = []
     if not 1 <= inst.m <= MAX_MESSAGES:
@@ -105,8 +103,6 @@ def validate(inst: Instance) -> list:
         checked_modulus(inst.q)
     except ValueError as exc:
         violations.append(str(exc))
-    if inst.n < 1:
-        violations.append("instance has no receivers")
     for i, r in enumerate(inst.receivers, start=1):
         for label, indices in (("knows", r.knows), ("wants", r.wants)):
             for j in sorted(indices):
@@ -127,22 +123,11 @@ def normalize(inst: Instance) -> Instance:
     return Instance(inst.q, inst.m, kept)
 
 
-def require_indices(inst: Instance) -> None:
-    """ValueError, with the text of `validate`, when some receiver index
-    lies outside [1, m].  Every verdict path runs it first, through this
-    module's `require_normalized` or `oracle.check_code_matches`, so an
-    index is never wrapped around or dropped; the passing path builds no
-    string."""
-    if not inst._indices_in_range:
-        raise ValueError("; ".join(validate(inst)))
-
-
 def require_normalized(inst: Instance, what: str) -> None:
-    """ValueError unless inst has receivers, every receiver index is in
-    range, and each receiver lacks something it wants."""
+    """ValueError unless inst has receivers and each lacks something it
+    wants."""
     if inst.n < 1:
         raise ValueError(f"{what} needs at least one receiver")
-    require_indices(inst)
     if not inst.is_normalized():
         raise ValueError(
             f"{what} needs a normalized instance (some receiver wants nothing it lacks); "
@@ -164,7 +149,9 @@ def strip_unwanted(inst: Instance, acc: "AccessStructure | None" = None):
     destroy feasibility because unwanted messages may act as keys, so
     it is never applied implicitly.  With an access structure given,
     returns (instance, remapped access structure); explicit access sets
-    are intersected with the surviving messages and renumbered.
+    are range-checked against [1, m], then intersected with the
+    surviving messages and renumbered.  An instance that wants no
+    message strips to m = 0, which `Instance` refuses.
     """
     wanted = set()
     for r in inst.receivers:
@@ -185,7 +172,7 @@ def strip_unwanted(inst: Instance, acc: "AccessStructure | None" = None):
         if acc.t > len(kept) - 1:
             raise ValueError(f"access level {acc.t} infeasible with {len(kept)} messages")
         return stripped, acc
-    remapped = [frozenset(remap[j] for j in a if j in remap) for a in acc.sets]
+    remapped = [frozenset(remap[j] for j in a if j in remap) for a in acc.expand(inst.m)]
     return stripped, AccessStructure.explicit(remapped)
 
 
@@ -401,8 +388,10 @@ def parse_instance(obj):
              "receivers": [{"knows": [int...], "wants": [int...]}...],
              "adversary": {"type": "t_level", "t": int}
                         | {"type": "explicit", "sets": [[int...]...]}}
-    Indices are 1-based.  The adversary field is optional; commands fall
-    back to the classical structure (access to everything) when absent.
+    Indices are 1-based, and `Instance` refuses a bad q, m or index
+    first; then an empty receiver list is refused.  The adversary field
+    is optional; commands fall back to the classical structure (access
+    to everything) when absent.
     """
     if not isinstance(obj, dict):
         raise ValueError("instance file must contain a JSON object")
@@ -419,6 +408,8 @@ def parse_instance(obj):
         wants = checked_ints(r["wants"], f"receiver {pos} wants")
         receivers.append(Receiver(knows, wants))
     inst = Instance(checked_int(obj["q"], "q"), checked_int(obj["m"], "m"), tuple(receivers))
+    if not receivers:
+        raise ValueError("instance has no receivers")
     acc = AccessStructure.from_dict(obj["adversary"]) if "adversary" in obj else None
     return inst, acc
 

@@ -78,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import STACK_ENTRIES, checked_int, radix_digits, stack_rank
-from .model import AccessStructure, Instance, json_text, require_indices
+from .model import AccessStructure, Instance, json_text
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -146,13 +146,12 @@ def check_budget(q: int, m: int, keys: int, shown: str, acc: AccessStructure, b:
 
 
 def check_code_matches(code, inst: Instance) -> None:
-    """ValueError unless the code is for the instance's messages and
-    every receiver index names one of them.  Only the message count must
-    agree: a construction may move to a bigger field than the
-    instance's, which then governs the message alphabet."""
+    """ValueError unless the code is for the instance's messages.  Only
+    the message count must agree: a construction may move to a bigger
+    field than the instance's, which then governs the message alphabet,
+    and `Instance` has already checked every receiver index."""
     if code.m != inst.m:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
-    require_indices(inst)
 
 
 def check_block_size(b: int) -> int:
@@ -486,11 +485,12 @@ def check_security(
     symbols; a table code from one state table.  Both return per-list
     verdicts for the lists of one `list_checks` pass, and the report is
     built here: a receiver decodes iff each of its lists passes.  Either
-    way the gates run first and in this order: the block size, the
-    message count and the receiver indices, the joint states, and states
+    way the gates run first and in this order: the budget and the block
+    size as integers, the message count, the joint states, and states
     x pairs, which is refused before the pairs are listed (receiver
     lists are not counted).
     """
+    budget = checked_int(budget, "budget")
     b = check_block_size(b)
     check_code_matches(code, inst)
     if code.kind == "linear":

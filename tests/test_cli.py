@@ -87,6 +87,18 @@ def test_analyze_malformed_json(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("receivers, reason", [
+    ([{"knows": [5], "wants": [1]}], "receiver 1: knows index 5 out of range [1, 2]"),
+    ([], "instance has no receivers"),
+], ids=["index", "no-receivers"])
+def test_invalid_instance_is_one_exact_line(tmp_path, capsys, receivers, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"q": 2, "m": 2, "receivers": receivers}))
+    code, out, err = run(capsys, "analyze", "--instance", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read instance: {reason}\n"
+
+
 def test_analyze_adversary_override(tmp_path, capsys, crossed2):
     path = write_instance(tmp_path, crossed2, AccessStructure.explicit([[3], [4]]))
     code, out, _ = run(capsys, "analyze", "--instance", path, "--t-level", "0", "--json")

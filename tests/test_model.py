@@ -14,31 +14,29 @@ import secix.model
 from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from secix import (
     AccessStructure,
-    Decoder,
     Instance,
     LinearCode,
     Receiver,
     TableCode,
-    check_decodability,
     check_security,
-    construct_mds_code,
     decide,
     decode,
-    derandomize,
     every_message_wanted,
     instance_to_dict,
     is_acyclic,
-    length_bounds,
     load_instance,
+    min_side_info,
     normalize,
     parse_instance,
     save_instance,
     search_linear,
+    security_level,
     single_access_code,
     smallest_prime_at_least,
     strip_unwanted,
     to_dot,
     validate,
+    vandermonde,
 )
 from conftest import random_instance, unwanted_key_instance
 
@@ -58,26 +56,31 @@ def test_validate_flags_expungeable_receiver():
 
 
 def test_validate_flags_out_of_range_index():
-    inst = Instance(2, 4, (Receiver({5}, {1}),))
-    assert any("index 5 out of range" in v for v in validate(inst))
+    # the constructor applies validate's rules and raises their texts
+    with pytest.raises(ValueError) as info:
+        Instance(2, 4, (Receiver({5}, {1}),))
+    assert str(info.value) == "receiver 1: knows index 5 out of range [1, 4]"
 
 
 def test_validate_flags_composite_field():
-    inst = Instance(4, 1, (Receiver(set(), {1}),))
-    assert any("prime" in v for v in validate(inst))
     # the field is judged by gf.checked_modulus, in its words
-    assert validate(inst) == ["field modulus must be prime, got 4"]
+    with pytest.raises(ValueError) as info:
+        Instance(4, 1, (Receiver(set(), {1}),))
+    assert str(info.value) == "field modulus must be prime, got 4"
 
 
 def test_validate_flags_sizes_beyond_the_caps():
     assert validate(Instance(2, MAX_MESSAGES, (Receiver({2}, {1}),))) == []
-    too_many = Instance(2, MAX_MESSAGES + 1, (Receiver({2}, {1}),))
-    assert any("message count" in v for v in validate(too_many))
+    for m in (0, MAX_MESSAGES + 1):
+        with pytest.raises(ValueError) as info:
+            Instance(2, m, ())
+        assert str(info.value) == f"message count must be in [1, {MAX_MESSAGES}], got {m}"
     # prime, but too wide for exact int64 products; refused without a primality scan
-    wide = Instance(4294967311, 2, (Receiver({2}, {1}),))
-    assert validate(wide) == [
+    with pytest.raises(ValueError) as info:
+        Instance(4294967311, 2, (Receiver({2}, {1}),))
+    assert str(info.value) == (
         f"field modulus 4294967311 exceeds {MAX_MODULUS}, the largest with exact int64 arithmetic"
-    ]
+    )
 
 
 def test_normalize_drops_satisfied_receiver():
@@ -201,6 +204,11 @@ ENTRY_POINTS = {
     "check_security-b": ("block size", lambda v: check_security(SUM, ONE, AccessStructure.t_level(0), b=v), 1),
     "search_linear-b": ("block size", lambda v: search_linear(ONE, AccessStructure.t_level(0), 1, b=v), 1),
     "search_linear-length": ("code length", lambda v: search_linear(ONE, AccessStructure.t_level(0), v), 1),
+    "check_security-budget": ("budget", lambda v: check_security(SUM, ONE, AccessStructure.t_level(0), budget=v), 9),
+    "search_linear-budget": ("budget", lambda v: search_linear(ONE, AccessStructure.t_level(0), 1, budget=v), 9),
+    "security_level-budget": ("budget", lambda v: security_level(SUM, budget=v), 9),
+    "vandermonde-rows": ("row count", lambda v: vandermonde(v, 1, 3), 2),
+    "vandermonde-cols": ("column count", lambda v: vandermonde(3, v, 3), 2),
 }
 
 
@@ -215,39 +223,31 @@ def test_entry_points_refuse_non_integers(what, call, good):
         assert repr(call(make(good))) == repr(call(good))
 
 
-# index -1 would read as message m and index 0 would vanish from a row bitmask,
-# and an index past m would fall off the end of the listing pass
-WRAPPED = Instance(2, 3, (Receiver([-1], [1]), Receiver([0, 2], [3])))
-PAST_M = Instance(2, 3, (Receiver([2], [1]), Receiver([1], [2, 4])))
-G3 = LinearCode(2, [[1], [0], [1]])  # c = x1 + x3
-KEYED3 = LinearCode(2, [[1, 0], [0, 0], [1, 1]], [[0, 1]])  # [x1 + x3 + k, x3 + k]
-T0 = AccessStructure.t_level(0)
-
-# every verdict path, each refusing through check_code_matches or require_normalized
-INDEX_CHECKS = {
-    "check_security": lambda inst: check_security(G3, inst, T0),
-    "check_decodability": lambda inst: check_decodability(G3, inst),
-    "Decoder": lambda inst: Decoder(G3, inst, 1).decodable,
-    "derandomize": lambda inst: derandomize(KEYED3, inst),
-    "decide-t_level": lambda inst: decide(inst, T0),
-    "decide-explicit": lambda inst: decide(inst, AccessStructure.explicit([[1]])),
-    "length_bounds": lambda inst: length_bounds(inst, T0),
-    "search_linear": lambda inst: search_linear(inst, T0, 1),
-    "construct_mds_code": construct_mds_code,
-    "single_access_code": lambda inst: single_access_code(inst, [1]),
-}
-
-
-@pytest.mark.parametrize("call", INDEX_CHECKS.values(), ids=INDEX_CHECKS.keys())
-def test_verdict_paths_refuse_out_of_range_indices(call):
-    assert "; ".join(validate(WRAPPED)) == (
-        "receiver 1: knows index -1 out of range [1, 3]; receiver 2: knows index 0 out of range [1, 3]"
-    )
-    assert validate(PAST_M) == ["receiver 2: wants index 4 out of range [1, 3]"]
-    for inst in (WRAPPED, PAST_M):
+def test_instance_is_valid_by_construction():
+    # index -1 would read as message m and index 0 would be dropped; an index
+    # past m would fall off the listing pass, and strip_unwanted and to_dot
+    # would misread both: no verdict path or helper is handed either instance
+    wrapped = (Receiver([-1], [1]), Receiver([0, 2], [3]))
+    past_m = (Receiver([2], [1]), Receiver([1], [2, 4]))
+    for receivers, text in [
+        (wrapped, "receiver 1: knows index -1 out of range [1, 3]; receiver 2: knows index 0 out of range [1, 3]"),
+        (past_m, "receiver 2: wants index 4 out of range [1, 3]"),
+    ]:
         with pytest.raises(ValueError) as info:
-            call(inst)
-        assert str(info.value) == "; ".join(validate(inst))
+            Instance(2, 3, receivers)
+        assert str(info.value) == text
+    # every violation at once, in validate's order: m, q, then each index
+    with pytest.raises(ValueError) as info:
+        Instance(4, 0, (Receiver([1], [2]),))
+    assert str(info.value) == (
+        f"message count must be in [1, {MAX_MESSAGES}], got 0; field modulus must be prime, got 4; "
+        "receiver 1: knows index 1 out of range [1, 0]; receiver 1: wants index 2 out of range [1, 0]"
+    )
+    # having no receivers is allowed; the verdict paths refuse it
+    empty = Instance(2, 3, ())
+    assert validate(empty) == []
+    with pytest.raises(ValueError, match=r"^analysis needs at least one receiver$"):
+        min_side_info(empty)
 
 
 # ---- graph view ------------------------------------------------------------------
@@ -337,6 +337,21 @@ def test_strip_unwanted_remaps(keyed2):
 
 def test_strip_unwanted_without_access(crossed2):
     assert strip_unwanted(crossed2) == crossed2  # everything is wanted
+
+
+def test_strip_unwanted_range_checks_explicit_sets():
+    # indices outside [1, m] are refused, as decide and to_dot refuse them,
+    # never dropped while the sets are remapped
+    inst = Instance(2, 3, (Receiver([2], [1]), Receiver([1], [2])))
+    with pytest.raises(ValueError, match=r"^access set index 5 out of range \[1, 3\]$"):
+        strip_unwanted(inst, AccessStructure.explicit([[5], [0, 3], [-1]]))
+    with pytest.raises(ValueError, match=r"^access set index 0 out of range \[1, 3\]$"):
+        to_dot(inst, AccessStructure.explicit([[0, 3]]))
+    # message 3, wanted by no one, leaves every set it was in
+    assert strip_unwanted(inst, AccessStructure.explicit([[3], [1, 3]]))[1] == AccessStructure.explicit([[], [1]])
+    # with no message wanted, nothing is left to be an instance
+    with pytest.raises(ValueError, match=r"^message count must be in \[1, 1024\], got 0$"):
+        strip_unwanted(Instance(2, 2, (Receiver([1], []),)))
 
 
 def test_dot_export(keyed2):

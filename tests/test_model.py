@@ -1,6 +1,7 @@
 """Instance validation, normalization, access structures, the graph view,
 and the integer check at every entry point."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -14,16 +15,21 @@ import secix.model
 from secix.gf import MAX_MESSAGES, MAX_MODULUS
 from secix import (
     AccessStructure,
+    Decoder,
     Instance,
     LinearCode,
     Receiver,
     TableCode,
+    check_decodability,
     check_security,
+    construct_mds_code,
     decide,
     decode,
+    derandomize,
     every_message_wanted,
     instance_to_dict,
     is_acyclic,
+    length_bounds,
     load_instance,
     min_side_info,
     normalize,
@@ -248,6 +254,44 @@ def test_instance_is_valid_by_construction():
     assert validate(empty) == []
     with pytest.raises(ValueError, match=r"^analysis needs at least one receiver$"):
         min_side_info(empty)
+
+
+# index -1 would read as message m and index 0 would vanish from a row bitmask,
+# and an index past m would fall off the end of the listing pass
+WRAPPED = ((Receiver([-1], [1]), Receiver([0, 2], [3])),
+           "receiver 1: knows index -1 out of range [1, 3]; receiver 2: knows index 0 out of range [1, 3]")
+PAST_M = ((Receiver([2], [1]), Receiver([1], [2, 4])), "receiver 2: wants index 4 out of range [1, 3]")
+GOOD3 = Instance(2, 3, (Receiver([2, 3], [1]), Receiver([1, 2], [3])))
+G3 = LinearCode(2, [[1], [0], [1]])  # c = x1 + x3
+KEYED3 = LinearCode(2, [[1, 0], [0, 0], [1, 1]], [[0, 1]])  # [x1 + x3 + k, x3 + k]
+T0 = AccessStructure.t_level(0)
+
+INDEX_CHECKS = {
+    "check_security": lambda inst: check_security(G3, inst, T0),
+    "check_decodability": lambda inst: check_decodability(G3, inst),
+    "Decoder": lambda inst: Decoder(G3, inst, 1).decodable,
+    "derandomize": lambda inst: derandomize(KEYED3, inst),
+    "decide-t_level": lambda inst: decide(inst, T0),
+    "decide-explicit": lambda inst: decide(inst, AccessStructure.explicit([[1]])),
+    "length_bounds": lambda inst: length_bounds(inst, T0),
+    "search_linear": lambda inst: search_linear(inst, T0, 1),
+    "construct_mds_code": construct_mds_code,
+    "single_access_code": lambda inst: single_access_code(inst, [1]),
+}
+
+
+@pytest.mark.parametrize("call", INDEX_CHECKS.values(), ids=INDEX_CHECKS.keys())
+def test_verdict_paths_refuse_out_of_range_indices(call):
+    # the path answers on a valid instance over the same messages
+    call(GOOD3)
+    # and no out-of-range index reaches it: the instance it would be handed,
+    # built directly or as a copy of a valid one, is refused with validate's text
+    for receivers, text in (WRAPPED, PAST_M):
+        for build in (lambda: Instance(2, 3, receivers),
+                      lambda: dataclasses.replace(GOOD3, receivers=receivers)):
+            with pytest.raises(ValueError) as info:
+                call(build())
+            assert str(info.value) == text
 
 
 # ---- graph view ------------------------------------------------------------------

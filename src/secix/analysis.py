@@ -27,6 +27,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     check_block_size,
     check_budget,
+    checked_budget,
     list_checks,
     refuse,
     secure_generators,
@@ -238,7 +239,7 @@ def search_linear(
     block) pairs.
     """
     require_normalized(inst, "analysis")
-    budget = checked_int(budget, "budget")
+    budget = checked_budget(budget)
     length = checked_int(length, "code length")
     if length < 0:
         raise ValueError(f"code length must be >= 0, got {length}")

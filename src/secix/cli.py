@@ -393,8 +393,8 @@ def main(argv=None) -> int:
     try:
         try:
             # construct, verify and search take a budget; 0 refuses any work
-            if getattr(args, "budget", 0) < 0:
-                raise ValueError(f"budget must be >= 0, got {args.budget}")
+            if hasattr(args, "budget"):
+                oracle.checked_budget(args.budget)
             # looked up per call, so a rebound cmd_* (a tracer, a test) is used
             return globals()["cmd_" + args.command](args)
         finally:

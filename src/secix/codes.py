@@ -48,7 +48,7 @@ from .gf import (
     vandermonde,
 )
 from .model import Instance, read_json, require_normalized, write_json
-from .oracle import DEFAULT_BUDGET, check_code_matches, refuse
+from .oracle import DEFAULT_BUDGET, check_code_matches, checked_budget, refuse
 
 __all__ = [
     "LinearCode",
@@ -255,8 +255,10 @@ class Decoder:
         reduced, pivots = rref(code.q, system)
         lead = [c for c in pivots if c < len(unknown)]
         free = [c for c in range(len(unknown)) if c not in lead]
-        # x_j is pinned iff its pivot row has no entry in a free column
-        pinned = {unknown[c]: row for row, c in enumerate(lead) if not reduced[row, free].any()}
+        # x_j is pinned iff its pivot row, row i for the i-th lead column,
+        # has no entry in a free column
+        loose = reduced[:len(lead), free].any(axis=1).tolist()
+        pinned = {unknown[c]: row for row, c in enumerate(lead) if not loose[row]}
         side_at = {j: p for p, j in enumerate(known)}
         wanted = sorted(rec.wants)
         solved = [j for j in wanted if j not in side_at]
@@ -411,7 +413,7 @@ def security_level(code: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """
     if code.is_randomized:
         raise ValueError("security level is defined for deterministic linear codes")
-    budget = checked_int(budget, "budget")
+    budget = checked_budget(budget)
     # q^k <= budget < q^(k+1): k + 1 independent columns of G already
     # refuse the span, without the full reduction, and its rank is at most top
     k = 0

@@ -4,7 +4,11 @@ This module is the package's one arithmetic path: field elements are
 ints reduced mod q, held in int64 numpy arrays, and every GF(q)
 computation is a numpy product or an elimination over such arrays.
 Every rank goes through `stack_rank`, one matrix or a whole stack at a
-time; `rref` serves where reduced rows are needed.  Row
+time; `rref` serves where reduced rows are needed.  Both eliminations
+are short Python loops of whole-array numpy updates, because on the
+small matrices of index coding a numpy call costs more than its
+arithmetic: `rref` makes one outer-product update per pivot, and
+`stack_rank` one update per working row of every matrix at once.  Row
 reduction uses leftmost-pivot / first-nonzero-row ordering, so
 reduced forms and nullspace bases are deterministic across runs.
 Everything is integer-exact -- no floating point anywhere -- because
@@ -138,9 +142,13 @@ def rref(q: int, a):
     Returns (reduced int64 array, pivot column indices).  Entries are
     reduced mod q first, into a C-ordered copy; `a` is left as it is.
     Pivoting is deterministic: scan columns left to right, take the
-    first row at or below the working row with a nonzero entry.  q must
-    be a valid modulus (`checked_modulus`), which this function does not
-    check again.
+    first row at or below the working row with a nonzero entry.  Each
+    pivot costs one update of the whole array: the pivot row is scaled
+    by its Fermat inverse, then every other row loses its pivot-column
+    entry times the pivot row, one outer product, and is reduced mod q.
+    Entries stay in [0, q), so every product stays below q^2 < 2^63.  q
+    must be a valid modulus (`checked_modulus`), which this function
+    does not check again.
     """
     work = np.remainder(a, q, dtype=np.int64, order="C")
     nrows, ncols = work.shape
@@ -149,17 +157,19 @@ def rref(q: int, a):
     for c in range(ncols):
         if r >= nrows:
             break
-        nz = np.nonzero(work[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        inv = pow(int(work[r, c]), q - 2, q)
-        work[r] = (work[r] * inv) % q
-        targets = np.flatnonzero(work[:, c])
-        targets = targets[targets != r]
-        work[targets] = (work[targets] - work[targets, c, None] * work[r]) % q
+        if not work[r, c]:  # search below only when the working row has no pivot here
+            col = work[r:, c]
+            p = int((col != 0).argmax())
+            if not col[p]:
+                continue
+            work[[r, r + p]] = work[[r + p, r]]
+        row = work[r]
+        row *= pow(int(row[c]), q - 2, q)
+        row %= q
+        factor = work[:, c, None].copy()
+        factor[r] = 0  # the pivot row keeps itself
+        work -= factor * row
+        work %= q
         pivots.append(c)
         r += 1
     return work, tuple(pivots)

@@ -58,11 +58,12 @@ class Instance:
     """A secure index-coding instance: field size, message count, receivers.
 
     Valid by construction: q is a prime no larger than MAX_MODULUS, m
-    lies in [1, MAX_MESSAGES] and every receiver index in [1, m], or the
-    constructor raises ValueError with the violations of `validate`
-    joined by "; ".  So no caller checks an index again.  Receivers may
-    be absent or want nothing they lack: `normalize` drops the latter,
-    and `require_normalized` refuses both on every verdict path.
+    lies in [1, MAX_MESSAGES], every receiver is a `Receiver` and every
+    receiver index lies in [1, m], or the constructor raises ValueError
+    with the violations of `validate` joined by "; ".  So no caller
+    checks an index again.  Receivers may be absent or want nothing they
+    lack: `normalize` drops the latter, and `require_normalized` refuses
+    both on every verdict path.
     """
 
     q: int
@@ -90,8 +91,9 @@ class Instance:
 
 def validate(inst: Instance) -> list:
     """The rules every `Instance` meets, as a list of violations: the
-    field, the message count and every receiver index, each violation
-    naming the receiver or index at fault.
+    field, the message count, every receiver a `Receiver` and every
+    receiver index, each violation naming the receiver or index at
+    fault.
 
     The constructor calls it on the fields it has just set, so a built
     instance always gives an empty list.
@@ -104,6 +106,9 @@ def validate(inst: Instance) -> list:
     except ValueError as exc:
         violations.append(str(exc))
     for i, r in enumerate(inst.receivers, start=1):
+        if not isinstance(r, Receiver):
+            violations.append(f"receiver {i}: must be a Receiver, got {type(r).__name__}")
+            continue
         for label, indices in (("knows", r.knows), ("wants", r.wants)):
             for j in sorted(indices):
                 if not 1 <= j <= inst.m:

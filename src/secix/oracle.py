@@ -93,9 +93,9 @@ __all__ = [
     "list_checks",
     "secure_generators",
 ]
-# `refuse`, `check_code_matches` and `check_block_size` stay unlisted, though codes
-# and analysis call them: perfbench's tracer wraps what is listed and counts a
-# refusal where it wraps.
+# `refuse`, `check_code_matches`, `checked_budget` and `check_block_size` stay
+# unlisted, though codes, analysis and cli call them: perfbench's tracer wraps
+# what is listed and counts a refusal where it wraps.
 
 # Joint (message, key) states enumerated per verification, unless overridden.
 DEFAULT_BUDGET = 2 ** 22
@@ -152,6 +152,17 @@ def check_code_matches(code, inst: Instance) -> None:
     and `Instance` has already checked every receiver index."""
     if code.m != inst.m:
         raise ValueError(f"code is for {code.m} messages, instance has {inst.m}")
+
+
+def checked_budget(budget) -> int:
+    """budget as an int when it is an integer of at least 0 (0 refuses
+    any work); ValueError otherwise.  Every function that takes a
+    budget runs it before its first budget refusal, and the CLI before
+    any command."""
+    budget = checked_int(budget, "budget")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def check_block_size(b: int) -> int:
@@ -490,7 +501,7 @@ def check_security(
     x pairs, which is refused before the pairs are listed (receiver
     lists are not counted).
     """
-    budget = checked_int(budget, "budget")
+    budget = checked_budget(budget)
     b = check_block_size(b)
     check_code_matches(code, inst)
     if code.kind == "linear":

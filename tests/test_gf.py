@@ -24,6 +24,7 @@ from secix import (
 )
 from secix.gf import MAX_MESSAGES, MAX_MODULUS, nullspace, radix_digits, rref, stack_rank
 from conftest import WIDEST_Q
+import reference_rref
 
 SMALL_PRIMES = [2, 3, 5, 7]
 
@@ -371,6 +372,57 @@ def test_solve_roundtrip_property(mx):
     sol = solve(q, mat, b)
     assert sol is not None
     assert np.array_equal(mat @ sol % q, b)
+
+
+# MAX_MODULUS itself is not prime: WIDEST_Q, 94859939, is the largest prime below it
+RREF_MODULI = [2, 3, 7, 251, WIDEST_Q]
+
+
+@st.composite
+def rref_cases(draw):
+    """(q, matrix of up to 8 x 16) with zero rows and rows that repeat or
+    combine earlier ones, entries biased towards 0, 1 and q - 1 and now
+    and then negative or past q; as a C-ordered array, a transposed view
+    or a strided one, each with the same entries."""
+    q = draw(st.sampled_from(RREF_MODULI))
+    r, d = draw(st.integers(0, 8)), draw(st.integers(0, 16))
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1), st.integers(-2 * q, 2 * q))
+    mat = np.zeros((r, d), dtype=np.int64)
+    for i in range(r):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combine"]))
+        if kind == "fresh" or (i == 0 and kind != "zero"):
+            mat[i] = draw(st.lists(entry, min_size=d, max_size=d))
+        elif kind == "repeat":
+            mat[i] = mat[draw(st.integers(0, i - 1))]
+        elif kind == "combine":
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            ca, cb = draw(entry), draw(entry)
+            mat[i] = [(ca * int(x) + cb * int(y)) % q for x, y in zip(mat[a], mat[b])]
+    layout = draw(st.sampled_from(["C", "transposed", "strided"]))
+    if layout == "transposed":
+        mat = np.ascontiguousarray(mat.T).T
+    elif layout == "strided":
+        wide = np.zeros((r, 2 * d), dtype=np.int64)
+        wide[:, ::2] = mat
+        mat = wide[:, ::2]
+    return q, mat
+
+
+@given(rref_cases())
+@settings(max_examples=300, deadline=None)
+@example((5, np.zeros((0, 3), dtype=np.int64))).via("no row")
+@example((5, np.zeros((3, 0), dtype=np.int64))).via("no column")
+@example((WIDEST_Q, np.array([[WIDEST_Q - 1, WIDEST_Q - 2], [WIDEST_Q - 3, 1]]).T)).via("widest field, transposed")
+def test_rref_matches_the_reference(case):
+    # the reduced form is unique: rref gives the reference's rows and
+    # pivots, entry for entry, whatever the input's layout, and leaves
+    # the input as it was
+    q, mat = case
+    before = mat.copy()
+    reduced, pivots = rref(q, mat)
+    assert (reduced.tolist(), pivots) == reference_rref.rref(q, mat.tolist())
+    assert reduced.dtype == np.int64 and reduced.flags.c_contiguous and reduced.shape == mat.shape
+    assert np.array_equal(mat, before)
 
 
 def test_rref_reduces_a_copy():

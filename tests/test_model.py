@@ -229,6 +229,36 @@ def test_entry_points_refuse_non_integers(what, call, good):
         assert repr(call(make(good))) == repr(call(good))
 
 
+BUDGET_TAKERS = {
+    "check_security": lambda v: check_security(SUM, ONE, AccessStructure.t_level(0), budget=v),
+    "check_decodability": lambda v: check_decodability(SUM, ONE, budget=v),
+    "security_level": lambda v: security_level(SUM, budget=v),
+    "search_linear": lambda v: search_linear(ONE, AccessStructure.t_level(0), 1, budget=v),
+}
+
+
+@pytest.mark.parametrize("call", BUDGET_TAKERS.values(), ids=BUDGET_TAKERS.keys())
+def test_entry_points_refuse_negative_budgets(call):
+    # refused as a usage error, in the CLI's words, never read as a budget
+    # that every count exceeds
+    with pytest.raises(ValueError) as info:
+        call(-1)
+    assert str(info.value) == "budget must be >= 0, got -1"
+    call(2 ** 10)
+
+
+def test_instance_refuses_receivers_of_another_type():
+    # a receiver as a dict or a tuple has no frozenset fields to check: it is
+    # named, not read through into an AttributeError
+    for receiver, kind in [({"knows": [1], "wants": [2]}, "dict"), (([1], [2]), "tuple")]:
+        with pytest.raises(ValueError) as info:
+            Instance(2, 2, [Receiver([2], [1]), receiver])
+        assert str(info.value) == f"receiver 2: must be a Receiver, got {kind}"
+        with pytest.raises(ValueError) as info:
+            Instance(2, 2, [receiver])
+        assert str(info.value) == f"receiver 1: must be a Receiver, got {kind}"
+
+
 def test_instance_is_valid_by_construction():
     # index -1 would read as message m and index 0 would be dropped; an index
     # past m would fall off the listing pass, and strip_unwanted and to_dot

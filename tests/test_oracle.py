@@ -15,6 +15,7 @@ from scipy.stats import entropy as scipy_entropy
 
 import reference_listing
 import reference_oracle
+import reference_rref
 
 import secix.oracle
 from secix import (
@@ -862,6 +863,82 @@ def test_rank_path_matches_enumeration(case):
         leak = round(b - row.conditional_entropy_bits / bits)
         assert pair.uniform == (leak == 0)
         assert pair.conditional_entropy_bits == (b - leak) * bits
+
+
+# ---- the rank stacks: one stack under the cap, chunks past it ------------------------
+
+def verdicts(report):
+    """Everything a report says, entropies included, as one comparable value."""
+    return report.decodable, [tuple(p) for p in report.checks]
+
+
+# caps of 1 entry, of a few matrices and of many: every stack past the first
+# is a chunk, and a chunk may end inside a candidate's sets
+SMALL_CAPS = [1, 7, 64]
+
+
+@given(linear_cases(), st.sampled_from(SMALL_CAPS))
+@settings(max_examples=150, deadline=None)
+@example((LinearCode(2, np.zeros((3, 0), dtype=np.int64)), Instance(2, 3, (Receiver({1}, {2}),)),
+          AccessStructure.t_level(1), 1), 1).via("length-0 code")
+@example((LinearCode(3, [[1, 2], [0, 1]]), Instance(3, 2, (Receiver({1, 2}, {1}),)),
+          AccessStructure.explicit([[1, 2]]), 1), 1).via("no lists")
+@example((LinearCode(2, [[1, 0, 1], [1, 1, 0], [0, 1, 1]]), Instance(2, 3, (Receiver({2, 3}, {1}),)),
+          AccessStructure.t_level(2), 1), 7).via("a slot removes every message row")
+def test_rank_stacks_agree_at_every_cap(case, cap):
+    # one stack under the default cap, gathered or masked, and chunks of a
+    # few entries under a small one, give one report, to the last float;
+    # the table copy's enumeration agrees with both
+    code, inst, acc, b = case
+    try:
+        expected = verdicts(check_security(code, inst, acc, b=b))
+    except InfeasibleBlockError:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secix.oracle, "STACK_ENTRIES", cap)
+        assert verdicts(check_security(code, inst, acc, b=b)) == expected
+    table = check_security(table_copy(code), inst, acc, b=b)
+    assert table.decodable == expected[0]
+    assert [p.uniform for p in table.checks] == [p[2] for p in expected[1]]
+
+
+@st.composite
+def subset_rank_cases(draw):
+    """(q, candidates x rows x cols stack, packed removed-row masks over
+    the first `messages` rows, cap): wide, tall and square matrices, so
+    that both the gathered and the masked stack are drawn."""
+    q = draw(st.sampled_from([2, 3, 251]))
+    count, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    messages = draw(st.integers(1, rows))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=count * rows * cols, max_size=count * rows * cols))
+    removed = draw(st.lists(st.lists(st.booleans(), min_size=messages, max_size=messages), max_size=6))
+    masks = np.packbits(np.array(removed, dtype=bool).reshape(len(removed), messages), axis=1, bitorder="little")
+    cap = draw(st.sampled_from(SMALL_CAPS + [STACK_ENTRIES]))
+    return q, np.array(entries, dtype=np.int64).reshape(count, rows, cols), masks, removed, cap
+
+
+@given(subset_rank_cases())
+@settings(max_examples=200, deadline=None)
+def test_subset_ranks_are_ranks_without_the_removed_rows(case):
+    q, matrices, masks, removed, cap = case
+    expected = [[len(reference_rref.rref(q, [row for j, row in enumerate(mat.tolist())
+                                             if not (j < len(out) and out[j])])[1]) for out in removed]
+                for mat in matrices]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(secix.oracle, "STACK_ENTRIES", cap)
+        ranks = secix.oracle._subset_ranks(q, matrices, masks)
+    assert ranks.shape == (len(matrices), len(removed)) and ranks.tolist() == expected
+
+
+def test_a_small_check_is_one_rank_stack(monkeypatch):
+    # x1 + ... + x14 over GF(2) at t = 1: 14 receiver lists and 182 pairs
+    # use 120 slots, all ranked in one stack_rank call
+    calls = []
+    rank = secix.oracle.stack_rank
+    monkeypatch.setattr(secix.oracle, "stack_rank", lambda q, stack: calls.append(stack.shape) or rank(q, stack))
+    report = check_security(LinearCode(2, [[1]] * 14), complementary_instance(2, 14), AccessStructure.t_level(1))
+    assert len(report.checks) == 182 and report.decodable == (True,) * 14
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m, key_dim", [(7, 2), (8, 1), (9, 3)])

@@ -182,6 +182,9 @@ def cmd_verify(args) -> int:
 # checked as a whole, computed with numpy products and written at once,
 # so memory stays bounded for any input length.
 _LINE_BATCH = 2 ** 10
+# The ASCII separators of str.split(), each read as a space: np.fromstring
+# takes no \x1c-\x1f between numbers.
+_SPACES = bytes.maketrans(b"\t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", b" " * 9)
 
 
 def _line_problem(tokens, q, expect, counted):
@@ -190,11 +193,20 @@ def _line_problem(tokens, q, expect, counted):
     A token that int() reads but that is not plain ASCII digits, such as
     "+3", "-0", "1_0" or a non-ASCII digit, is reported only when the
     line breaks no other rule."""
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError:
-        return "non-integer symbol"
-    for v in values:
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            if not (tok.isascii() and tok.isdigit()):
+                return "non-integer symbol"
+            try:  # more digits than int() reads: without its leading zeros, or far above q
+                values.append(int(tok.lstrip("0") or "0"))
+            except ValueError:
+                values.append(None)
+    for tok, v in zip(tokens, values):
+        if v is None:
+            return f"symbol of {len(tok)} digits outside GF({q})"
         if not 0 <= v < q:
             return f"symbol {v} outside GF({q})"
     if len(values) != expect:
@@ -210,6 +222,8 @@ def _block_values(rows, q, expect):
     every token is an ASCII decimal number below q and every row holds
     `expect` of them.  The block is checked as a whole, with no Python
     work per token."""
+    if not rows:
+        return np.empty((0, expect), dtype=np.int64)
     digits = "".join(map("".join, rows))
     if not (digits.isascii() and digits.isdigit()) or any(len(tokens) != expect for tokens in rows):
         return None
@@ -220,6 +234,34 @@ def _block_values(rows, q, expect):
     return values.reshape(len(rows), expect)
 
 
+def _ascii_block(lines, q, expect):
+    """`_block_values` of the tokens of `lines`, read whole when they are
+    all ASCII; None when they are not, or when a line is refused.
+
+    With every separator a space, a token is a run of digits, and a
+    line's tokens are the runs that start in it."""
+    text = "".join(lines)
+    if not text.isascii():
+        return None
+    data = text.encode().translate(_SPACES)
+    if data.translate(None, b" 0123456789"):
+        return None  # a byte that is neither a digit nor a separator
+    space = np.frombuffer(b" " + data, dtype=np.uint8) == ord(" ")
+    starts = np.flatnonzero(space[:-1] > space[1:])  # the bytes that start a token
+    # tokens started before each line, and before the end of the last
+    bounds = np.fromiter(itertools.accumulate(map(len, lines), initial=0), dtype=np.intp, count=len(lines) + 1)
+    begun = np.searchsorted(starts, bounds)
+    counts = begun[1:] - begun[:-1]
+    if (counts * (counts - expect)).any():
+        return None  # a line holds neither 0 nor `expect` tokens
+    if not starts.size:
+        return np.empty((0, expect), dtype=np.int64)
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != starts.size or (values >= q).any():
+        return None
+    return values.reshape(-1, expect)
+
+
 def _symbol_blocks(q, expect, counted):
     """Stdin in blocks of at most _LINE_BATCH lines, each yielded as an
     n x expect int64 array of the symbols on its non-blank lines.
@@ -227,29 +269,30 @@ def _symbol_blocks(q, expect, counted):
     Every non-blank line must hold `expect` symbols (`counted` says of
     what), each an ASCII decimal number below q.  At the first line that
     does not, the lines before it are yielded and a ValueError naming
-    the line is raised.
+    the line is raised.  An all-ASCII block is read whole; any other, or
+    one that this read refuses, is split line by line.
     """
     lineno = 0
     while True:
         block = list(itertools.islice(sys.stdin, _LINE_BATCH))
         if not block:
             return
-        numbered = [(n, tokens) for n, tokens in enumerate(map(str.split, block), start=lineno + 1) if tokens]
+        values = _ascii_block(block, q, expect)
+        if values is None:
+            numbered = [(n, tokens) for n, tokens in enumerate(map(str.split, block), start=lineno + 1) if tokens]
+            rows = [tokens for _, tokens in numbered]
+            values = _block_values(rows, q, expect)
         lineno += len(block)
-        if not numbered:
-            continue
-        rows = [tokens for _, tokens in numbered]
-        values = _block_values(rows, q, expect)
-        if values is not None:
+        if values is None:
+            for good, (number, tokens) in enumerate(numbered):
+                problem = _line_problem(tokens, q, expect, counted)
+                if problem:
+                    break
+            if good:
+                yield _block_values(rows[:good], q, expect)
+            raise ValueError(f"stdin line {number}: {problem}")
+        if len(values):
             yield values
-            continue
-        for good, (number, tokens) in enumerate(numbered):
-            problem = _line_problem(tokens, q, expect, counted)
-            if problem:
-                break
-        if good:
-            yield _block_values(rows[:good], q, expect)
-        raise ValueError(f"stdin line {number}: {problem}")
 
 
 def _write_rows(rows):

@@ -479,7 +479,15 @@ def _field_matrix(q: int, rows, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
     if not rows:
         raise ValueError(f"{what} must have at least one row")
-    checked = []
+    if all(type(row) is list for row in rows) and len(set(map(len, rows))) == 1 \
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
+        try:
+            matrix = np.array(rows, dtype=np.int64)
+            if (matrix.view(np.uint64) < q).all():  # a negative entry, read unsigned, lies past q
+                return matrix
+        except OverflowError:  # an entry past int64
+            pass
+    checked = []  # row by row, to name the first row at fault
     for i, row in enumerate(rows, start=1):
         checked.append(checked_ints(row, f"{what} row {i}", q))
         if len(row) != len(rows[0]):

@@ -110,9 +110,9 @@ def validate(inst: Instance) -> list:
             violations.append(f"receiver {i}: must be a Receiver, got {type(r).__name__}")
             continue
         for label, indices in (("knows", r.knows), ("wants", r.wants)):
-            for j in sorted(indices):
-                if not 1 <= j <= inst.m:
-                    violations.append(f"receiver {i}: {label} index {j} out of range [1, {inst.m}]")
+            if indices and not 1 <= min(indices) <= max(indices) <= inst.m:
+                violations += [f"receiver {i}: {label} index {j} out of range [1, {inst.m}]"
+                               for j in sorted(indices) if not 1 <= j <= inst.m]
     return violations
 
 
@@ -206,14 +206,8 @@ class AccessStructure:
 
     @classmethod
     def explicit(cls, sets) -> "AccessStructure":
-        deduped = []
-        seen = set()
-        for a in sets:
-            fa = frozenset(checked_ints(a, "access set"))
-            if fa not in seen:
-                seen.add(fa)
-                deduped.append(fa)
-        return cls(cls.KIND_EXPLICIT, sets=tuple(deduped))
+        sets = dict.fromkeys(frozenset(checked_ints(a, "access set")) for a in sets)
+        return cls(cls.KIND_EXPLICIT, sets=tuple(sets))
 
     @classmethod
     def classical(cls, m: int) -> "AccessStructure":
@@ -409,9 +403,10 @@ def parse_instance(obj):
     for pos, r in enumerate(obj["receivers"], start=1):
         if not isinstance(r, dict) or "knows" not in r or "wants" not in r:
             raise ValueError(f"receiver {pos} must be an object with 'knows' and 'wants'")
-        knows = checked_ints(r["knows"], f"receiver {pos} knows")
-        wants = checked_ints(r["wants"], f"receiver {pos} wants")
-        receivers.append(Receiver(knows, wants))
+        receiver = object.__new__(Receiver)  # each list checked once, here, naming the receiver
+        object.__setattr__(receiver, "knows", frozenset(checked_ints(r["knows"], f"receiver {pos} knows")))
+        object.__setattr__(receiver, "wants", frozenset(checked_ints(r["wants"], f"receiver {pos} wants")))
+        receivers.append(receiver)
     inst = Instance(checked_int(obj["q"], "q"), checked_int(obj["m"], "m"), tuple(receivers))
     if not receivers:
         raise ValueError("instance has no receivers")

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,8 @@ from secix import (
     load_code,
     normalize,
     oracle,
+    parse_code,
+    parse_instance,
     save_instance,
 )
 from secix.cli import main
@@ -36,6 +39,8 @@ from conftest import (
     table_copy,
     unwanted_key_instance,
 )
+import reference_decode
+import reference_symbols
 
 
 def write_instance(tmp_path, inst, acc=None, name="inst.json"):
@@ -686,6 +691,11 @@ FILTER_FAILURES = {
                     "error: stdin line {k}: symbol 99999999999999999999 outside GF(5)\n", 1),
     "decode-count": (2, "1 1 1 1", "error: stdin line {k}: expected 3 symbols (2 codeword + 1 side), got 4\n", 1),
     "decode-field": (1, "1 2 3 5", "error: stdin line {k}: symbol 5 outside GF(5)\n", 1),
+    # int() reads at most 4300 digits: a longer symbol is named by its length
+    "encode-5000-digits": (None, "1 " + "9" * 5000 + " 2",
+                           "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
+    "decode-5000-digits": (2, "1 " + "9" * 5000 + " 2",
+                           "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
     # x2 + x3 = 0 contradicts the side information x2 = 1, x3 = 1
     "decode-inconsistent": (1, "3 0 1 1", "receiver 1 cannot decode this code\n", 2),
 }
@@ -727,6 +737,107 @@ def test_filters_take_only_ascii_decimal_symbols(tmp_path, capsys, monkeypatch, 
         assert out == "1\n"
     assert_one_error_line(code, err)
     assert "stdin line 2:" in err and repr(token) in err
+
+
+@pytest.mark.parametrize("batch", [1, 1024])
+@pytest.mark.parametrize("receiver", [None, 2], ids=["encode", "decode"])
+def test_filters_read_leading_zeros_past_int_digit_limit(tmp_path, capsys, monkeypatch, batch, receiver):
+    # 5000 zeros before a symbol leave the symbol, whether its block is
+    # read whole (batch 1) or line by line to name the bad last line
+    monkeypatch.setattr(cli, "_LINE_BATCH", batch)
+    lines, expected = filter_lines(receiver)
+    padded = ["0" * 5000 + line for line in lines] + ["x"]
+    code, out, err = run_filter(tmp_path, capsys, monkeypatch, padded, receiver)
+    assert (code, out.splitlines(), err) == (1, expected, f"error: stdin line {len(padded)}: non-integer symbol\n")
+
+
+# what str.split() separates symbols at, ASCII or not, and what int() reads
+# inside a token or refuses
+SYMBOL_SEPARATORS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\x85", "\u2028"]
+SYMBOL_JUNK = ["+", "-", "_", "x", "\u0661"]
+
+
+@st.composite
+def symbol_token(draw, clean):
+    """A token for GF(5): a symbol, at times with leading zeros; unless
+    clean, also 19-30 digits, a value past q or a symbol with junk in it."""
+    kind = draw(st.sampled_from(["symbol"] * 4 + ["zeros"] + ([] if clean else ["long", "outside", "junk"])))
+    if kind == "long":
+        return draw(st.text("0123456789", min_size=19, max_size=30))
+    token = str(draw(st.integers(5, 99) if kind == "outside" else st.integers(0, 4)))
+    if kind == "zeros":
+        token = "0" * draw(st.integers(1, 3)) + token
+    if kind == "junk":
+        at = draw(st.integers(0, len(token)))
+        token = token[:at] + draw(st.sampled_from(SYMBOL_JUNK)) + token[at:]
+    return token
+
+
+@st.composite
+def symbol_text(draw, expect):
+    """Stdin text of 0-6 lines, blank or holding tokens, split by any
+    separators; in a clean text every token is a symbol and every
+    non-blank line holds `expect` of them."""
+    clean = draw(st.booleans())
+    edge = st.text(st.sampled_from(SYMBOL_SEPARATORS), max_size=2)
+    gap = st.text(st.sampled_from(SYMBOL_SEPARATORS), min_size=1, max_size=2)
+    counts = [0, expect] if clean else [0, expect, expect, expect - 1, expect + 1]
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [draw(symbol_token(clean)) for _ in range(draw(st.sampled_from(counts)))]
+        lines.append(draw(edge) + "".join(token + draw(gap) for token in tokens) + draw(edge))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def reference_filter(text, receiver):
+    """(exit code, stdout, stderr) of encode (receiver None) or decode on
+    FILTER_CODE, reading `text` line by line with reference_symbols."""
+    code, (inst, _) = parse_code(FILTER_CODE), parse_instance(FILTER_INSTANCE)
+    if receiver is None:
+        expect, counted = code.m, f"({code.m} message + 0 key)"
+    else:
+        side = len(inst.receivers[receiver - 1].knows)
+        expect, counted = code.length + side, f"({code.length} codeword + {side} side)"
+    rows, status, err = [], 0, ""
+    try:
+        for row in reference_symbols.read_symbols(io.StringIO(text), code.q, expect, counted):
+            if receiver is None:
+                rows.append([sum(x * g for x, g in zip(row, column)) % code.q for column in zip(*FILTER_CODE["G"])])
+                continue
+            wanted = reference_decode.decode(code, inst, receiver, row[: code.length], row[code.length :])
+            if wanted is None:
+                status, err = 2, f"receiver {receiver} cannot decode this code\n"
+                break
+            rows.append(wanted)
+    except ValueError as exc:
+        status, err = 1, f"error: {exc}\n"
+    return status, "".join(" ".join(map(str, row)) + "\n" for row in rows), err
+
+
+@pytest.fixture(scope="module")
+def filter_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("filter")
+    (folder / "code.json").write_text(json.dumps(FILTER_CODE))
+    (folder / "instance.json").write_text(json.dumps(FILTER_INSTANCE))
+    return str(folder / "code.json"), str(folder / "instance.json")
+
+
+@pytest.mark.parametrize("batch", [1, 2, 1024])
+@pytest.mark.parametrize("receiver", [None, 1, 2], ids=["encode", "decode1", "decode2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_stdin_reader_matches_per_line_reference(filter_files, batch, receiver, data):
+    # the block reader gives what splitting each line with str.split()
+    # gives: the same exit code, output and error line
+    code_path, inst_path = filter_files
+    text = data.draw(symbol_text(4 if receiver == 1 else 3))
+    argv = ["encode", "--code", code_path] if receiver is None else \
+        ["decode", "--instance", inst_path, "--code", code_path, "--receiver", str(receiver)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_LINE_BATCH", batch), mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert (status, out.getvalue(), err.getvalue()) == reference_filter(text, receiver)
 
 
 # ---- graph / search ----------------------------------------------------------------------

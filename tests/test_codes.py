@@ -761,3 +761,52 @@ def test_parse_code_errors():
         parse_code({"kind": "linear_det", "q": 2, "G": []})
     with pytest.raises(ValueError, match=r"^Gtilde must have at least one row$"):
         parse_code({"kind": "linear_rand", "q": 2, "G": [[1]], "Gtilde": []})
+
+
+@pytest.mark.parametrize("entry, text", [
+    (True, "G row 2 entry must be an integer, got True"),
+    (1.5, "G row 2 entry must be an integer, got 1.5"),
+    ("3", "G row 2 entry must be an integer, got '3'"),
+    (None, "G row 2 entry must be an integer, got None"),
+    ([1], "G row 2 entry must be an integer, got [1]"),
+    (-1, "G row 2 entry -1 is outside GF(5)"),
+    (5, "G row 2 entry 5 is outside GF(5)"),
+    (2 ** 63, "G row 2 entry 9223372036854775808 is outside GF(5)"),
+    (2 ** 64, "G row 2 entry 18446744073709551616 is outside GF(5)"),
+], ids=["true", "float", "string", "null", "list", "minus-1", "q", "2^63", "2^64"])
+def test_parse_code_names_the_entry_at_fault(entry, text):
+    # a matrix is checked whole, but never coerced: a bool, float or
+    # string is refused, not read as 1, 1 or 3, and a value past int64 is
+    # named as it is written
+    with pytest.raises(ValueError) as raised:
+        parse_code({"kind": "linear_det", "q": 5, "G": [[1, 0], [0, entry]]})
+    assert str(raised.value) == text
+    with pytest.raises(ValueError) as raised:
+        parse_code({"kind": "linear_rand", "q": 5, "G": [[1, 0]], "Gtilde": [[1, 0], [0, entry]]})
+    assert str(raised.value) == "Gtilde" + text[1:]
+
+
+@pytest.mark.parametrize("rows, text", [
+    ([[1, 0], [1]], "G row 2 has length 1, row 1 has length 2"),
+    ([[1, 0, 1], [1, 0]], "G row 2 has length 2, row 1 has length 3"),
+    ([[1], [7], [1.5]], "G row 2 entry 7 is outside GF(5)"),
+    ([[1], [1.5], [7]], "G row 2 entry must be an integer, got 1.5"),
+    ([[7, 1.5]], "G row 1 entry must be an integer, got 1.5"),
+    ([[1], 1], "G row 2 must be a list of integers, got 1"),
+    (((1, 0), (0, 1)), "G must be a list of integer rows, got ((1, 0), (0, 1))"),
+], ids=["ragged-short", "ragged-long", "range-before-type", "type-before-range", "types-first-in-a-row",
+        "scalar-row", "tuple-matrix"])
+def test_parse_code_names_the_first_row_at_fault(rows, text):
+    with pytest.raises(ValueError) as raised:
+        parse_code({"kind": "linear_det", "q": 5, "G": rows})
+    assert str(raised.value) == text
+
+
+def test_parse_code_takes_tuple_rows_and_empty_rows():
+    # library callers may pass tuple rows; a length-0 code has empty rows
+    listed = parse_code({"kind": "linear_det", "q": 5, "G": [[1, 0], [4, 3]]})
+    assert parse_code({"kind": "linear_det", "q": 5, "G": [(1, 0), (4, 3)]}) == listed
+    assert parse_code({"kind": "linear_det", "q": 5, "G": [[1, 0], (4, 3)]}) == listed
+    assert listed.generator.tolist() == [[1, 0], [4, 3]] and listed.generator.dtype == np.int64
+    empty = parse_code({"kind": "linear_det", "q": 5, "G": [[], []]})
+    assert (empty.m, empty.length) == (2, 0)

@@ -458,6 +458,9 @@ def test_instance_json_without_adversary(crossed2):
     inst, acc = parse_instance(instance_to_dict(crossed2))
     assert inst == crossed2
     assert acc is None
+    # parsed receivers, built from their checked lists, hash as built ones do
+    assert all(type(r) is Receiver for r in inst.receivers)
+    assert set(inst.receivers) == set(crossed2.receivers)
 
 
 def test_parse_instance_errors():
@@ -471,6 +474,27 @@ def test_parse_instance_errors():
         parse_instance(
             {"q": 2, "m": 2, "receivers": [], "adversary": {"type": "mystery"}}
         )
+
+
+@pytest.mark.parametrize("knows, wants, text", [
+    ([1.5], [1], "receiver 2 knows entry must be an integer, got 1.5"),
+    ([2], ["1"], "receiver 2 wants entry must be an integer, got '1'"),
+    ([2], [True], "receiver 2 wants entry must be an integer, got True"),
+    ([2], [[1]], "receiver 2 wants entry must be an integer, got [1]"),
+    ("12", [1], "receiver 2 knows must be a list of integers, got '12'"),
+    (None, [1], "receiver 2 knows must be a list of integers, got None"),
+    ([0, 5, 2], [1], "receiver 2: knows index 0 out of range [1, 3]; receiver 2: knows index 5 out of range [1, 3]"),
+    ([2], [9, 1, 7], "receiver 2: wants index 7 out of range [1, 3]; receiver 2: wants index 9 out of range [1, 3]"),
+    ([-1, 4], [0], "receiver 2: knows index -1 out of range [1, 3]; receiver 2: knows index 4 out of range [1, 3]; "
+                   "receiver 2: wants index 0 out of range [1, 3]"),
+], ids=["float", "string", "bool", "nested", "string-list", "null-list", "knows-range", "wants-range", "both-range"])
+def test_parse_instance_names_the_receiver_at_fault(knows, wants, text):
+    # each index list is checked once, with the receiver's position in
+    # the text; out-of-range indices are listed in ascending order
+    obj = {"q": 5, "m": 3, "receivers": [{"knows": [1], "wants": [2]}, {"knows": knows, "wants": wants}]}
+    with pytest.raises(ValueError) as raised:
+        parse_instance(obj)
+    assert str(raised.value) == text
 
 
 def test_load_instance_bad_json(tmp_path):

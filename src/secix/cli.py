@@ -192,21 +192,26 @@ def _line_problem(tokens, q, expect, counted):
 
     A token that int() reads but that is not plain ASCII digits, such as
     "+3", "-0", "1_0" or a non-ASCII digit, is reported only when the
-    line breaks no other rule."""
+    line breaks no other rule.  A token is read as int() would read it
+    without its limit on digits, so a symbol of more significant digits
+    than int() takes is named by its number of digits, in any script."""
     values = []
     for tok in tokens:
         try:
             values.append(int(tok))
         except ValueError:
-            if not (tok.isascii() and tok.isdigit()):
+            # int()'s syntax: decimal digits of any script, a sign first, single underscores between
+            parts = (tok[1:] if tok[0] in "+-" else tok).split("_")
+            if not all(map(str.isdecimal, parts)):
                 return "non-integer symbol"
             try:  # more digits than int() reads: without its leading zeros, or far above q
-                values.append(int(tok.lstrip("0") or "0"))
+                value = int("".join(str(int(c)) for part in parts for c in part).lstrip("0") or "0")
+                values.append(-value if tok[0] == "-" else value)
             except ValueError:
                 values.append(None)
     for tok, v in zip(tokens, values):
         if v is None:
-            return f"symbol of {len(tok)} digits outside GF({q})"
+            return f"symbol of {sum(map(str.isdecimal, tok))} digits outside GF({q})"
         if not 0 <= v < q:
             return f"symbol {v} outside GF({q})"
     if len(values) != expect:

@@ -3,12 +3,15 @@
 This module is the package's one arithmetic path: field elements are
 ints reduced mod q, held in int64 numpy arrays, and every GF(q)
 computation is a numpy product or an elimination over such arrays.
-Every rank goes through `stack_rank`, one matrix or a whole stack at a
-time; `rref` serves where reduced rows are needed.  Both eliminations
-are short Python loops of whole-array numpy updates, because on the
-small matrices of index coding a numpy call costs more than its
-arithmetic: `rref` makes one outer-product update per pivot, and
-`stack_rank` one update per working row of every matrix at once.  Row
+Every rank over GF(2) goes through `word_rank`, on vectors packed into
+64-bit words (`pack_words`), and every other rank through `stack_rank`,
+one matrix or a whole stack at a time, which hands GF(2) stacks to
+`word_rank`; `rref` serves where reduced rows are needed.  The
+eliminations are short Python loops of whole-array numpy updates,
+because on the small matrices of index coding a numpy call costs more
+than its arithmetic: `rref` makes one outer-product update per pivot,
+`stack_rank` one update per working row of every matrix at once, and
+`word_rank` one min-XOR step per vector of every set at once.  Row
 reduction uses leftmost-pivot / first-nonzero-row ordering, so
 reduced forms and nullspace bases are deterministic across runs.
 Everything is integer-exact -- no floating point anywhere -- because
@@ -30,11 +33,13 @@ __all__ = [
     "STACK_ENTRIES",
     "is_prime",
     "nullspace",
+    "pack_words",
     "radix_digits",
     "rref",
     "smallest_prime_at_least",
     "stack_rank",
     "vandermonde",
+    "word_rank",
 ]
 # `checked_int`, `checked_ints` and `checked_modulus` stay unlisted, though
 # every module calls them: perfbench's tracer wraps what is listed as a span.
@@ -187,9 +192,10 @@ def nullspace(q: int, a) -> np.ndarray:
     return basis
 
 
-# Most entries per `stack_rank` call in the package's batched callers
-# (`codes.security_level`, `oracle.check_security`): 512 KiB of int64.  A
-# caller always ranks at least one matrix per call, whatever its size.
+# Most entries per `stack_rank` or `word_rank` call in the package's batched
+# callers (`codes.security_level`, `oracle.check_security`): 512 KiB of int64
+# entries or uint64 words.  A caller always ranks at least one matrix per
+# call, whatever its size.
 # `oracle.secure_generators` also ranks at most this many candidates x
 # pair lists per step, and at least one list.
 STACK_ENTRIES = 2 ** 16
@@ -201,36 +207,26 @@ def stack_rank(q: int, stack) -> np.ndarray:
 
     One elimination runs on the whole stack, one row at a time, so the
     Python loop is min(r, d) steps long whatever S is: a stack with r > d
-    is ranked as its transposes, which have the same ranks.  Each matrix
-    takes the first nonzero column of its working row as pivot and
-    clears that column from the rows below.  A row that is zero when its
-    turn comes lies in the span of the rows above it, so the rank is the
-    number of nonzero working rows.  The work is a C-ordered copy,
-    whatever the layout of `stack` (a transposed view would slow every
-    step); `stack` itself is left as it is, and may hold any integers.
+    is ranked as its transposes, which have the same ranks.  `stack`
+    itself is left as it is, and may hold any integers.
 
-    Over GF(2) the copy is boolean (`stack & 1`), and a row below is
-    cleared by XOR with the pivot row where its pivot-column entry is
-    set: no products, no remainders.  A row never changes after its own
-    step, so the rank is counted once, from the rows left nonzero at the
-    end.  Over any other q the elimination is fraction-free: entries are
-    reduced mod q first, so every product stays below q^2 < 2^63, and
-    every row below becomes below * pivot - factor * row mod q, which
-    clears the pivot column without an inverse.  q must be a valid
-    modulus (`checked_modulus`), which this function does not check
-    again.
+    Over GF(2) each row, read mod 2 (`stack & 1`, so negative entries
+    too), is packed into 64-bit words by `pack_words` and ranked by
+    `word_rank`.  Over any other q the elimination is fraction-free, on
+    a C-ordered copy whatever the layout of `stack` (a transposed view
+    would slow every step): each matrix takes the first nonzero column
+    of its working row as pivot, and every row below becomes below *
+    pivot - factor * row mod q, which clears the pivot column without an
+    inverse.  Entries are reduced mod q first, so every product stays
+    below q^2 < 2^63.  A row that is zero when its turn comes lies in the
+    span of the rows above it, so the rank is the number of nonzero
+    working rows.  q must be a valid modulus (`checked_modulus`), which
+    this function does not check again.
     """
     if stack.shape[1] > stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
     if q == 2:
-        work = (stack & 1).astype(bool, order="C")
-        every = np.arange(len(work))
-        for i in range(work.shape[1] - 1):
-            row = work[:, i]
-            below = work[:, i + 1 :]
-            below ^= below[every, :, row.argmax(axis=1)][:, :, None] & row[:, None, :]
-        # a boolean product is an `any` over each row's columns, and faster
-        return (work @ np.ones(work.shape[2], dtype=bool)).sum(axis=1)
+        return word_rank(pack_words(stack & 1))
     work = np.remainder(stack, q, dtype=np.int64, order="C")
     count, nrows, ncols = work.shape
     ranks = np.zeros(count, dtype=np.int64)
@@ -251,6 +247,56 @@ def stack_rank(q: int, stack) -> np.ndarray:
         factor = below[every, :, col]
         below[...] = (below * pivot[:, None, None] - factor[:, :, None] * row[:, None, :]) % q
     return ranks
+
+
+# bit j of a word as an int64; bit 63 is -2^63, so a sum of distinct bits never wraps
+_BITS = np.left_shift(1, np.arange(64, dtype=np.int64))
+
+
+def pack_words(bits) -> np.ndarray:
+    """The rows of an S x r x d stack of 0s and 1s as GF(2) vectors packed
+    into words: a W x r x S uint64 array, W = ceil(d / 64), in which bit
+    j of word k of row i of matrix s is bits[s, i, 64k + j].  The word
+    axis comes first and the matrix axis last, so `word_rank`'s updates
+    run over the matrices, not over the few words of a row."""
+    count, rows, cols = bits.shape
+    words = np.empty((-(-cols // 64), rows, count), dtype=np.int64)
+    for k, word in enumerate(words):
+        word[...] = (bits[:, :, 64 * k : 64 * k + 64] @ _BITS[: min(64, cols - 64 * k)]).T
+    return words.view(np.uint64)
+
+
+def word_rank(words) -> np.ndarray:
+    """Rank over GF(2) of each of the N sets of n vectors in a W x n x N
+    uint64 array of packed vectors (`pack_words`' layout: word k of
+    vector i of set s is words[k, i, s], and word W - 1 is the most
+    significant), as an int64 array of length N.  `words` is reduced in
+    place.
+
+    The package's one GF(2) elimination.  Vector i of every set clears
+    its highest set bit from every later vector of its set that has it,
+    in one step over all sets: w ^ v < w exactly when w has v's highest
+    bit, so with one word the step is min(w, w ^ v).  With several
+    words the comparison is made on v's most significant nonzero word,
+    the only one at which w and w ^ v can differ first.  After its step
+    no later vector has v's highest bit, so the nonzero vectors left at
+    the end have distinct highest bits: the rank is their count.  The
+    loop is n steps long whatever N is, and a zero v changes nothing.
+    """
+    width, n, count = words.shape
+    if width == 1:
+        work = words[0]
+        for i in range(n - 1):
+            below = work[i + 1 :]
+            np.minimum(below, below ^ work[i], out=below)
+        return (work != 0).sum(axis=0)
+    every = np.arange(count)
+    for i in range(n - 1 if width else 0):
+        v, below = words[:, i], words[:, i + 1 :]
+        top = width - 1 - (v[::-1] != 0).argmax(axis=0)  # each set's most significant nonzero word
+        lead = below[top, :, every].T
+        below ^= v[:, None] * ((lead ^ v[top, every]) < lead)
+    return words.any(axis=0).sum(axis=0)
 
 
 def vandermonde(rows: int, cols: int, q: int) -> np.ndarray:

@@ -28,11 +28,14 @@ behind its view sees the rows of M outside the view, key rows included.
 Its target gains I = rank M_hidden - rank M_{hidden minus target}
 symbols: a receiver decodes iff each of its lists gains 1, a pair is
 uniform iff it gains 0, and H(X_B | C, X_A) = (b - I) log2 q.  Every
-distinct row subset is ranked once, by `gf.stack_rank`, in capped
-stacks in which every matrix has one shape (`_subset_ranks`).  One
-routine ranks a stack of matrices: `check_security` passes one code's
-M, and `secure_generators`, which screens the generator search, a stack
-of candidate generators, on the lists of the search's one listing pass.
+distinct row subset is ranked once, in capped stacks in which every
+matrix has one shape (`_subset_ranks`): over GF(2) by `gf.word_rank`,
+on M's columns packed into words and ANDed with each slot's kept rows,
+read as words; over any other q by `gf.stack_rank`, on each slot's
+kept rows, gathered.  One routine ranks a stack of matrices:
+`check_security` passes one code's M, and `secure_generators`, which
+screens the generator search, a stack of candidate generators, on the
+lists of the search's one listing pass.
 It first drops, with no rank, every candidate whose row is zero for a
 message that some receiver wants and lacks; then it ranks the receiver
 lists in one call, and the pair lists in steps of at most
@@ -77,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import STACK_ENTRIES, checked_int, radix_digits, stack_rank
+from .gf import STACK_ENTRIES, checked_int, pack_words, radix_digits, stack_rank, word_rank
 from .model import AccessStructure, Instance, json_text
 
 __all__ = [
@@ -300,41 +303,67 @@ def _subset_ranks(q: int, matrices, masks):
     0, so key rows are never removed), the rank of M without those rows,
     as a candidates x masks array.
 
-    Every matrix of a stack has one shape: each set's kept rows gathered
-    and padded with an appended zero row to the most rows a set keeps,
-    or all rows with the removed ones masked to zero.  `stack_rank`'s
-    loop runs min(rows, cols) steps, and the gather costs a few calls
-    more than the mask, which only a shorter loop, or a stack of many
-    candidates, repays.  Stacks run over the (candidate, set) pairs,
-    candidate-major, and hold at most STACK_ENTRIES entries."""
+    Ranks are taken in stacks over the (candidate, set) pairs,
+    candidate-major, each of at most STACK_ENTRIES entries, and the
+    elimination loop is min(rows, cols) steps long.
+
+    Over GF(2) the columns of every M are packed once into words, bit j
+    of a word being row j (`gf.pack_words`), and a set's kept rows are
+    the complement of its mask read as little-endian words.  So one AND
+    of the column words and the kept words builds every (matrix, set)
+    stack, word axis first, for `gf.word_rank`.  When the columns
+    outnumber the rows, the rows are packed instead, and the same AND
+    with all-ones or zero words keeps or zeroes each row.  Over any other
+    q each set's kept rows are gathered and padded with an appended zero
+    row to the most rows a set keeps, or all rows are kept with the
+    removed ones masked to zero, for `gf.stack_rank`; the gather costs a
+    few calls more than the mask, which only a shorter loop, or a stack
+    of many candidates, repays."""
     count, rows, cols = matrices.shape
-    keep = np.unpackbits(masks, axis=1, count=rows, bitorder="little") == 0
-    width = int(keep.sum(axis=1).max(initial=0))
-    gather = width < rows and (width < cols or count > 1)
-    if gather:
-        # a removed row reads the zero row, and sorting puts the kept rows first
-        kept = np.where(keep, np.arange(rows), rows)
-        kept.sort(axis=1)
-        matrices = np.concatenate((matrices, np.zeros((count, 1, cols), dtype=np.int64)), axis=1)
+    if q == 2:
+        if cols > rows:
+            vectors = pack_words(matrices)
+            removed = np.unpackbits(masks, axis=1, count=rows, bitorder="little").T
+            keep = np.where(removed, np.uint64(0), ~np.uint64(0))[None, :, None]  # per row
+        else:
+            vectors = pack_words(matrices.transpose(0, 2, 1))
+            removed = np.zeros((len(masks), 8 * len(vectors)), dtype=np.uint8)
+            removed[:, :masks.shape[1]] = masks
+            keep = ~removed.view(np.uint64).T[:, None, None]  # per word
+        width, length = vectors.shape[:2]
     else:
-        width = rows
+        keep = np.unpackbits(masks, axis=1, count=rows, bitorder="little") == 0
+        length = int(keep.sum(axis=1).max(initial=0))
+        gather = length < rows and (length < cols or count > 1)
+        if gather:
+            # a removed row reads the zero row, and sorting puts the kept rows first
+            kept = np.where(keep, np.arange(rows), rows)
+            kept.sort(axis=1)
+            matrices = np.concatenate((matrices, np.zeros((count, 1, cols), dtype=np.int64)), axis=1)
+        else:
+            length = rows
+        width = cols
     # a stack holds every set of several candidates, or some sets of one
-    per_stack = max(1, STACK_ENTRIES // max(1, width * cols))
+    per_stack = max(1, STACK_ENTRIES // max(1, width * length))
     sets = max(1, min(len(masks), per_stack))
     per_candidate = max(1, per_stack // sets)
-    ranks = np.empty(count * len(masks), dtype=np.int64)
-    done = 0
+    ranks = np.empty((count, len(masks)), dtype=np.int64)
     for first in range(0, count, per_candidate):
-        some = matrices[first:first + per_candidate]
+        last = min(first + per_candidate, count)
         for start in range(0, len(masks), sets):
-            if gather:
-                stack = np.take(some, kept[start:start + sets, :width], axis=1)
+            stop = min(start + sets, len(masks))
+            pairs = (last - first) * (stop - start)
+            if q == 2:
+                stack = vectors[:, :, first:last, None] & keep[..., start:stop]
+                found = word_rank(stack.reshape(width, length, pairs))
             else:
-                stack = some[:, None] * keep[start:start + sets, :, None]
-            stack = stack.reshape(len(stack) * stack.shape[1], width, cols)
-            ranks[done:done + len(stack)] = stack_rank(q, stack)
-            done += len(stack)
-    return ranks.reshape(count, len(masks))
+                if gather:
+                    stack = np.take(matrices[first:last], kept[start:stop, :length], axis=1)
+                else:
+                    stack = matrices[first:last, None] * keep[start:stop, :, None]
+                found = stack_rank(q, stack.reshape(pairs, length, cols))
+            ranks[first:last, start:stop] = found.reshape(last - first, stop - start)
+    return ranks
 
 
 def _gains(q: int, matrices, checks: Checks, lists: slice):

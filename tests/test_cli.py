@@ -302,21 +302,33 @@ def test_verify_is_one_pass(tmp_path, capsys, monkeypatch, crossed2):
     assert list(report)[-1] == "decodable" and report["decodable"] == [True] * 4
 
 
-def test_verify_ranks_a_linear_code_in_one_stack(tmp_path, capsys, monkeypatch, crossed2):
-    # a linear code builds no state table: its 4 receiver and 12 pair
-    # checks are ranks of at most 32 row subsets, one stack_rank call
-    inst_path = write_instance(tmp_path, crossed2, AccessStructure.t_level(1))
+def verify_in_one_stack(tmp_path, capsys, monkeypatch, q):
+    """The oracle calls of `verify --json` on a code of two disjoint sums
+    over GF(q), and its report: 4 receiver and 12 pair checks, ranks of
+    at most 32 row subsets."""
+    inst_path = write_instance(tmp_path, crossed_pairs_instance(q), AccessStructure.t_level(1))
     code_path = tmp_path / "c1.json"
     code_path.write_text(json.dumps(
-        {"kind": "linear_det", "q": 2, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
+        {"kind": "linear_det", "q": q, "G": [[1, 0], [1, 0], [0, 1], [0, 1]]}
     ))
     calls = counted_calls(monkeypatch, oracle,
-                          ("check_security", "check_decodability", "_state_table", "stack_rank"))
+                          ("check_security", "check_decodability", "_state_table", "stack_rank", "word_rank"))
     code, out, _ = run(capsys, "verify", "--instance", inst_path, "--code", str(code_path), "--json")
     assert code == 2
-    assert calls == ["check_security", "stack_rank"]
     report = json.loads(out)
     assert report["decodable"] == [True] * 4 and len(report["pairs"]) == 12 and not report["secure"]
+    return calls
+
+
+def test_verify_ranks_a_linear_code_in_one_stack(tmp_path, capsys, monkeypatch):
+    # a linear code builds no state table: over GF(2) its checks take one
+    # call of the word kernel
+    assert verify_in_one_stack(tmp_path, capsys, monkeypatch, 2) == ["check_security", "word_rank"]
+
+
+def test_verify_ranks_a_gf3_code_in_one_stack(tmp_path, capsys, monkeypatch):
+    # over any other field they take one stack_rank call
+    assert verify_in_one_stack(tmp_path, capsys, monkeypatch, 3) == ["check_security", "stack_rank"]
 
 
 def test_verify_accepts_receiver_wanting_only_what_it_knows(tmp_path, capsys):
@@ -696,6 +708,11 @@ FILTER_FAILURES = {
                            "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
     "decode-5000-digits": (2, "1 " + "9" * 5000 + " 2",
                            "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
+    # and so is a longer one in any script of decimal digits
+    "encode-5000-arabic-indic-digits": (None, "1 " + "\u0661" * 5000 + " 2",
+                                        "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
+    "decode-5000-arabic-indic-digits": (2, "1 " + "\u0661" * 5000 + " 2",
+                                        "error: stdin line {k}: symbol of 5000 digits outside GF(5)\n", 1),
     # x2 + x3 = 0 contradicts the side information x2 = 1, x3 = 1
     "decode-inconsistent": (1, "3 0 1 1", "receiver 1 cannot decode this code\n", 2),
 }
@@ -749,6 +766,19 @@ def test_filters_read_leading_zeros_past_int_digit_limit(tmp_path, capsys, monke
     padded = ["0" * 5000 + line for line in lines] + ["x"]
     code, out, err = run_filter(tmp_path, capsys, monkeypatch, padded, receiver)
     assert (code, out.splitlines(), err) == (1, expected, f"error: stdin line {len(padded)}: non-integer symbol\n")
+
+
+@pytest.mark.parametrize("token", ["+" + "9" * 5000, "-" + "0" * 5000 + "3", "\u0661" * 5000,
+                                   "\u0660" * 5000 + "\u0663", "1_" * 2200 + "1", "\u0661" * 4301 + "x",
+                                   "\u0661" * 4301 + "\u00b2", "1__" + "1" * 5000],
+                         ids=["plus", "minus-zeros", "arabic-indic", "arabic-indic-zeros", "underscores",
+                              "junk-after", "superscript-after", "double-underscore"])
+def test_line_problem_reads_long_tokens_as_the_reference(token):
+    # a token past int()'s digit limit is named as int() would read it
+    # without that limit, whatever its script, sign or underscores
+    for tokens in ([token, "1", "2"], ["1", token]):
+        assert cli._line_problem(tokens, 5, 3, "(3 message)") == reference_symbols.line_problem(
+            tokens, 5, 3, "(3 message)")
 
 
 # what str.split() separates symbols at, ASCII or not, and what int() reads

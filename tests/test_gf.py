@@ -290,6 +290,45 @@ def test_stack_rank_edge_shapes():
         assert ranks == [pivot_count(2, mat) for mat in stack]
 
 
+@st.composite
+def word_stacks(draw):
+    """An S x r x d stack of integers whose longer axis, the one the GF(2)
+    word kernel packs, holds 1, 63, 64, 65, 128 or 129 entries.  Each
+    vector along it is a sum of a few sparse vectors, some set only past
+    the first word, so vectors repeat, cancel and share their highest bit;
+    entries are then moved by even amounts, so some are negative and
+    some above 1.  Both orientations are drawn, the shorter axis may be
+    empty, and so may the stack."""
+    long = draw(st.sampled_from([1, 63, 64, 65, 128, 129]))
+    count, short = draw(st.integers(0, 3)), draw(st.integers(0, min(long, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sparse = np.zeros((count, draw(st.integers(1, 4)), long), dtype=np.int64)
+    for basis in sparse:
+        for vector in basis:
+            start = draw(st.sampled_from([0, long // 2, max(0, long - 64)]))
+            vector[rng.integers(start, long, draw(st.integers(1, 3)))] = 1
+    sums = rng.integers(0, 2, (count, short, sparse.shape[1]))
+    stack = sums @ sparse % 2 + 2 * rng.integers(-2, 2, (count, short, long))
+    return stack.transpose(0, 2, 1) if draw(st.booleans()) else stack
+
+
+@given(word_stacks())
+@settings(max_examples=300, deadline=None)
+@example(np.zeros((0, 3, 129), dtype=np.int64)).via("no matrix")
+@example(np.ones((2, 0, 65), dtype=np.int64)).via("no row")
+@example(np.ones((2, 65, 0), dtype=np.int64)).via("no column")
+@example(np.array([[[0] * 64 + [1], [0] * 64 + [-1]]])).via("equal vectors set past the first word")
+def test_word_kernel_matches_reference_rref(stack):
+    # stack_rank over GF(2) packs the longer axis into words and ranks
+    # them with the word kernel: the pivot count of the reference's
+    # reduced form, entries read mod 2, and the stack left as it is
+    before = stack.copy()
+    ranks = stack_rank(2, stack)
+    assert ranks.shape == (len(stack),)
+    assert ranks.tolist() == [len(reference_rref.rref(2, mat.tolist())[1]) for mat in stack]
+    assert np.array_equal(stack, before)
+
+
 def test_stack_rank_widest_field_stays_exact():
     # rows (a, b) and (c, d) near q, dependent iff ad = bc mod q: the
     # fraction-free products reach about q^2 without wrapping int64

@@ -906,15 +906,32 @@ def test_rank_stacks_agree_at_every_cap(case, cap):
 def subset_rank_cases(draw):
     """(q, candidates x rows x cols stack, packed removed-row masks over
     the first `messages` rows, cap): wide, tall and square matrices, so
-    that both the gathered and the masked stack are drawn."""
+    that both the gathered and the masked stack are drawn.  Over GF(2)
+    a stack may also have 60 to 130 rows, its columns sums of a few
+    sparse columns, some set only past the first 64 rows: then columns
+    span two or three words, repeat and share their highest row, and
+    the rows past the last mask byte are key rows."""
     q = draw(st.sampled_from([2, 3, 251]))
-    count, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
-    messages = draw(st.integers(1, rows))
-    entries = draw(st.lists(st.integers(0, q - 1), min_size=count * rows * cols, max_size=count * rows * cols))
-    removed = draw(st.lists(st.lists(st.booleans(), min_size=messages, max_size=messages), max_size=6))
+    count, cols = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    if q == 2 and draw(st.booleans()):
+        rows = draw(st.integers(60, 130))
+        messages = draw(st.integers(1, rows))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        sparse = np.zeros((count, rows, draw(st.integers(1, 4))), dtype=np.int64)
+        for basis in sparse.transpose(0, 2, 1):
+            for column in basis:
+                column[rng.integers(draw(st.sampled_from([0, min(64, rows - 1)])), rows, draw(st.integers(1, 3)))] = 1
+        matrices = sparse @ rng.integers(0, 2, (sparse.shape[2], cols)) % 2
+        removed = (rng.random((draw(st.integers(0, 6)), messages)) < draw(st.sampled_from([0.1, 0.5]))).tolist()
+    else:
+        rows = draw(st.integers(1, 6))
+        messages = draw(st.integers(1, rows))
+        entries = draw(st.lists(st.integers(0, q - 1), min_size=count * rows * cols, max_size=count * rows * cols))
+        matrices = np.array(entries, dtype=np.int64).reshape(count, rows, cols)
+        removed = draw(st.lists(st.lists(st.booleans(), min_size=messages, max_size=messages), max_size=6))
     masks = np.packbits(np.array(removed, dtype=bool).reshape(len(removed), messages), axis=1, bitorder="little")
     cap = draw(st.sampled_from(SMALL_CAPS + [STACK_ENTRIES]))
-    return q, np.array(entries, dtype=np.int64).reshape(count, rows, cols), masks, removed, cap
+    return q, matrices, masks, removed, cap
 
 
 @given(subset_rank_cases())
@@ -930,15 +947,33 @@ def test_subset_ranks_are_ranks_without_the_removed_rows(case):
     assert ranks.shape == (len(matrices), len(removed)) and ranks.tolist() == expected
 
 
+def counted_ranks(monkeypatch):
+    """The names of the rank kernels that oracle calls, in call order."""
+    calls = []
+    for name in ("stack_rank", "word_rank"):
+        kernel = getattr(secix.oracle, name)
+        monkeypatch.setattr(secix.oracle, name, lambda *args, name=name, kernel=kernel:
+                            calls.append(name) or kernel(*args))
+    return calls
+
+
 def test_a_small_check_is_one_rank_stack(monkeypatch):
     # x1 + ... + x14 over GF(2) at t = 1: 14 receiver lists and 182 pairs
-    # use 120 slots, all ranked in one stack_rank call
-    calls = []
-    rank = secix.oracle.stack_rank
-    monkeypatch.setattr(secix.oracle, "stack_rank", lambda q, stack: calls.append(stack.shape) or rank(q, stack))
+    # use 120 slots, all ranked in one call of the GF(2) word kernel
+    calls = counted_ranks(monkeypatch)
     report = check_security(LinearCode(2, [[1]] * 14), complementary_instance(2, 14), AccessStructure.t_level(1))
     assert len(report.checks) == 182 and report.decodable == (True,) * 14
-    assert len(calls) == 1
+    assert calls == ["word_rank"]
+
+
+def test_a_small_check_over_gf3_is_one_rank_stack(monkeypatch):
+    # the same check over GF(3): its 120 slots are ranked in one stack_rank
+    # call (the budget admits the 3^14 states x 182 pairs it counts)
+    calls = counted_ranks(monkeypatch)
+    report = check_security(LinearCode(3, [[1]] * 14), complementary_instance(3, 14), AccessStructure.t_level(1),
+                            budget=3 ** 14 * 182)
+    assert len(report.checks) == 182 and report.decodable == (True,) * 14
+    assert calls == ["stack_rank"]
 
 
 @pytest.mark.parametrize("m, key_dim", [(7, 2), (8, 1), (9, 3)])

@@ -246,7 +246,8 @@ def search_linear(
     b = check_block_size(b)
     q, m = inst.q, inst.m
     width = m * length
-    candidates = q ** width
+    # q^width >= 2^width > budget from this width on: refused, with no power built
+    candidates = q ** width if width < budget.bit_length() else budget + 1
     refuse(candidates, f"{q}^{width} candidate generators", budget)
     check_budget(q, m, 1, f"{q}^{m}", acc, b, budget)
     checks = list_checks(inst, acc, b)

@@ -407,11 +407,64 @@ def _build_parser():
 _PARSER, _SUBPARSERS = _build_parser()
 
 
+def _option_table(options):
+    """One subcommand's options as `_parse_args` reads them: each option
+    string's destination and reader (None for a switch, else the type
+    its value is read with), the defaults argparse sets, and the
+    required option strings."""
+    readers, defaults, required = {}, {}, set()
+    for flag, kwargs in options:
+        dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+        switch = kwargs.get("action") == "store_true"
+        readers[flag] = (dest, None if switch else kwargs.get("type", str))
+        defaults[dest] = kwargs.get("default", False if switch else None)
+        if kwargs.get("required"):
+            required.add(flag)
+    return readers, defaults, frozenset(required)
+
+
+_TABLES = {name: _option_table(options) for name, (_, options) in _COMMANDS.items()}
+
+
+def _table_args(argv):
+    """The namespace of an argv led by a subcommand name, when every
+    later token is one of its exact option strings, each option that
+    takes a value is followed by a str that does not start with "-" and
+    that its type reads, and every required option is given; else None.
+    argparse gives the same namespace for such an argv."""
+    readers, defaults, required = _TABLES[argv[0]]
+    values = dict(defaults, command=argv[0])
+    given = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = readers.get(flag)
+        if option is None:
+            return None
+        dest, read = option
+        given.add(flag)
+        if read is None:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-", which is refused
+        if not isinstance(value, str) or value.startswith("-"):
+            return None
+        try:
+            values[dest] = read(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values) if required <= given else None
+
+
 def _parse_args(argv):
-    """`_PARSER.parse_args(argv)`, with argv led by a subcommand name
-    handed straight to that subcommand's parser: the same namespace,
-    help and error text and exit code, without the top-level parse."""
+    """`_PARSER.parse_args(argv)`: the same namespace, help and error
+    text and exit code.  An argv of the plain shape `_table_args` reads
+    is answered from the option tables, with no argparse call; any other
+    argv led by a subcommand name is handed straight to that
+    subcommand's parser, without the top-level parse."""
     if argv and argv[0] in _SUBPARSERS:
+        args = _table_args(argv)
+        if args is not None:
+            return args
         args, extras = _SUBPARSERS[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             _PARSER.error("unrecognized arguments: " + " ".join(extras))

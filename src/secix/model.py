@@ -365,13 +365,20 @@ def json_text(obj, indent: str = "") -> str:
 
 def read_json(path):
     """The JSON value in the file at `path`.  ValueError naming the line
-    and column when the file is not valid JSON; OSError when it cannot
-    be read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    and column when the file is not valid JSON, or when it is not UTF-8;
+    OSError when it cannot be read.
+
+    The file is read as raw bytes in one unbuffered call and decoded
+    whole; CR LF and then a lone CR are read as LF, as a text-mode reader
+    reads them, so that an error names the same line and column."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
 
 
 def write_json(path, obj) -> None:

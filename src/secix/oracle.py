@@ -385,10 +385,11 @@ def _ranked(code, checks: Checks):
     M = [G; Gtilde], key rows included in every hidden set: per receiver
     list, whether it gains 1; per pair list, which leaks I = its gain
     symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q,
-    one float object per value of I."""
+    one float object per value of I, which is at most min(b, length)."""
     gains = _gains(code.q, code.matrix[None], checks, slice(None))[0].tolist()
     split, b, bits = len(checks.owner), checks.b, math.log2(code.q)
-    leaks, conditional = gains[split:], [(b - leak) * bits for leak in range(b + 1)]
+    leaks = gains[split:]
+    conditional = [(b - leak) * bits for leak in range(min(b, code.length) + 1)]
     return ([gain == 1 for gain in gains[:split]], [leak == 0 for leak in leaks],
             [conditional[leak] for leak in leaks])
 

@@ -499,6 +499,9 @@ def test_search_budget_refusals_allocate_nothing():
             search_linear(inst, acc, 0, budget=2 ** 90)
         with pytest.raises(BudgetExceededError, match="candidate generators are too many"):
             search_linear(inst, acc, 2, budget=2 ** 90)
+        # refused by its exponent alone: 2^(4 * 10^7) would take 5 MB
+        with pytest.raises(BudgetExceededError, match=r"^2\^40000000 candidate generators exceed the budget of"):
+            search_linear(inst, acc, 10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

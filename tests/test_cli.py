@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, file formats, filters, round trips."""
 
+import argparse
 import contextlib
 import copy
 import errno
@@ -40,6 +41,7 @@ from conftest import (
     unwanted_key_instance,
 )
 import reference_decode
+import reference_read_json
 import reference_symbols
 
 
@@ -90,6 +92,16 @@ def test_analyze_malformed_json(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--instance", str(bad))
     assert code == 1
     assert "line" in err
+
+
+@pytest.mark.parametrize("name", sorted(set(reference_read_json.NAMES) - {"crlf"}))
+def test_unreadable_files_are_one_line_as_the_text_reader_names_them(tmp_path, capsys, crossed2, name):
+    path = str(reference_read_json.make(tmp_path, name))
+    with pytest.raises((OSError, ValueError)) as raised:
+        reference_read_json.read_json(path)
+    assert run(capsys, "analyze", "--instance", path) == (1, "", f"error: cannot read instance: {raised.value}\n")
+    argv = verify_argv(tmp_path, crossed2)[:-1] + [path]  # the file as the code
+    assert run(capsys, *argv) == (1, "", f"error: cannot read code: {raised.value}\n")
 
 
 @pytest.mark.parametrize("receivers, reason", [
@@ -1174,13 +1186,11 @@ def test_failed_stdout_write_exits_1_without_traceback(tmp_path, capsys, monkeyp
 # ---- subcommand dispatch -------------------------------------------------------------------
 
 def top_level_parse(capsys, argv):
-    """Exit code, stdout and stderr of `argv` parsed by the top-level
-    parser alone, as main parsed every argv before it dispatched a
-    subcommand directly."""
-    with pytest.raises(SystemExit) as exc:
-        cli._PARSER.parse_args(argv)
-    captured = capsys.readouterr()
-    return cli.EXIT_USAGE if exc.value.code else cli.EXIT_OK, captured.out, captured.err
+    """Exit code, stdout and stderr of main on `argv` parsed by the
+    top-level parser alone, as main parsed every argv before it read
+    argvs from the option tables and dispatched subcommands directly."""
+    with mock.patch.object(cli, "_parse_args", cli._PARSER.parse_args):
+        return run(capsys, *argv)
 
 
 def verify_argv(tmp_path, crossed2):
@@ -1194,12 +1204,16 @@ def verify_argv(tmp_path, crossed2):
     ([], []), (["-h"], []), (["bogus"], []), (["--"], []), (["verify", "-h"], []), (["verify"], []),
     (None, ["--bogus"]), (None, ["extra"]), (None, ["extra", "--bogus", "--json"]), (None, ["--", "x"]),
     (None, ["--b", "x"]),
+    # argvs the option tables leave to argparse: an abbreviation, --opt=value,
+    # a value that starts with "-"
+    (None, ["--inst"]), (None, ["--b=2"]), (None, ["--b", "-1"]), (None, ["--instance", "-"]),
 ], ids=repr)
 def test_usage_errors_match_the_top_level_parse(tmp_path, capsys, crossed2, head, tail):
     argv = (verify_argv(tmp_path, crossed2) if head is None else head) + tail
     expected = top_level_parse(capsys, argv)
     assert run(capsys, *argv) == expected
-    assert expected[0] == (cli.EXIT_OK if "-h" in argv else cli.EXIT_USAGE)
+    # at b = 2 the code leaks, and the argv is no usage error
+    assert expected[0] == (cli.EXIT_OK if "-h" in argv else cli.EXIT_NO if tail == ["--b=2"] else cli.EXIT_USAGE)
     if tail in (["--bogus"], ["extra"]):
         assert expected[2].endswith(f"secix: error: unrecognized arguments: {' '.join(tail)}\n")
 
@@ -1212,9 +1226,70 @@ def test_usage_errors_match_the_top_level_parse(tmp_path, capsys, crossed2, head
     ["decode", "--instance", "i.json", "--code", "c.json", "--receiver", "1"],
     ["graph", "--instance", "i.json", "--dot", "g.dot"],
     ["search", "--instance", "i.json", "--length", "2", "--b", "2"],
-], ids=lambda argv: argv[0])
+] + [pytest.param(argv, id=repr(argv)) for argv in (
+    ["analyze", "--t-level", "0", "--instance", "i.json"],
+    ["analyze", "--instance", "i.json", "--t-level", "+3", "--t-level", " 2", "--json", "--json"],
+    ["verify", "--instance", "i.json", "--code", "c.json", "--access", "[]", "--budget", "0"],
+    ["verify", "--code", "c.json", "--instance", "", "--budget", "1_0", "--b", "\u0663"],
+    ["search", "--length", "0", "--instance", "i.json", "--budget", "99999999999999999999", "--json"],
+    ["search", "--instance", "i.json", "--length", "3", "--access", "[[1, 2]]", "--code", "c.json"],
+    ["decode", "--receiver", "12", "--code", "c.json", "--instance", "i.json"],
+)], ids=lambda argv: argv[0])
 def test_direct_dispatch_gives_the_top_level_namespace(argv):
-    assert cli._parse_args(argv) == cli._PARSER.parse_args(argv)
+    expected = cli._PARSER.parse_args(argv)
+    # a plain argv is read from the option tables: a silent fallback to
+    # argparse would give the same namespace, and lose the tables' gain
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", side_effect=AssertionError(argv)):
+        assert cli._parse_args(argv) == expected
+
+
+# the values a fuzzed argv gives its options: int() reads some that are not ASCII digits
+ARGV_VALUES = ["", "-", "-1", " 2", "+3", "\u0663", "1_0", "x", "2", "i.json"]
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """A subcommand and a run of its options, each in its own shape, led
+    by its required options; or, half the time, one that may also hold
+    option strings without their value, abbreviations, --opt=value
+    forms, "--", "-h" and bare values, and may lack a required option."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][1]
+    value = st.just("2") | st.sampled_from(ARGV_VALUES)  # "2" half the time: every option reads it
+    flag = st.sampled_from([flag for flag, _ in options])
+    # an option in its own shape: a switch alone, any other with a value
+    piece = st.sampled_from(options).flatmap(
+        lambda option: st.just(option[:1]) if "action" in option[1] else st.tuples(st.just(option[0]), value))
+    odd = draw(st.booleans())
+    if odd:
+        piece |= st.one_of(
+            st.tuples(flag), st.tuples(flag, value), st.tuples(value), st.sampled_from([("--",), ("-h",)]),
+            st.tuples(flag.flatmap(lambda f: st.integers(3, max(3, len(f) - 1)).map(lambda n: f[:n])), value),
+            st.tuples(st.builds("{}={}".format, flag, value)),
+        )
+    required = [flag for flag, kwargs in options if kwargs.get("required")]
+    head = [token for flag in required for token in (flag, "2")] if not (odd and draw(st.booleans())) else []
+    return [name] + head + [token for tokens in draw(st.lists(piece, max_size=6)) for token in tokens]
+
+
+def parse_outcome(parse, argv):
+    """The namespace `parse` gives argv, or its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@given(argv=fuzzed_argvs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_option_tables_answer_as_argparse(argv):
+    expected = parse_outcome(cli._PARSER.parse_args, argv)
+    table = cli._table_args(argv)
+    if table is not None:
+        assert table == expected
+    assert parse_outcome(cli._parse_args, argv) == expected
 
 
 def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch, crossed2):

@@ -45,6 +45,7 @@ from secix import (
     vandermonde,
 )
 from conftest import random_instance, unwanted_key_instance
+import reference_read_json
 
 
 # ---- validate / normalize ----------------------------------------------------
@@ -502,6 +503,22 @@ def test_load_instance_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="line"):
         load_instance(path)
+
+
+def outcome(read, path):
+    """The value `read` gives for the file at path, or its exception's type and text."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", reference_read_json.NAMES)
+def test_byte_reader_matches_the_text_reader(tmp_path, name):
+    path = reference_read_json.make(tmp_path, name)
+    expected = outcome(reference_read_json.read_json, path)
+    assert outcome(secix.model.read_json, path) == expected
+    assert outcome(secix.model.read_json, str(path)) == outcome(reference_read_json.read_json, str(path))
 
 
 # ---- the indented-JSON writer -------------------------------------------------------

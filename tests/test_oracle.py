@@ -403,6 +403,22 @@ def test_one_pass_without_pair_rows():
         assert report.checks == () and report.secure
 
 
+def test_pairless_block_size_lists_nothing_per_block_symbol():
+    # no pair leaks more than min(b, length) symbols, so b = 10^6 lists
+    # two entropy values, not a million
+    inst, acc = crossed_pairs_instance(3), AccessStructure.classical(4)
+    tracemalloc.start()
+    try:
+        report = check_security(overlapping_sum_code(3), inst, acc, b=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert report == SecurityReport((), 10 ** 6, (True,) * 4)
+    assert report.json_text() == check_security(overlapping_sum_code(3), inst, acc, b=2).json_text().replace(
+        '"block_size": 2,', '"block_size": 1000000,')
+
+
 def test_one_pass_without_receiver_rows():
     # every receiver wants only what it knows, so it decodes from any code,
     # and only pair rows are sorted

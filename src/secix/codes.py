@@ -107,23 +107,35 @@ class LinearCode:
     be integers, and are reduced mod q.  The code keeps one read-only
     int64 array, `matrix`, the stack [G; Gtilde]; `generator` and
     `key_generator` (None without a key) are views of it.  m + k and ell
-    are each at most gf.MAX_MESSAGES.
+    are each at most gf.MAX_MESSAGES.  Every construction ends in one
+    setup step, `_adopt`: the constructor reaches it after reducing and
+    stacking the matrices it is given, and `parse_code` with the one
+    [G; Gtilde] array it has already checked.
     """
 
     kind = "linear"
 
     def __init__(self, q: int, generator, key_generator=None):
-        self.q = q = checked_modulus(q)
+        q = checked_modulus(q)
         matrix = _reduced(q, generator)
-        self.m, self.length = matrix.shape
-        self.key_dim = 0
+        m = len(matrix)
         if key_generator is not None:
             keys = _reduced(q, key_generator)
-            if keys.shape[1] != self.length:
-                raise ValueError(f"key matrix has {keys.shape[1]} columns, generator has {self.length}")
-            self.key_dim = len(keys)
+            if keys.shape[1] != matrix.shape[1]:
+                raise ValueError(f"key matrix has {keys.shape[1]} columns, generator has {matrix.shape[1]}")
             matrix = np.vstack([matrix, keys])
-        if self.m + self.key_dim > MAX_MESSAGES or self.length > MAX_MESSAGES:
+        self._adopt(q, matrix, m, key_generator is not None)
+
+    def _adopt(self, q: int, matrix: np.ndarray, m: int, keyed: bool) -> None:
+        """The end of every construction: take the checked prime q and
+        the 2-D int64 array `matrix`, already reduced mod q, as [G;
+        Gtilde] with its first m rows G, keep it read-only and set the
+        fields from it.  `parse_code` builds the array itself and comes
+        straight here."""
+        self.q = q
+        self.m, self.length = m, matrix.shape[1]
+        self.key_dim = len(matrix) - m
+        if len(matrix) > MAX_MESSAGES or self.length > MAX_MESSAGES:
             raise ValueError(
                 f"code has {self.m} message + {self.key_dim} key rows and {self.length} columns; "
                 f"at most {MAX_MESSAGES} of each are supported"
@@ -132,8 +144,8 @@ class LinearCode:
         matrix.setflags(write=False)
         # [G; Gtilde]: the codeword of (x, y) is (x, y) @ matrix mod q
         self.matrix = matrix
-        self.generator = matrix[: self.m]
-        self.key_generator = None if key_generator is None else matrix[self.m :]
+        self.generator = matrix[:m]
+        self.key_generator = matrix[m:] if keyed else None
 
     @property
     def is_randomized(self) -> bool:
@@ -469,25 +481,35 @@ def _least_full_rank_size(rows, q: int, most: int):
 
 # ---- JSON code files -------------------------------------------------------
 
-def _field_matrix(q: int, rows, what: str) -> np.ndarray:
-    """The int64 array of `rows` (the matrix `what` of a code file) when
-    it is a non-empty list of equally long rows of integers in [0, q);
-    ValueError naming the matrix or the row otherwise.  No entry is
-    reduced mod q.  q must already be a valid modulus, so every entry
-    that passes fits in int64."""
-    if not isinstance(rows, list):
-        raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
-    if not rows:
-        raise ValueError(f"{what} must have at least one row")
+def _screened(q: int, rows):
+    """The int64 array of `rows` when it is a list of equally long list
+    rows whose entries are all of type int and lie in [0, q); None
+    otherwise, without saying why (`_field_matrix` says it).  One range
+    test covers every entry: a negative one, read unsigned, lies past
+    q, and one past int64 stops the conversion."""
     if all(type(row) is list for row in rows) and len(set(map(len, rows))) == 1 \
             and set(map(type, itertools.chain.from_iterable(rows))) <= {int}:
         try:
             matrix = np.array(rows, dtype=np.int64)
-            if (matrix.view(np.uint64) < q).all():  # a negative entry, read unsigned, lies past q
-                return matrix
-        except OverflowError:  # an entry past int64
-            pass
-    checked = []  # row by row, to name the first row at fault
+        except OverflowError:
+            return None
+        if (matrix.view(np.uint64) < q).all():
+            return matrix
+    return None
+
+
+def _field_matrix(q: int, rows, what: str) -> np.ndarray:
+    """The int64 array of `rows` (the matrix `what` of a code file) when
+    it is a non-empty list of equally long rows of integers in [0, q);
+    ValueError naming the matrix or the row otherwise.  Read row by row,
+    to name the first row at fault; no entry is reduced mod q.  q must
+    already be a valid modulus, so every entry that passes fits in
+    int64."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} must be a list of integer rows, got {rows!r}")
+    if not rows:
+        raise ValueError(f"{what} must have at least one row")
+    checked = []
     for i, row in enumerate(rows, start=1):
         checked.append(checked_ints(row, f"{what} row {i}", q))
         if len(row) != len(rows[0]):
@@ -502,6 +524,15 @@ def parse_code(obj) -> LinearCode:
              "G": [[int...]...], "Gtilde": [[int...]...]}
     Matrices are row-major, with entries in [0, q); G has m rows and ell
     columns, Gtilde is required exactly for "linear_rand".
+
+    G and Gtilde are screened together (`_screened`, on the rows of G
+    followed by those of Gtilde).  When both are non-empty lists, their
+    rows are lists of one length and every entry is an int in [0, q),
+    that one int64 array is the code's [G; Gtilde], taken as it is by
+    the setup step `LinearCode.__init__` ends in, with no second
+    modulus check or reduction.  Any other input is read matrix by
+    matrix and row by row by `_field_matrix` and built by `LinearCode`,
+    which write every error text.
     """
     if not isinstance(obj, dict):
         raise ValueError("code file must contain a JSON object")
@@ -512,9 +543,17 @@ def parse_code(obj) -> LinearCode:
     if kind not in ("linear_det", "linear_rand"):
         raise ValueError(f"unknown code kind {kind!r}")
     q = checked_modulus(checked_int(obj["q"], "q"))
-    generator = _field_matrix(q, obj["G"], "G")
+    rows, keys, keyed = obj["G"], obj.get("Gtilde", []), kind == "linear_rand"
+    # one array when G, and Gtilde exactly when keyed, are non-empty lists
+    if keyed == ("Gtilde" in obj) and type(rows) is list and type(keys) is list and rows and (keys or not keyed):
+        matrix = _screened(q, rows + keys)
+        if matrix is not None:
+            code = LinearCode.__new__(LinearCode)
+            code._adopt(q, matrix, len(rows), keyed)
+            return code
+    generator = _field_matrix(q, rows, "G")
     key_generator = None
-    if kind == "linear_rand":
+    if keyed:
         if "Gtilde" not in obj:
             raise ValueError("linear_rand code needs a 'Gtilde' matrix")
         key_generator = _field_matrix(q, obj["Gtilde"], "Gtilde")

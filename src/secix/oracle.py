@@ -288,7 +288,7 @@ def _counted(code, checks: Checks):
     for row in rows[:len(checks.owner)]:
         runs, views = _classes(ids, digits, row, 1, q)
         decodes.append(bool((runs == views).all()))
-    states, values = ids.size, q ** b
+    states, values = ids.size, q ** b if checks.labels else 0  # b is unbounded when no pair uses it
     for row in rows[len(checks.owner):]:
         runs, views = _classes(ids, digits, row, b, q)
         uniform.append(bool((runs * values == views).all()))
@@ -366,11 +366,18 @@ def _subset_ranks(q: int, matrices, masks):
     return ranks
 
 
-def _gains(q: int, matrices, checks: Checks, lists: slice):
+def _gains(q: int, matrices, checks: Checks, lists: slice | None):
     """Per matrix M of a candidates x rows x cols stack over GF(q), and
-    per list `lists` of `checks`, the symbols its target gains: rank
-    M_hidden - rank M_{hidden minus target}, where hidden is every row
-    outside the view.  Only the slots these lists use are ranked."""
+    per list `lists` of `checks` (every list when None), the symbols its
+    target gains: rank M_hidden - rank M_{hidden minus target}, where
+    hidden is every row outside the view.
+
+    Every slot is some list's view or its view plus target, so with
+    every list each slot of `checks.masks` is ranked as it is; a slice
+    of the lists ranks only the slots its lists use."""
+    if lists is None:
+        ranks = _subset_ranks(q, matrices, checks.masks)
+        return ranks[:, checks.slots[0]] - ranks[:, checks.slots[1]]
     both = checks.slots[:, lists].ravel()  # the views, then the views and targets
     used = np.zeros(len(checks.masks), dtype=bool)
     used[both] = True
@@ -385,11 +392,12 @@ def _ranked(code, checks: Checks):
     M = [G; Gtilde], key rows included in every hidden set: per receiver
     list, whether it gains 1; per pair list, which leaks I = its gain
     symbols of X_B, whether I = 0, and H(X_B | C, X_A) = (b - I) log2 q,
-    one float object per value of I, which is at most min(b, length)."""
-    gains = _gains(code.q, code.matrix[None], checks, slice(None))[0].tolist()
+    one float object per value of I that some pair has (with no pair,
+    none, however large b is)."""
+    gains = _gains(code.q, code.matrix[None], checks, None)[0].tolist()
     split, b, bits = len(checks.owner), checks.b, math.log2(code.q)
     leaks = gains[split:]
-    conditional = [(b - leak) * bits for leak in range(min(b, code.length) + 1)]
+    conditional = {leak: (b - leak) * bits for leak in set(leaks)}
     return ([gain == 1 for gain in gains[:split]], [leak == 0 for leak in leaks],
             [conditional[leak] for leak in leaks])
 
@@ -453,6 +461,14 @@ class PairCheck(NamedTuple):
         }
 
 
+_ASSUMPTIONS = "messages and keys uniform and independent"
+# the --json report around its pairs, secure, block_size and decodable texts
+_REPORT_TEXT = ('{\n  "pairs": %s,\n  "secure": %s,\n  "block_size": %s,\n  "assumptions": '
+                + json_text(_ASSUMPTIONS) + ',\n  "decodable": %s\n}')
+# between two pairs of the report text
+_PAIR_SEPARATOR = ",\n    "
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     """All pair verdicts plus the overall conjunction, and per receiver
@@ -471,7 +487,7 @@ class SecurityReport:
         return {
             "secure": self.secure,
             "block_size": self.block_size,
-            "assumptions": "messages and keys uniform and independent",
+            "assumptions": _ASSUMPTIONS,
             "decodable": list(self.decodable),
         }
 
@@ -479,32 +495,41 @@ class SecurityReport:
         return {"pairs": [p.to_dict() for p in self.checks], **self._summary()}
 
     def json_text(self) -> str:
-        """Exactly `model.json_text(self.to_dict())`, rendered from
-        fragments: the text of each distinct A or B object, and of each
-        distinct (uniform, H_B, H_B|CA) triple of objects, is made once,
-        and a pair's text is one concatenation of three.  Fragments are
-        keyed by object identity, which the checks keep alive, so values
-        that compare equal but print differently (0.0 and -0.0, True and
-        1) never share one; `check_security` shares its label tuples and
-        entropy floats, so its fragments are few."""
-        labels, tails, pairs = {}, {}, []
+        """Exactly `model.json_text(self.to_dict())`, written with one
+        join over fragments and one template for the rest.  Per pair the
+        fragments are three: its A text, which carries the opening brace
+        and the "B" key; its B text; and its tail, the (uniform, H_B,
+        H_B|CA) text with the closing brace and the separator, which the
+        last pair trades for the closing bracket.  Each fragment is made
+        once per distinct object, or triple of objects for a tail, in
+        separate maps for A, B and tails, since a hand-built report may
+        share one tuple as an A and as a B.  The maps are keyed by object
+        identity, which the checks keep alive, so values that compare
+        equal but print differently (0.0 and -0.0, True and 1) never
+        share one; `check_security` shares its label tuples and entropy
+        floats, so its fragments are few."""
+        heads, blocks, tails, parts = {}, {}, {}, []
         for a, b, uniform, block_bits, conditional_bits in self.checks:
-            text_a = labels.get(id(a))
-            if text_a is None:
-                text_a = labels[id(a)] = json_text(list(a), "      ")
-            text_b = labels.get(id(b))
-            if text_b is None:
-                text_b = labels[id(b)] = json_text(list(b), "      ")
+            head = heads.get(id(a))
+            if head is None:
+                head = heads[id(a)] = '{\n      "A": ' + json_text(list(a), "      ") + ',\n      "B": '
+            block = blocks.get(id(b))
+            if block is None:
+                block = blocks[id(b)] = json_text(list(b), "      ")
             key = id(uniform), id(block_bits), id(conditional_bits)
             tail = tails.get(key)
             if tail is None:
                 tail = tails[key] = (',\n      "uniform": ' + json_text(uniform)
                                      + ',\n      "H_B_bits": ' + json_text(block_bits)
                                      + ',\n      "H_B_given_CA_bits": ' + json_text(conditional_bits)
-                                     + "\n    }")
-            pairs.append('{\n      "A": ' + text_a + ',\n      "B": ' + text_b + tail)
-        listed = "[\n    " + ",\n    ".join(pairs) + "\n  ]" if pairs else "[]"
-        return '{\n  "pairs": ' + listed + "," + json_text(self._summary())[1:]
+                                     + "\n    }" + _PAIR_SEPARATOR)
+            parts += head, block, tail
+        listed = "[]"
+        if parts:
+            parts[-1] = parts[-1][:-len(_PAIR_SEPARATOR)] + "\n  ]"
+            listed = "[\n    " + "".join(parts)
+        return _REPORT_TEXT % (listed, json_text(self.secure), json_text(self.block_size),
+                               json_text(list(self.decodable), "  "))
 
 
 def check_security(
@@ -545,6 +570,6 @@ def check_security(
     decodes = [True] * len(inst.receivers)
     for i, ok in zip(checks.owner, passes):
         decodes[i] = decodes[i] and ok
-    entropy = b * math.log2(code.q)
+    entropy = b * math.log2(code.q) if checks.labels else None  # b is unbounded when no pair uses it
     pairs = [PairCheck(*label, ok, entropy, h) for label, ok, h in zip(checks.labels, uniform, conditional)]
     return SecurityReport(tuple(pairs), b, tuple(decodes))

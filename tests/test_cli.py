@@ -390,6 +390,25 @@ def test_verify_refuses_bad_block_size_before_the_state_budget(tmp_path, capsys)
     assert err == "error: block size must be >= 1, got 0\n" and out == ""
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_verify_takes_a_block_size_past_the_float_range_without_pairs(tmp_path, capsys, json_flag):
+    # no adversary in the file: the classical fallback lists no pair, so a
+    # b of 401 digits enters no float, and verify answers as at --b 2 but
+    # for block_size
+    inst_path, code_path = tmp_path / "inst.json", tmp_path / "c.json"
+    inst_path.write_text(json.dumps({"q": 2, "m": 3, "receivers": [
+        {"knows": [j for j in (1, 2, 3) if j != i], "wants": [i]} for i in (1, 2, 3)]}))
+    code_path.write_text(json.dumps({"kind": "linear_det", "q": 2, "G": [[1], [1], [1]]}))
+    argv, huge = ("verify", "--instance", str(inst_path), "--code", str(code_path), *json_flag), "1" + "0" * 400
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--b", huge)
+    elapsed = time.perf_counter() - start
+    expected = run(capsys, *argv, "--b", "2")
+    assert elapsed < 1.0 and err == expected[2] == ""
+    assert (code, out) == (expected[0], expected[1].replace('"block_size": 2,', f'"block_size": {huge},'))
+    assert code == 0 and (huge in out) == bool(json_flag)
+
+
 # the largest prime below gf.MAX_MODULUS: q^600 has more than 4300 decimal digits
 BIG_Q = 94859939
 

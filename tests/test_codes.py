@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from secix import (
     AccessStructure,
@@ -35,6 +35,7 @@ import secix.codes
 from secix.gf import MAX_MESSAGES, stack_rank
 from secix.oracle import BudgetExceededError
 import reference_decode
+import reference_parse_code
 import reference_weight
 from conftest import (
     WIDEST_Q,
@@ -810,3 +811,54 @@ def test_parse_code_takes_tuple_rows_and_empty_rows():
     assert listed.generator.tolist() == [[1, 0], [4, 3]] and listed.generator.dtype == np.int64
     empty = parse_code({"kind": "linear_det", "q": 5, "G": [[], []]})
     assert (empty.m, empty.length) == (2, 0)
+
+
+# entries the one-array screen must hand to the row-by-row reader: not
+# integers, outside GF(q) or past int64, next to plain field symbols
+ODD_ENTRIES = [True, False, 0.0, 1.5, "1", None, [1], [], -1, 2 ** 63 - 1, 2 ** 63, 2 ** 64]
+
+
+@st.composite
+def code_objects(draw):
+    """Code-file objects: G and Gtilde of equal, ragged or empty rows,
+    with entries that are field symbols, q, or any of ODD_ENTRIES; a
+    Gtilde that is present, missing or extra, or a matrix or row that
+    is no list."""
+    q = draw(st.sampled_from([2, 3, 5, 2, 3, 5, 4]))
+    width = draw(st.integers(0, 3))
+    symbol = st.integers(0, q - 1)
+    entry = symbol if draw(st.booleans()) else symbol | st.just(q) | st.sampled_from(ODD_ENTRIES)
+    exact = st.lists(entry, min_size=width, max_size=width)
+    row = exact | st.lists(entry, max_size=4) | st.sampled_from([(1,) * width, 1, "1", None])
+    rows = st.lists(exact, min_size=1, max_size=4)
+    matrix = st.one_of(rows, rows, rows, st.lists(row, max_size=4), rows.map(tuple), st.sampled_from([None, 1, {}]))
+    keyed = draw(st.booleans())
+    obj = {"kind": "linear_rand" if keyed else "linear_det", "q": q, "G": draw(matrix)}
+    if draw(st.sampled_from([keyed, keyed, keyed, not keyed])):
+        obj["Gtilde"] = draw(matrix)
+    return obj
+
+
+def parsed(parse, obj):
+    """The fields and arrays of the code `parse` builds from obj, or its
+    exception's type and text."""
+    try:
+        code = parse(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    views = [code.generator] + ([] if code.key_generator is None else [code.key_generator])
+    return ((code.q, code.m, code.key_dim, code.length, code.key_count, code.is_randomized),
+            (code.matrix.dtype, code.matrix.tolist(), code.matrix.flags.writeable),
+            [(view.tolist(), view.flags.writeable, view.base is code.matrix) for view in views])
+
+
+@given(code_objects())
+@example({"kind": "linear_rand", "q": 2, "G": [[1], [0]], "Gtilde": [[1, 0]]})
+@example({"kind": "linear_rand", "q": 2, "G": [[]], "Gtilde": [[]]})
+@example({"kind": "linear_det", "q": 2, "G": [[0]] * (MAX_MESSAGES + 1)})
+@example({"kind": "linear_rand", "q": 2, "G": [[0]] * MAX_MESSAGES, "Gtilde": [[1]]})
+@example({"kind": "linear_det", "q": 2, "G": [[0] * (MAX_MESSAGES + 1)]})
+@example({"kind": "linear_rand", "q": 5, "G": [[1, 0]], "Gtilde": [[2 ** 64, 0]]})
+@settings(max_examples=400, deadline=None)
+def test_parse_code_matches_the_matrix_by_matrix_reader(obj):
+    assert parsed(parse_code, obj) == parsed(reference_parse_code.parse_code, obj)

@@ -404,8 +404,8 @@ def test_one_pass_without_pair_rows():
 
 
 def test_pairless_block_size_lists_nothing_per_block_symbol():
-    # no pair leaks more than min(b, length) symbols, so b = 10^6 lists
-    # two entropy values, not a million
+    # entropy values are made per leak that some pair has, so with no
+    # pair b = 10^6 makes none, not a million
     inst, acc = crossed_pairs_instance(3), AccessStructure.classical(4)
     tracemalloc.start()
     try:
@@ -417,6 +417,33 @@ def test_pairless_block_size_lists_nothing_per_block_symbol():
     assert report == SecurityReport((), 10 ** 6, (True,) * 4)
     assert report.json_text() == check_security(overlapping_sum_code(3), inst, acc, b=2).json_text().replace(
         '"block_size": 2,', '"block_size": 1000000,')
+
+
+@pytest.mark.parametrize("code", [overlapping_sum_code(3), LinearCode(3, [[1, 0], [1, 1], [0, 1], [1, 2]], [[1, 1]])],
+                         ids=["deterministic", "keyed"])
+def test_pairless_block_size_past_the_float_range(code):
+    # b enters a float only through a pair's H_B and H_B|CA: with no pair,
+    # b = 10^400, past the largest float, gives b = 2's report but for block_size
+    inst, acc, huge = crossed_pairs_instance(3), AccessStructure.classical(4), 10 ** 400
+    report, expected = check_security(code, inst, acc, b=huge), check_security(code, inst, acc, b=2)
+    assert report == SecurityReport((), huge, expected.decodable)
+    assert report.json_text() == expected.json_text().replace('"block_size": 2,', f'"block_size": {huge},')
+
+
+def test_pairless_table_code_never_raises_q_to_the_block_size():
+    # q^b is the class size of a pair, so with no pair it is never made:
+    # b = 10^6 peaks as b = 2 does
+    code, inst, acc = table_copy(LinearCode(3, [[1]] * 4)), crossed_pairs_instance(3), AccessStructure.classical(4)
+    reports, peaks = [], []
+    for b in (2, 10 ** 6):
+        tracemalloc.start()
+        try:
+            reports.append(check_security(code, inst, acc, b=b))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 100_000
+    assert reports[1] == SecurityReport((), 10 ** 6, reports[0].decodable)
 
 
 def test_one_pass_without_receiver_rows():
@@ -918,6 +945,32 @@ def test_rank_stacks_agree_at_every_cap(case, cap):
     assert [p.uniform for p in table.checks] == [p[2] for p in expected[1]]
 
 
+@given(linear_cases())
+@settings(max_examples=150, deadline=None)
+@example((LinearCode(2, [[1, 0], [1, 1], [0, 1]], [[1, 1]]), complementary_instance(2, 3),
+          AccessStructure.t_level(1), 1)).via("keyed over GF(2)")
+@example((LinearCode(3, [[1, 2], [0, 1], [1, 1]], [[2, 1], [0, 1]]), complementary_instance(3, 3),
+          AccessStructure.t_level(1), 2)).via("keyed over GF(3)")
+@example((LinearCode(3, [[1, 2], [0, 1]]), Instance(3, 2, (Receiver({1, 2}, {1}),)),
+          AccessStructure.explicit([[1, 2]]), 1)).via("no lists")
+def test_gains_over_every_list_equal_its_slices(case):
+    # every list ranks each slot as it is listed; the receiver lists and
+    # then the pair lists, as secure_generators asks for them, rank only
+    # the slots they use, and must give the same gains in the same order
+    code, inst, acc, b = case
+    try:
+        checks = list_checks(inst, acc, b)
+    except InfeasibleBlockError:
+        return
+    q, split, lists = code.q, len(checks.owner), checks.slots.shape[1]
+    stack = np.stack([code.matrix, (code.matrix + 1) % q])
+    whole = secix.oracle._gains(q, stack, checks, None)
+    parts = [secix.oracle._gains(q, stack, checks, slice(0, split)),
+             secix.oracle._gains(q, stack, checks, slice(split, lists))]
+    assert whole.shape == (2, lists)
+    assert whole.tolist() == np.hstack(parts).tolist()
+
+
 @st.composite
 def subset_rank_cases(draw):
     """(q, candidates x rows x cols stack, packed removed-row masks over
@@ -1028,6 +1081,7 @@ def hand_built_reports(draw):
 @given(oracle_cases())
 @example((disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.classical(4), 1))
 @example((disjoint_sum_code(2), crossed_pairs_instance(2), AccessStructure.explicit([[1, 2, 3, 4], [3]]), 2))
+@example((disjoint_sum_code(2), Instance(2, 4, ()), AccessStructure.classical(4), 1)).via("no pair, no receiver")
 @settings(max_examples=150, deadline=None)
 def test_report_text_is_json_dumps_indent_2(case):
     # deterministic, keyed and table codes, t-level and explicit
@@ -1044,6 +1098,9 @@ def test_report_text_is_json_dumps_indent_2(case):
 @example(SecurityReport((PairCheck((1,), (2,), True, 0.0, 0.0), PairCheck((1,), (2,), 1, -0.0, 0.0)), 1, (True,)))
 @example(SecurityReport((PairCheck((1,), (2,), False, 1.0, 0.0), PairCheck((1,), (2,), False, 1.0, 1.0)), 1, ()))
 @example(SecurityReport((PairCheck((1,), (True,), 0, 1, 0.5), PairCheck((True,), (1,), 0, 1.0, 0.5)), 2, (False,)))
+@example(SecurityReport((), 1, ())).via("no pair, no receiver")
+@example((lambda shared: SecurityReport((PairCheck(shared, shared, True, 0.0, 0.0), PairCheck((2,), shared, 1, 0.0, 0.0)),
+                                        1, ()))((1,))).via("one tuple as A and as B")
 @settings(max_examples=300, deadline=None)
 def test_hand_built_report_text_is_json_dumps_indent_2(report):
     assert report.json_text() == json.dumps(report.to_dict(), indent=2)
